@@ -1,32 +1,16 @@
-"""Loop-heavy kernels with compiled (numba) and pure-numpy implementations.
-
-Each public function dispatches on :func:`pslab._accel.use_numba`.  The two
-paths implement the same arithmetic; parity is covered by tests and the
-benchmark in ``bench/`` compares their throughput.
-"""
+"""The two loop-heavy kernels: Bargmann quadrature and the unit-cube sweep."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._accel import njit, use_numba
 
-
-@njit(cache=True)
-def _bargmann_sum_nb(tpts, weights, zre, zim):
-    out = np.empty((zre.size, zim.size), np.complex128)
-    two_pi = 2.0 * np.pi
-    for ia in range(zre.size):
-        for ib in range(zim.size):
-            z = complex(zre[ia], zim[ib])
-            acc = 0.0 + 0.0j
-            for it in range(tpts.size):
-                acc += weights[it] * np.exp(two_pi * tpts[it] * z)
-            out[ia, ib] = acc
-    return out
-
-
-def _bargmann_sum_np(tpts, weights, zre, zim):
+def bargmann_sum(tpts: np.ndarray, weights: np.ndarray, zre: np.ndarray, zim: np.ndarray) -> np.ndarray:
+    """Sum_t weights[t] * exp(2 pi t z) on the rectangle zre x zim."""
+    tpts = np.asarray(tpts, np.float64)
+    weights = np.asarray(weights, np.complex128)
+    zre = np.asarray(zre, np.float64)
+    zim = np.asarray(zim, np.float64)
     # exp(2 pi t (x+iy)) factors into a real and a modulation part, so the
     # double sum is a single complex matmul.
     growth = np.exp(2.0 * np.pi * np.outer(tpts, zre)) * weights[:, None]
@@ -34,54 +18,15 @@ def _bargmann_sum_np(tpts, weights, zre, zim):
     return (growth.astype(np.complex128).T @ modulation).astype(np.complex128)
 
 
-def bargmann_sum(tpts: np.ndarray, weights: np.ndarray, zre: np.ndarray, zim: np.ndarray) -> np.ndarray:
-    """Sum_t weights[t] * exp(2 pi t z) on the rectangle zre x zim."""
-    if use_numba():
-        return _bargmann_sum_nb(
-            np.ascontiguousarray(tpts, np.float64),
-            np.ascontiguousarray(weights, np.complex128),
-            np.ascontiguousarray(zre, np.float64),
-            np.ascontiguousarray(zim, np.float64),
-        )
-    return _bargmann_sum_np(
-        np.asarray(tpts, np.float64),
-        np.asarray(weights, np.complex128),
-        np.asarray(zre, np.float64),
-        np.asarray(zim, np.float64),
-    )
+def max_cube_count_2axes(xs: np.ndarray, ys: np.ndarray) -> int:
+    """Exact max of |points in [x,x+1) x [y,y+1)| over all cube positions.
 
-
-@njit(cache=True)
-def _max_cube_count_2axes_nb(xs, ys):
-    npts = xs.size
-    best = 0
-    for i in range(npts):
-        x0 = xs[i]
-        # indices of points caught by the x-slab [x0, x0+1)
-        count_x = 0
-        for k in range(npts):
-            if x0 <= xs[k] < x0 + 1.0:
-                count_x += 1
-        if count_x <= best:
-            continue
-        sub = np.empty(count_x, np.float64)
-        m = 0
-        for k in range(npts):
-            if x0 <= xs[k] < x0 + 1.0:
-                sub[m] = ys[k]
-                m += 1
-        for j in range(count_x):
-            y0 = sub[j]
-            c = 0
-            for k in range(count_x):
-                if y0 <= sub[k] < y0 + 1.0:
-                    c += 1
-            if c > best:
-                best = c
-    return best
-
-
-def _max_cube_count_2axes_np(xs, ys):
+    The count only changes when a cube face crosses a point coordinate, and a
+    maximizing cube can always be slid until its lower faces touch points, so
+    sweeping corners over the observed coordinates is exhaustive.
+    """
+    xs = np.asarray(xs, np.float64)
+    ys = np.asarray(ys, np.float64)
     best = 0
     for x0 in xs:
         in_slab = (xs >= x0) & (xs < x0 + 1.0)
@@ -93,26 +38,3 @@ def _max_cube_count_2axes_np(xs, ys):
             if c > best:
                 best = c
     return best
-
-
-def max_cube_count_2axes(xs: np.ndarray, ys: np.ndarray) -> int:
-    """Exact max of |points in [x,x+1) x [y,y+1)| over all cube positions.
-
-    The count only changes when a cube face crosses a point coordinate, and a
-    maximizing cube can always be slid until its lower faces touch points, so
-    sweeping corners over the observed coordinates is exhaustive.
-    """
-    if use_numba():
-        return int(
-            _max_cube_count_2axes_nb(
-                np.ascontiguousarray(xs, np.float64), np.ascontiguousarray(ys, np.float64)
-            )
-        )
-    return _max_cube_count_2axes_np(np.asarray(xs, np.float64), np.asarray(ys, np.float64))
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of the numba kernels (no-op on the numpy path)."""
-    if use_numba():
-        _bargmann_sum_nb(np.zeros(2), np.zeros(2, np.complex128), np.zeros(1), np.zeros(1))
-        _max_cube_count_2axes_nb(np.zeros(2), np.zeros(2))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import re
 from pathlib import Path
 
@@ -10,6 +9,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._csvio import _write_csv
 from .config import ConfigError, ExperimentConfig
 from .corpus import hermite_functions, two_bump
 from .fock import lattice_sweep, save_sweep_csv
@@ -81,17 +81,6 @@ def _provenance(cfg: ExperimentConfig) -> list[str]:
         f"seed {cfg.seed}",
         f"pslab {__version__} numpy {np.__version__} scipy {scipy.__version__}",
     ]
-
-
-def _write_csv(path: Path, header: str, rows: list[str], comments: list[str]) -> None:
-    tmp = str(path) + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write("\n".join([f"# {c}" for c in comments] + [header] + rows) + "\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _tight_central_member(system: FunctionSystem) -> SampledFunction:

@@ -9,12 +9,13 @@ Gramian: G[m, n] pairs member n against member m.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from ._csvio import _write_csv
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,8 @@ class FockPointSet:
         return cls(pts, window)
 
     def save_csv(self, path) -> None:
-        lines = [f"# window {self.window!r}", "re,im"]
-        for p in self.points:
-            lines.append(f"{p.real!r},{p.imag!r}")
-        tmp = str(path) + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
+        rows = [f"{p.real!r},{p.imag!r}" for p in self.points]
+        _write_csv(path, "re,im", rows, [f"window {self.window!r}"])
 
     @classmethod
     def load_csv(cls, path, window: float | None = None) -> "FockPointSet":
@@ -149,11 +145,5 @@ def lattice_sweep(alpha_values: Sequence[float], window: float) -> list[SweepRow
 
 
 def save_sweep_csv(path, rows: Sequence[SweepRow], comments: Sequence[str] = ()) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append("alpha,density,lower,upper,condition")
-    for r in rows:
-        lines.append(f"{r.alpha!r},{r.density!r},{r.lower!r},{r.upper!r},{r.condition!r}")
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    lines = [f"{r.alpha!r},{r.density!r},{r.lower!r},{r.upper!r},{r.condition!r}" for r in rows]
+    _write_csv(path, "alpha,density,lower,upper,condition", lines, comments)

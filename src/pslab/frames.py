@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from ._csvio import _write_csv
 from .grid import GridMismatchError, GridSpec, PhasePoint, SampledFunction, fourier_transform
 from .localization import tail_mass
 
@@ -329,26 +330,19 @@ def offdiagonal_tail(
 
 def save_gram_csv(path, G: np.ndarray, comments: Sequence[str] = ()) -> None:
     """Gram entries as CSV rows m,n,re,im with #-prefixed comment header."""
-    lines = [f"# {c}" for c in comments]
-    lines.append("m,n,re,im")
+    rows = []
     for m in range(G.shape[0]):
         for n in range(G.shape[1]):
             z = complex(G[m, n])
-            lines.append(f"{m},{n},{z.real!r},{z.imag!r}")
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+            rows.append(f"{m},{n},{z.real!r},{z.imag!r}")
+    _write_csv(path, "m,n,re,im", rows, comments)
 
 
 def save_ledger_csv(path, ledger: CommutationLedger, comments: Sequence[str] = ()) -> None:
     """Per-index residuals and truncation defects as CSV."""
-    lines = [f"# {c}" for c in comments]
-    lines.append("n,identity_residual,truncation_defect")
     worst = ledger.truncation_defect.max(axis=1)
-    for n, (res, dft) in enumerate(zip(ledger.per_n_identity_residual, worst)):
-        lines.append(f"{n},{float(res)!r},{float(dft)!r}")
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    rows = [
+        f"{n},{float(res)!r},{float(dft)!r}"
+        for n, (res, dft) in enumerate(zip(ledger.per_n_identity_residual, worst))
+    ]
+    _write_csv(path, "n,identity_residual,truncation_defect", rows, comments)

@@ -9,13 +9,13 @@ offered there, dense spectra stay one-dimensional.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from ._csvio import _write_csv
 from .frames import FunctionSystem
 from .grid import (
     GridSpec,
@@ -282,11 +282,5 @@ def improve_system(
 
 def save_spectrum_csv(path, spec_result: OperatorSpectrum, comments=()) -> None:
     """Eigenvalues as CSV rows index,eigenvalue with #-comment provenance."""
-    lines = [f"# {c}" for c in comments]
-    lines.append("index,eigenvalue")
-    for i, lam in enumerate(spec_result.eigenvalues):
-        lines.append(f"{i},{float(lam)!r}")
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    rows = [f"{i},{float(lam)!r}" for i, lam in enumerate(spec_result.eigenvalues)]
+    _write_csv(path, "index,eigenvalue", rows, comments)

@@ -188,7 +188,6 @@ def cauchy_riemann_residual(values: np.ndarray, step: float) -> float:
 
     def diff4(a, axis):
         s = [slice(2, -2)] * a.ndim
-        out = np.zeros_like(a)
         up1 = np.roll(a, -1, axis)
         dn1 = np.roll(a, 1, axis)
         up2 = np.roll(a, -2, axis)

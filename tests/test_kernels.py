@@ -1,78 +1,58 @@
-"""Both kernel backends must agree; the env flag picks which one runs."""
+"""Each vectorised kernel agrees with its definition evaluated point by point."""
+
+import cmath
+import math
 
 import numpy as np
-import pytest
 
-import pslab._accel as accel
 import pslab._kernels as kernels
 
 
 def random_cube_inputs(seed, m=40):
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-3.0, 3.0, size=(m, 2))
-    return np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
+    return rng.uniform(-3.0, 3.0, size=(m, 2)).T
+
+
+def cube_count_by_definition(xs, ys):
+    """Max over corners (x0, y0) of the points in [x0, x0+1) x [y0, y0+1).
+
+    A maximizing cube slides down until its lower faces touch points, so the
+    corners range over every pair of observed coordinates.
+    """
+    pts = list(zip(xs.tolist(), ys.tolist()))
+    return max(
+        sum(1 for x, y in pts if x0 <= x < x0 + 1.0 and y0 <= y < y0 + 1.0)
+        for x0 in xs.tolist()
+        for y0 in ys.tolist()
+    )
 
 
 class TestCubeCountKernel:
     def test_backends_agree(self):
+        # the slab sweep against the brute-force count over all corners; the
+        # quarter-integer copies put points exactly on the open cube faces
         for seed in range(5):
-            xs, ys = random_cube_inputs(seed)
-            assert kernels._max_cube_count_2axes_np(xs, ys) == kernels._max_cube_count_2axes_nb(xs, ys)
+            for xs, ys in (random_cube_inputs(seed), np.round(4 * random_cube_inputs(seed)) / 4):
+                assert kernels.max_cube_count_2axes(xs, ys) == cube_count_by_definition(xs, ys)
 
     def test_known_cluster(self):
         xs = np.array([0.1, 0.5, 0.9, 3.0])
         ys = np.array([0.1, 0.8, 0.2, 3.0])
         assert kernels.max_cube_count_2axes(xs, ys) == 3
 
-    def test_dispatch_uses_requested_backend(self, monkeypatch):
-        xs, ys = random_cube_inputs(1)
-        monkeypatch.setattr(kernels, "use_numba", lambda: False)
-        want = kernels._max_cube_count_2axes_np(xs, ys)
-        assert kernels.max_cube_count_2axes(xs, ys) == want
-
 
 class TestBargmannKernel:
     def test_backends_agree(self):
+        # the factored matmul against sum_t w_t exp(2 pi t z) at each z
         rng = np.random.default_rng(4)
         t = np.linspace(-4.0, 4.0, 128)
         weights = rng.normal(size=128) + 1j * rng.normal(size=128)
         re = np.linspace(-1.0, 1.0, 9)
         im = np.linspace(-1.0, 1.0, 7)
-        a = kernels._bargmann_sum_np(t, weights, re, im)
-        b = kernels._bargmann_sum_nb(t, weights, re, im)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-    def test_dispatch_matches_numpy_path(self, monkeypatch):
-        rng = np.random.default_rng(6)
-        t = np.linspace(-2.0, 2.0, 64)
-        weights = rng.normal(size=64) + 0j
-        re = np.linspace(-0.5, 0.5, 3)
-        im = np.linspace(-0.5, 0.5, 3)
-        monkeypatch.setattr(kernels, "use_numba", lambda: False)
-        np.testing.assert_allclose(
-            kernels.bargmann_sum(t, weights, re, im),
-            kernels._bargmann_sum_np(t, weights, re, im),
-            rtol=1e-13,
+        want = np.array(
+            [
+                [sum(w * cmath.exp(2.0 * math.pi * tt * complex(x, y)) for tt, w in zip(t, weights)) for y in im]
+                for x in re
+            ]
         )
-
-
-class TestBackendFlag:
-    def test_numpy_flag_disables_numba(self, monkeypatch):
-        monkeypatch.setattr(accel, "_FORCED", "numpy")
-        assert accel.use_numba() is False
-
-    def test_numba_flag_requires_numba(self, monkeypatch):
-        monkeypatch.setattr(accel, "_FORCED", "numba")
-        if accel.HAVE_NUMBA:
-            assert accel.use_numba() is True
-        else:
-            with pytest.raises(RuntimeError):
-                accel.use_numba()
-
-    def test_unknown_flag_rejected(self, monkeypatch):
-        monkeypatch.setattr(accel, "_FORCED", "sometimes")
-        with pytest.raises(ValueError):
-            accel.use_numba()
-
-    def test_warmup_runs(self):
-        kernels.warmup()
+        np.testing.assert_allclose(kernels.bargmann_sum(t, weights, re, im), want, rtol=1e-12, atol=1e-12)
