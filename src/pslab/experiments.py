@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .frames import (
 from .geometry import PhasePointSet, density_trend
 from .grid import GridSpec, PhasePoint, SampledFunction, gaussian_window, snap_to_grid, tf_shift
 from .localization import moment
-from .operators import RestrictionOperator, RestrictionSpec, improve_system, plunge_count
+from .operators import DENSE_LIMIT, RestrictionOperator, RestrictionSpec, improve_system, plunge_count
 
 _RECIPE = re.compile(r"^([a-z-]+)\(([^)]*)\)$|^([a-z-]+)$")
 
@@ -147,6 +148,16 @@ def _run_balian_low(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [path]
 
 
+def _check_sections(cfg: ExperimentConfig, specs: list[RestrictionSpec]) -> None:
+    """Refuse time sets whose dense |T| x |T| section would exceed DENSE_LIMIT."""
+    for spec in specs:
+        size = int(np.count_nonzero(spec.time_mask()))
+        if size > DENSE_LIMIT:
+            raise ConfigError(
+                f"[{cfg.experiment}] time set of {size} samples exceeds the dense limit {DENSE_LIMIT}"
+            )
+
+
 def _run_trace_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
     grid = cfg.grid()
     if grid.dim != 1:
@@ -162,6 +173,7 @@ def _run_trace_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
         specs = [RestrictionSpec(grid, ht, hf) for ht, hf in pairs]
     except ValueError as exc:
         raise ConfigError(f"[trace-check] {exc}") from None
+    _check_sections(cfg, specs)
     rows = []
     for spec in specs:
         tr = RestrictionOperator(spec).trace()
@@ -184,6 +196,7 @@ def _run_plunge_count(cfg: ExperimentConfig, out: Path) -> list[Path]:
         specs = [RestrictionSpec(grid, R / 2, R / 2) for R in radii]
     except ValueError as exc:
         raise ConfigError(f"[plunge-count] {exc}") from None
+    _check_sections(cfg, specs)
     rows = []
     for R, spec in zip(radii, specs):
         count = plunge_count(RestrictionOperator(spec))
@@ -216,6 +229,9 @@ def _run_density(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 def _run_improve(cfg: ExperimentConfig, out: Path) -> list[Path]:
     grid = cfg.grid()
+    size = math.prod(grid.n)
+    if size > DENSE_LIMIT:
+        raise ConfigError(f"[improve] grid of {size} samples exceeds the dense limit {DENSE_LIMIT}")
     radii = cfg.get_floats("radii")
     sigma = cfg.get_float("sigma", 1.0)
     try:

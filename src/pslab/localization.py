@@ -220,9 +220,28 @@ def modulation_norm(f: SampledFunction, s: float) -> float:
     return weighted_field_norm(field, s)
 
 
+def modulation_weight(grid: GridSpec, s: float) -> np.ndarray:
+    """The weight (1+|(x,xi)|)^{2s} on the phase-space grid of ``grid``.
+
+    Broadcastable to ``grid.shape + grid.shape`` (time axes, then frequency).
+    """
+    if s < 0:
+        raise ValueError(f"weight exponent s must be >= 0, got {s}")
+    d = grid.dim
+    rsq = np.zeros((1,) * (2 * d))
+    for ax in range(d):
+        c = grid.axis_points(ax).reshape((-1,) + (1,) * (2 * d - ax - 1))
+        rsq = rsq + c * c
+    dual = grid.dual()
+    for ax in range(d):
+        c = dual.axis_points(ax).reshape((-1,) + (1,) * (d - ax - 1))
+        rsq = rsq + c * c
+    return (1.0 + np.sqrt(rsq)) ** (2.0 * s)
+
+
 def weighted_field_norm(field: StftField, s: float) -> float:
     """L2_s norm of a phase-space field with weight (1+|(x,xi)|)^{2s}."""
-    w = (1.0 + np.sqrt(field.phase_space_radius_squared())) ** (2.0 * s)
+    w = modulation_weight(field.grid, s)
     return math.sqrt(field.cell_measure * float(np.sum(w * np.abs(field.values) ** 2)))
 
 

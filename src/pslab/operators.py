@@ -4,6 +4,11 @@ Set membership follows the half-open convention: a d=1 interval of halfwidth
 rho around c is [c - rho, c + rho), which makes traces of on-grid intervals
 exact count ratios.  d=2 sets are open balls; only operator application is
 offered there, dense spectra stay one-dimensional.
+
+Spectra come from the |T| x |T| Toeplitz section of the restriction operator
+(the periodic discrete-prolate matrix), and the phase-space cutoff A_R is an
+assembled STFT-multiplier matrix; both are exact rewrites of the FFT-defined
+operators, not approximations.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import scipy.linalg
 from ._csvio import _write_csv
 from .frames import FunctionSystem
 from .grid import (
+    GridMismatchError,
     GridSpec,
     PhasePoint,
     SampledFunction,
@@ -26,8 +32,8 @@ from .grid import (
     snap_to_grid,
     tf_shift,
 )
-from .localization import modulation_norm
-from .stft import StftField, adjoint_stft, stft
+from .localization import modulation_weight
+from .stft import multiplier_matrix
 
 DENSE_LIMIT = 4096
 
@@ -102,7 +108,8 @@ class RestrictionOperator:
         self.spec = spec
         self._mt = spec.time_mask().astype(float)
         self._mf = spec.freq_mask().astype(float)
-        self._matrix: np.ndarray | None = None
+        self._support = np.flatnonzero(self._mt)
+        self._sec: np.ndarray | None = None
         self._eigs: np.ndarray | None = None
 
     @property
@@ -118,33 +125,43 @@ class RestrictionOperator:
         back = _centered_fft(self._mf * hat, axes, inverse=True)
         return SampledFunction(self.grid, self._mt * back)
 
+    def _section(self) -> np.ndarray:
+        """The |T| x |T| Hermitian Toeplitz block c[(j - j') mod N], T = supp(mt).
+
+        The frequency cut is the circulant with kernel c = ifft(ifftshift(mf)),
+        so the operator is that circulant compressed to T and zero elsewhere.
+        """
+        if self._sec is None:
+            if self.grid.dim != 1:
+                raise ValueError("dense assembly is one-dimensional")
+            size = self._support.size
+            if size > DENSE_LIMIT:
+                raise ValueError(f"dense assembly capped at |T|={DENSE_LIMIT}, time set has {size}")
+            c = np.fft.ifft(np.fft.ifftshift(self._mf))
+            self._sec = c[np.subtract.outer(self._support, self._support) % self.grid.n[0]]
+        return self._sec
+
     def matrix(self) -> np.ndarray:
-        """Dense Hermitian form, assembled column-block by column-block."""
-        if self._matrix is not None:
-            return self._matrix
+        """Dense N x N Hermitian form: the Toeplitz section embedded in zeros."""
         if self.grid.dim != 1:
             raise ValueError("dense assembly is one-dimensional")
         n = self.grid.n[0]
         if n > DENSE_LIMIT:
             raise ValueError(f"dense assembly capped at N={DENSE_LIMIT}, grid has {n}")
-        out = np.empty((n, n), dtype=complex)
-        for start in range(0, n, 512):
-            block = np.zeros((n, min(512, n - start)), dtype=complex)
-            cols = np.arange(block.shape[1])
-            block[start + cols, cols] = self._mt[start + cols]
-            hat = _centered_fft(block, (0,), inverse=False)
-            back = _centered_fft(self._mf[:, None] * hat, (0,), inverse=True)
-            out[:, start : start + block.shape[1]] = self._mt[:, None] * back
-        self._matrix = 0.5 * (out + np.conj(out).T)
-        return self._matrix
+        out = np.zeros((n, n), dtype=complex)
+        out[np.ix_(self._support, self._support)] = self._section()
+        return out
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix())))
+        return float(np.real(np.trace(self._section())))
 
     def eigenvalues(self) -> np.ndarray:
-        """All eigenvalues, descending."""
+        """All N eigenvalues, descending: the section's plus N - |T| zeros."""
         if self._eigs is None:
-            self._eigs = np.linalg.eigvalsh(self.matrix())[::-1].copy()
+            lam = np.linalg.eigvalsh(self._section())
+            # sorted, not concatenated: section eigenvalues can be -1e-17
+            lam = np.concatenate([lam, np.zeros(self.grid.n[0] - lam.size)])
+            self._eigs = np.sort(lam)[::-1].copy()
         return self._eigs
 
 
@@ -167,14 +184,25 @@ class OperatorSpectrum:
 
 
 def spectrum(op: RestrictionOperator, k: int) -> OperatorSpectrum:
-    """Top-k eigenpairs (L2-normalized) over the full eigenvalue profile."""
+    """Top-k eigenpairs (L2-normalized) over the full eigenvalue profile.
+
+    Eigenfunctions are the section's eigenvectors, zero-padded off T; for
+    k > |T| the rest are unit samples off T, which the operator annihilates.
+    """
     n = op.grid.n[0] if op.grid.dim == 1 else -1
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     lam = op.eigenvalues()
-    _, vecs = scipy.linalg.eigh(op.matrix(), subset_by_index=(n - k, n - 1))
+    size = op._support.size
+    top = min(k, size)
+    vecs = np.zeros((n, k), dtype=complex)
+    if top:
+        _, sec = scipy.linalg.eigh(op._section(), subset_by_index=(size - top, size - 1))
+        vecs[op._support, :top] = sec[:, ::-1]
+    off = np.flatnonzero(op._mt == 0)[: k - top]
+    vecs[off, top + np.arange(off.size)] = 1.0
     scale = 1.0 / math.sqrt(op.grid.cell_volume)
-    funcs = [SampledFunction(op.grid, vecs[:, k - 1 - j] * scale) for j in range(k)]
+    funcs = [SampledFunction(op.grid, vecs[:, j] * scale) for j in range(k)]
     return OperatorSpectrum(lam, funcs, float(lam.sum()))
 
 
@@ -218,25 +246,31 @@ def tensor_prolate_system(sigma: tuple[int, int], center: PhasePoint, base: Oper
     return SampledFunction(grid2, np.multiply.outer(factors[0], factors[1]))
 
 
+def _cutoff_matrix(grid: GridSpec, R: float, window: SampledFunction) -> np.ndarray:
+    """Matrix of A_R = V* 1_Q V, Q the phase-space cube [-R, R]^{2d}."""
+    if window.grid != grid:
+        raise GridMismatchError(f"grids differ: {grid} vs {window.grid}")
+    dual = grid.dual()
+    extents = [grid.half_extent(ax) for ax in range(grid.dim)]
+    extents += [dual.half_extent(ax) for ax in range(dual.dim)]
+    if not 0 < R <= min(extents):
+        raise ValueError(f"R={R} outside (0, {min(extents)}] for this phase-space grid")
+    mask = np.ones(grid.shape + dual.shape, dtype=bool)
+    for ax in range(grid.dim):
+        pts = grid.axis_points(ax)
+        mask &= (np.abs(pts) <= R).reshape((-1,) + (1,) * (2 * grid.dim - ax - 1))
+    for ax in range(grid.dim):
+        pts = dual.axis_points(ax)
+        mask &= (np.abs(pts) <= R).reshape((-1,) + (1,) * (grid.dim - ax - 1))
+    return multiplier_matrix(window, mask)
+
+
 def localization_operator(f: SampledFunction, R: float, window: SampledFunction | None = None) -> SampledFunction:
     """A_R f: keep the STFT on the phase-space cube [-R, R]^{2d}, resynthesize."""
     if window is None:
         window = gaussian_window(f.grid)
-    dual = f.grid.dual()
-    extents = [f.grid.half_extent(ax) for ax in range(f.grid.dim)]
-    extents += [dual.half_extent(ax) for ax in range(dual.dim)]
-    if not 0 < R <= min(extents):
-        raise ValueError(f"R={R} outside (0, {min(extents)}] for this phase-space grid")
-    field = stft(f, window)
-    mask = np.ones(field.values.shape, dtype=bool)
-    for ax in range(f.grid.dim):
-        pts = f.grid.axis_points(ax)
-        mask &= (np.abs(pts) <= R).reshape((-1,) + (1,) * (2 * f.grid.dim - ax - 1))
-    for ax in range(f.grid.dim):
-        pts = dual.axis_points(ax)
-        mask &= (np.abs(pts) <= R).reshape((-1,) + (1,) * (f.grid.dim - ax - 1))
-    cut = StftField(field.grid, np.where(mask, field.values, 0.0))
-    return adjoint_stft(cut, window)
+    out = _cutoff_matrix(f.grid, R, window) @ f.values.ravel()
+    return SampledFunction(f.grid, out.reshape(f.grid.shape))
 
 
 @dataclass
@@ -259,11 +293,15 @@ def improve_system(
     Members are carried to phi_n = pi(a_n, b_n)^{-1} f_n, smoothed to
     psi_n = A_R phi_n, and returned as h_n = pi(a_n, b_n) psi_n under the
     original centers.  ``modulation_errors[n]`` is ||phi_n - psi_n|| in the
-    sigma-weighted modulation norm.
+    sigma-weighted modulation norm.  A_R and the modulation weight are
+    assembled once as STFT-multiplier matrices and applied to all members by
+    matrix products.
     """
     grid = system.grid
-    improved = []
-    errors = np.empty(len(system))
+    gauss = gaussian_window(grid)
+    cutoff = _cutoff_matrix(grid, R, gauss if window is None else window)
+    weight = multiplier_matrix(gauss, modulation_weight(grid, sigma))
+    phis = np.empty((len(system), cutoff.shape[0]), dtype=complex)
     centers = []
     for idx, (f, c) in enumerate(zip(system.members, system.centers)):
         snapped = snap_to_grid(grid, c)
@@ -272,10 +310,13 @@ def improve_system(
         centers.append(snapped)
         ab = sum(ai * bi for ai, bi in zip(snapped.a, snapped.b))
         back = PhasePoint(tuple(-v for v in snapped.a), tuple(-v for v in snapped.b))
-        phi = tf_shift(f, back) * np.exp(-2j * np.pi * ab)
-        psi = localization_operator(phi, R, window)
-        errors[idx] = modulation_norm(phi - psi, sigma)
-        improved.append(tf_shift(psi, snapped))
+        phis[idx] = (tf_shift(f, back) * np.exp(-2j * np.pi * ab)).values.ravel()
+    psis = phis @ cutoff.T
+    residual = phis - psis
+    # squared M2_sigma norm of each residual row: cell_volume * Re(h* M_W h)
+    quad = np.einsum("mt,mt->m", np.conj(residual), residual @ weight.T).real
+    errors = np.sqrt(grid.cell_volume * quad)
+    improved = [tf_shift(SampledFunction(grid, psi.reshape(grid.shape)), c) for psi, c in zip(psis, centers)]
     out = FunctionSystem(improved, centers, system.label + "-improved")
     return ImproveResult(out, errors, sigma)
 

@@ -1,4 +1,4 @@
-"""Short-time Fourier transform, its adjoint, and the Bargmann transform.
+"""Short-time Fourier transform, its adjoint, STFT multipliers, and the Bargmann transform.
 
 The STFT is evaluated on the full phase-space grid: every time shift on the
 sample grid crossed with every frequency on the dual grid.  At that
@@ -60,19 +60,6 @@ class StftField:
     def freq_axes(self) -> tuple[int, ...]:
         return tuple(range(self.grid.dim, 2 * self.grid.dim))
 
-    def phase_space_radius_squared(self) -> np.ndarray:
-        """|(x, xi)|^2 broadcast over the field shape."""
-        d = self.grid.dim
-        out = np.zeros((1,) * (2 * d))
-        for ax in range(d):
-            c = self.grid.axis_points(ax).reshape((-1,) + (1,) * (2 * d - ax - 1))
-            out = out + c * c
-        dual = self.grid.dual()
-        for ax in range(d):
-            c = dual.axis_points(ax).reshape((-1,) + (1,) * (d - ax - 1))
-            out = out + c * c
-        return out
-
 
 def _shift_bank(window: SampledFunction) -> np.ndarray:
     """All cyclic time shifts of the window: bank[j, t] = w(t - x_j), d=1."""
@@ -128,6 +115,42 @@ def adjoint_stft(field: StftField, window: SampledFunction) -> SampledFunction:
         row = _centered_fft(field.values[j], axes=tuple(range(g.dim)), inverse=True) * scale
         out += row * rolled
     return SampledFunction(g, out * field.cell_measure)
+
+
+def multiplier_matrix(window: SampledFunction, symbol) -> np.ndarray:
+    """Matrix of the STFT multiplier V_w* diag(symbol) V_w on flattened samples.
+
+    ``symbol`` broadcasts to the phase-space grid ``(time shift j, frequency
+    k)``.  With P[u, l] = w[u] conj(w[u - l]) and K[j, l] = sum_k symbol[j, k]
+    exp(2 pi i l.(k - n/2)/n), entry [t, t - l] is the circular convolution
+    over j of P[., l] with K[., l], evaluated at t + n/2 and scaled by
+    cell_volume/n^d.  That costs a few FFTs over the phase-space grid instead
+    of one analysis and one synthesis per column; the result is n^d x n^d,
+    the size of one STFT field.
+    """
+    _check_window(window)
+    g = window.grid
+    d = g.dim
+    shape = g.shape + g.shape
+    try:
+        symbol = np.broadcast_to(symbol, shape)
+    except ValueError:
+        raise ValueError(f"symbol shape {np.shape(symbol)} does not broadcast to {shape}") from None
+    time_axes = tuple(range(d))
+    lag_axes = tuple(range(d, 2 * d))
+    # per-axis indices over the (time, lag) grid, and u - l mod n on each axis
+    pos = [np.arange(n).reshape((-1,) + (1,) * (2 * d - ax - 1)) for ax, n in enumerate(g.n)]
+    lag = [np.arange(n).reshape((-1,) + (1,) * (d - ax - 1)) for ax, n in enumerate(g.n)]
+    diff = tuple((p - q) % n for p, q, n in zip(pos, lag, g.n))
+    pairs = window.values.reshape(g.shape + (1,) * d) * np.conj(window.values[diff])
+    size = math.prod(g.n)
+    kernel = np.fft.ifftn(symbol, axes=lag_axes) * size
+    kernel *= (-1.0) ** sum(lag)
+    conv = np.fft.fftn(pairs, axes=time_axes) * np.fft.fftn(kernel, axes=time_axes)
+    del pairs, kernel
+    conv = np.fft.ifftn(conv, axes=time_axes)
+    centered = tuple((p + n // 2) % n for p, n in zip(pos, g.n))
+    return conv[centered + diff].reshape(size, size) * (g.cell_volume / size)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from pslab.config import EXPERIMENTS, ConfigError, load_config
 from pslab.experiments import _tight_central_member, corpus
 from pslab.frames import canonical_tight, gramian
 from pslab.grid import GridSpec, PhasePoint, gaussian_window, tf_shift
+from pslab.operators import RestrictionSpec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DEFAULT = CONFIG_DIR / "default.cfg"
@@ -229,6 +230,48 @@ class TestCli:
         assert len(rows) == 32
         interior = [row[1] for row in rows[:8]]
         assert max(interior) < 0.05
+
+    @pytest.mark.parametrize(
+        "experiment, sets",
+        [("trace-check", "pairs = 1,1 20,1\n"), ("plunge-count", "radii = 2 40\n")],
+    )
+    def test_oversized_time_set_exits_2(self, tmp_path, capsys, experiment, sets):
+        # halfwidth 20 at dx = 1/128 is a 5120-sample time set, past DENSE_LIMIT
+        stub = tmp_path / "big.cfg"
+        stub.write_text(f"[{experiment}]\ngrid_n = 8192\ngrid_dx = 0.0078125\n{sets}")
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(stub), "--out", str(out)]) == 2
+        assert "dense limit" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "grid", ["grid_n = 1048576\ngrid_dx = 0.0009765625\n", "grid_dim = 2\ngrid_n = 128\ngrid_dx = 0.125\n"]
+    )
+    def test_oversized_improve_grid_exits_2_before_allocating(self, tmp_path, monkeypatch, capsys, grid):
+        def refuse(*args, **kwargs):
+            raise AssertionError("corpus built before the grid size check")
+
+        monkeypatch.setattr("pslab.experiments.corpus", refuse)
+        stub = tmp_path / "big.cfg"
+        stub.write_text(f"[improve]\n{grid}recipe = jittered-gabor(1, 1, 0.125, 2)\nradii = 2\n")
+        out = tmp_path / "out"
+        assert main(["improve", "--config", str(stub), "--out", str(out)]) == 2
+        assert "dense limit" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    def test_trace_check_beyond_dense_grid(self, tmp_path):
+        # N = 8192 is past DENSE_LIMIT; the time sets (64 and 128 samples) are not
+        grid = GridSpec(1, 8192, 0.03125)
+        stub = tmp_path / "tc.cfg"
+        stub.write_text("[trace-check]\ngrid_n = 8192\ngrid_dx = 0.03125\npairs = 1,1 2,4\n")
+        assert main(["trace-check", "--config", str(stub), "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "trace_check.csv")
+        assert len(rows) == 2
+        for ht, hf, trace, _, _ in rows:
+            spec = RestrictionSpec(grid, ht, hf)
+            exact = spec.time_mask().sum() * spec.freq_mask().sum() / grid.n[0]
+            assert trace == pytest.approx(exact, rel=1e-12)
+        assert [row[2] for row in rows] == pytest.approx([4.0, 32.0], rel=1e-12)
 
     def test_nested_out_dir_created(self, tmp_path):
         out = tmp_path / "deep" / "nested"

@@ -1,9 +1,12 @@
 """Restriction operators, prolate counts, phase-space cutoffs, smoothing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pslab.corpus import random_bandlimited
 from pslab.frames import FunctionSystem, frame_bounds
@@ -16,6 +19,7 @@ from pslab.grid import (
     snap_to_grid,
     tf_shift,
 )
+from pslab.localization import modulation_norm
 from pslab.operators import (
     DENSE_LIMIT,
     RestrictionOperator,
@@ -28,10 +32,63 @@ from pslab.operators import (
     spectrum,
     tensor_prolate_system,
 )
-from pslab.stft import StftField, adjoint_stft
+from pslab.stft import StftField, adjoint_stft, stft
 
 GRID = GridSpec(1, 256, 1 / 16)
 TRACE_GRID = GridSpec(1, 1024, 1 / 32)
+
+
+def cutoff_by_definition(f, R, window):
+    """A_R f as analysis, cube mask, synthesis over the whole STFT field."""
+    field = stft(f, window)
+    mask = np.ones(field.values.shape, dtype=bool)
+    dual = f.grid.dual()
+    for ax in range(f.grid.dim):
+        pts = f.grid.axis_points(ax)
+        mask &= (np.abs(pts) <= R).reshape((-1,) + (1,) * (2 * f.grid.dim - ax - 1))
+    for ax in range(f.grid.dim):
+        pts = dual.axis_points(ax)
+        mask &= (np.abs(pts) <= R).reshape((-1,) + (1,) * (f.grid.dim - ax - 1))
+    return adjoint_stft(StftField(field.grid, np.where(mask, field.values, 0.0)), window)
+
+
+def improve_by_loop(system, R, sigma, window):
+    """Member by member: de-shift, A_R by definition, modulation norm, re-shift."""
+    improved, errors = [], []
+    for f, c in zip(system.members, system.centers):
+        snapped = snap_to_grid(system.grid, c)
+        ab = sum(ai * bi for ai, bi in zip(snapped.a, snapped.b))
+        back = PhasePoint(tuple(-v for v in snapped.a), tuple(-v for v in snapped.b))
+        phi = tf_shift(f, back) * np.exp(-2j * np.pi * ab)
+        psi = cutoff_by_definition(phi, R, window)
+        errors.append(modulation_norm(phi - psi, sigma))
+        improved.append(tf_shift(psi, snapped))
+    return improved, np.array(errors)
+
+
+def dense_from_apply(op):
+    """The operator matrix, column by column from the FFT definition."""
+    n = op.grid.n[0]
+    cols = [op.apply(SampledFunction(op.grid, e)).values for e in np.eye(n)]
+    return np.array(cols).T
+
+
+@st.composite
+def restriction_specs(draw):
+    """On-grid time and frequency intervals (or full coverage) at N <= 256."""
+    n = draw(st.sampled_from([16, 64, 256]))
+    step = 1 / math.isqrt(n)
+    inner = n // 2 - 4  # the 4-sample margin, in samples
+
+    def interval():
+        if draw(st.integers(0, 4)) == 0:
+            return n / 2 * step, 0.0
+        lo = draw(st.integers(-inner, inner))
+        hi = draw(st.integers(lo, inner))
+        return (hi - lo) / 2 * step, (hi + lo) / 2 * step
+
+    (ht, ct), (hf, cf) = interval(), interval()
+    return RestrictionSpec(GridSpec(1, n, step), ht, hf, ct, cf)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +156,22 @@ class TestRestrictionOperator:
         with pytest.raises(ValueError, match="grid"):
             box_op.apply(gaussian_window(GridSpec(1, 128, 1 / 16)))
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(restriction_specs())
+    def test_section_spectrum_matches_dense_definition(self, spec):
+        op = RestrictionOperator(spec)
+        dense = dense_from_apply(op)
+        reference = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))[::-1]
+        assert np.abs(op.eigenvalues() - reference).max() < 1e-12
+        assert np.abs(op.matrix() - dense).max() < 1e-12
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(restriction_specs())
+    def test_trace_is_count_ratio(self, spec):
+        op = RestrictionOperator(spec)
+        count = spec.time_mask().sum() * spec.freq_mask().sum() / spec.grid.n[0]
+        assert abs(op.trace() - count) < 1e-12
+
     def test_dense_assembly_capped(self):
         big = GridSpec(1, 2 * DENSE_LIMIT, 1 / 64)
         op = RestrictionOperator(RestrictionSpec(big, 4.0, 4.0))
@@ -154,6 +227,23 @@ class TestSpectrum:
         low = lam[:k].sum()
         high = low + (lam.size - k) * lam[k - 1]
         assert low - 1e-8 <= box_op.trace() <= high + 1e-8
+
+    def test_k_beyond_time_set_pads_with_unit_samples(self):
+        op = RestrictionOperator(RestrictionSpec(GRID, 0.25, 4.0))
+        size = int(op.spec.time_mask().sum())
+        assert size == 8
+        k = size + 3
+        res = spectrum(op, k)
+        values = np.array([f.values for f in res.eigenfunctions])
+        gram = GRID.cell_volume * values.conj() @ values.T
+        assert np.abs(gram - np.eye(k)).max() < 1e-12
+        for lam, f in zip(res.eigenvalues[:k], res.eigenfunctions):
+            assert np.abs(op.apply(f).values - lam * f.values).max() < 1e-10
+        outside = ~op.spec.time_mask()
+        for f in res.eigenfunctions[size:]:
+            assert np.count_nonzero(f.values) == 1
+            assert np.count_nonzero(f.values[outside]) == 1
+        assert np.all(res.eigenvalues[size:k] == 0.0)
 
     def test_k_out_of_range_rejected(self, box_op):
         with pytest.raises(ValueError, match="k must be"):
@@ -262,6 +352,13 @@ class TestLocalizationOperator:
         rhs = inner_product(f, localization_operator(h, 4.0, gauss))
         assert abs(lhs - rhs) < 1e-10
 
+    @pytest.mark.parametrize("R", [1.0, 2.5, 4.0, 8.0])
+    def test_matches_definition(self, gauss, R):
+        for seed in range(2):
+            f = random_bandlimited(GRID, seed)
+            ref = cutoff_by_definition(f, R, gauss).values
+            assert np.abs(localization_operator(f, R, gauss).values - ref).max() < 1e-12
+
     def test_radius_validation(self, gauss):
         with pytest.raises(ValueError, match="outside"):
             localization_operator(gauss, 0.0, gauss)
@@ -270,6 +367,23 @@ class TestLocalizationOperator:
 
 
 class TestImproveSystem:
+    @pytest.mark.parametrize("R, sigma", [(2.0, 1.0), (3.0, 2.0), (5.0, 0.5)])
+    def test_matches_member_loop(self, gauss, R, sigma):
+        rng = np.random.default_rng(256)
+        centers = [PhasePoint(float(a), float(b)) for a, b in rng.uniform(-3, 3, size=(6, 2))]
+        members = [
+            tf_shift(gauss, snap_to_grid(GRID, c)) + random_bandlimited(GRID, i) * 0.1
+            for i, c in enumerate(centers)
+        ]
+        system = FunctionSystem(members, centers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            result = improve_system(system, R, sigma)
+            members_ref, errors_ref = improve_by_loop(system, R, sigma, gauss)
+        for h, ref in zip(result.system.members, members_ref):
+            assert np.abs(h.values - ref.values).max() < 1e-12
+        np.testing.assert_allclose(result.modulation_errors, errors_ref, rtol=1e-9, atol=1e-13)
+
     def test_gaussian_system_fixed_point(self, gauss):
         points = [PhasePoint(a, b) for a, b in [(0.0, 0.0), (1.0, -2.0), (-1.5, 0.5)]]
         sys = FunctionSystem([tf_shift(gauss, p) for p in points], points)

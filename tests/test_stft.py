@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pslab import GridSpec, PhasePoint, SampledFunction, gaussian_window, inner_product, tf_shift
 from pslab.stft import (
@@ -8,6 +12,7 @@ from pslab.stft import (
     adjoint_stft,
     bargmann_transform,
     cauchy_riemann_residual,
+    multiplier_matrix,
     stft,
 )
 
@@ -135,6 +140,60 @@ def test_stft_2d_matches_definition():
     back = adjoint_stft(field, w)
     rel = np.linalg.norm((back.values - f.values).ravel()) / np.linalg.norm(f.values.ravel())
     assert rel < 1e-8
+
+
+def multiplier_by_definition(window, symbol, f):
+    """V_w* (symbol . V_w f), analysis and synthesis over the whole field."""
+    return adjoint_stft(StftField(f.grid, symbol * stft(f, window).values), window)
+
+
+@pytest.mark.parametrize("kind", ["mask", "weight"])
+def test_multiplier_matrix_matches_definition(kind):
+    # oracle: every column of the 64 x 64 matrix against analysis + synthesis
+    g = GridSpec(1, 64, 1 / 8)
+    w = gaussian_window(g)
+    rng = np.random.default_rng(64)
+    symbol = rng.random((64, 64)) < 0.4 if kind == "mask" else 1.0 + 10.0 * rng.random((64, 64))
+    A = multiplier_matrix(w, symbol)
+    dense = np.array([multiplier_by_definition(w, symbol, SampledFunction(g, e)).values for e in np.eye(64)]).T
+    assert np.abs(A - dense).max() < 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("kind", ["mask", "weight"])
+def test_multiplier_matrix_2d_matches_definition(kind):
+    g = GridSpec(2, 16, 1 / 4)
+    w = gaussian_window(g)
+    rng = np.random.default_rng(16)
+    shape = g.shape + g.shape
+    symbol = rng.random(shape) < 0.4 if kind == "mask" else 1.0 + 10.0 * rng.random(shape)
+    A = multiplier_matrix(w, symbol)
+    assert A.shape == (256, 256)
+    for seed in range(3):
+        f = random_function(g, seed=seed)
+        ref = multiplier_by_definition(w, symbol, f).values.ravel()
+        assert np.abs(A @ f.values.ravel() - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def test_multiplier_matrix_rejects_bad_symbol(setup):
+    g, w = setup
+    with pytest.raises(ValueError, match="broadcast"):
+        multiplier_matrix(w, np.ones((256, 255)))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]), n=st.sampled_from([8, 16]))
+def test_multiplier_hermitian_with_mask_spectrum_in_unit_band(seed, dim, n):
+    # any unit-norm window: V* 1_Q V is an orthogonal projection compressed, so 0 <= A <= I
+    g = GridSpec(dim, n, 1 / math.sqrt(n))
+    rng = np.random.default_rng(seed)
+    w = random_function(g, seed=seed)
+    w = w * (1.0 / w.norm())
+    mask = rng.random(g.shape + g.shape) < rng.random()
+    A = multiplier_matrix(w, mask)
+    assert np.abs(A - A.conj().T).max() < 1e-14
+    lam = np.linalg.eigvalsh(A)
+    assert lam.min() >= -1e-12
+    assert lam.max() <= 1 + 1e-12
 
 
 def test_bargmann_of_gaussian_is_one(setup):
