@@ -13,9 +13,10 @@ from . import __version__
 from ._csvio import _write_csv
 from .config import ConfigError, ExperimentConfig
 from .corpus import hermite_functions, two_bump
-from .fock import lattice_sweep, save_sweep_csv
+from .fock import gaussian_atom_gram, lattice_sweep, save_sweep_csv
 from .frames import (
     FunctionSystem,
+    _inverse_sqrt_factors,
     commutation_ledger,
     dual_system,
     frame_bounds,
@@ -26,7 +27,14 @@ from .frames import (
 from .geometry import PhasePointSet, density_trend
 from .grid import GridSpec, PhasePoint, SampledFunction, gaussian_window, snap_to_grid, tf_shift
 from .localization import moment
-from .operators import DENSE_LIMIT, RestrictionOperator, RestrictionSpec, improve_system, plunge_count
+from .operators import (
+    DENSE_LIMIT,
+    GRAM_BYTES_LIMIT,
+    RestrictionOperator,
+    RestrictionSpec,
+    improve_system,
+    plunge_count,
+)
 
 _RECIPE = re.compile(r"^([a-z-]+)\(([^)]*)\)$|^([a-z-]+)$")
 
@@ -84,30 +92,53 @@ def _provenance(cfg: ExperimentConfig) -> list[str]:
     ]
 
 
-def _tight_central_member(system: FunctionSystem) -> SampledFunction:
-    """Central member of the orthonormalized system, by one Gram column.
+# A Gaussian atom's tail at distance d from the box edge is e^{-pi d^2}; at this
+# margin it is below double roundoff, so the periodic atoms do not wrap.
+_WRAP_MARGIN = math.sqrt(-math.log(np.finfo(float).eps) / math.pi)
 
-    Matches canonical_tight member-for-member on well-conditioned systems
-    but only materializes the member whose center is closest to the origin,
-    so large systems never allocate a second member matrix.  Where
-    canonical_tight refuses a badly conditioned span, this caps the
-    pseudo-inverse at 1e10 instead: a redundant lattice truncates to a
-    rank-deficient Gramian whose weakest retained directions are edge
-    artifacts, and dropping them perturbs the central member at the same
-    order as the cap.
+
+def _central_row(G: np.ndarray, central: int) -> np.ndarray:
+    """Row ``central`` of G^{-1/2}, the weakest directions capped at 1e-10 * w_max.
+
+    Where canonical_tight refuses a badly conditioned span, this caps the
+    pseudo-inverse instead: a redundant lattice truncates to a rank-deficient
+    Gramian whose weakest retained directions are edge artifacts, and dropping
+    them perturbs the central member at the same order as the cap.
     """
-    G = gramian(system)
-    w, U = np.linalg.eigh(G)
-    tol = w[-1] * len(system) * np.finfo(float).eps
-    kept = w > max(tol, w[-1] * 1e-10)
-    if not kept.any():
-        raise ValueError("Gramian is numerically zero; nothing to orthonormalize")
-    scale = np.zeros_like(w)
-    scale[kept] = w[kept] ** -0.5
+    U, scale = _inverse_sqrt_factors(G, cap=1e-10)
+    return (U[central, :] * scale) @ np.conj(U).T
+
+
+def _tight_central_member(system: FunctionSystem) -> SampledFunction:
+    """Central member of the orthonormalized system, from the sampled Gramian.
+
+    Matches canonical_tight member-for-member on well-conditioned systems but
+    only materializes the member whose center is closest to the origin.  It is
+    the sampled twin of :func:`_gabor_central_member`.
+    """
     central = int(np.argmin([sum(v * v for v in c.a + c.b) for c in system.centers]))
-    row = (U[central, :] * scale) @ np.conj(U).T
+    row = _central_row(gramian(system), central)
     values = np.conj(row) @ system.member_matrix()
     return SampledFunction(system.grid, values.reshape(system.grid.shape))
+
+
+def _gabor_central_member(grid: GridSpec, alpha: float, beta: float, T: int) -> SampledFunction:
+    """Central member of the orthonormalized lattice pi(alpha m, beta n) g, |m|, |n| <= T.
+
+    The Gram is the closed form of :func:`gaussian_atom_gram` (real when
+    alpha * beta is an integer).  With atoms ordered m-major the central row
+    reshapes to C[m, n], and the member is sum_m T_{alpha m} g * (C E)[m],
+    E[n] = e^{2 pi i beta n t}: no member matrix is formed.
+    """
+    k = np.arange(-T, T + 1)
+    G = gaussian_atom_gram(np.repeat(alpha * k, k.size), np.tile(beta * k, k.size))
+    row = _central_row(G, k.size**2 // 2)
+    t = grid.axis_points(0)
+    CE = np.conj(row).reshape(k.size, k.size) @ np.exp(np.multiply.outer(2j * np.pi * (beta * k), t))
+    g = gaussian_window(grid).values
+    shift = round(alpha / grid.step[0])
+    values = sum(np.roll(g, shift * m) * CE[i] for i, m in enumerate(k))
+    return SampledFunction(grid, values)
 
 
 def _run_balian_low(cfg: ExperimentConfig, out: Path) -> list[Path]:
@@ -124,25 +155,27 @@ def _run_balian_low(cfg: ExperimentConfig, out: Path) -> list[Path]:
         beta / dual.step[0] - round(beta / dual.step[0])
     ) > 1e-9:
         raise ConfigError(f"[balian-low] spacings ({alpha}, {beta}) are not grid-aligned")
-    if alpha * windows[-1] >= grid.half_extent() or beta * windows[-1] >= dual.half_extent():
+    widest = windows[-1]
+    if alpha * widest + _WRAP_MARGIN > grid.half_extent() or beta * widest + _WRAP_MARGIN > dual.half_extent():
         raise ConfigError(
-            f"[balian-low] window {windows[-1]} puts lattice shifts outside the "
-            f"grid box (half-extents {grid.half_extent()}, {dual.half_extent()})"
+            f"[balian-low] window {widest} puts lattice atoms within {_WRAP_MARGIN:.2f} of the "
+            f"grid box edge (half-extents {grid.half_extent()}, {dual.half_extent()}), "
+            "so their tails wrap"
         )
-    g = gaussian_window(grid)
+    # eigh holds the Gram, its eigenvectors and a divide-and-conquer workspace of
+    # about two more; complex entries bound it (integer alpha * beta Grams are real)
+    members = (2 * widest + 1) ** 2
+    need = 4 * members**2 * np.dtype(complex).itemsize
+    if need > GRAM_BYTES_LIMIT:
+        raise ConfigError(
+            f"[balian-low] window {widest} needs {need / 2**20:.0f} MiB to orthonormalize "
+            f"{members} atoms, over the memory budget of {GRAM_BYTES_LIMIT / 2**20:.0f} MiB"
+        )
     rows = []
     for T in windows:
-        centers = [
-            PhasePoint((alpha * m,), (beta * n,))
-            for m in range(-T, T + 1)
-            for n in range(-T, T + 1)
-        ]
-        members = [tf_shift(g, c) for c in centers]
-        system = FunctionSystem(members, centers, f"gabor({alpha},{beta})@{T}")
-        phi = _tight_central_member(system)
+        phi = _gabor_central_member(grid, alpha, beta, T)
         value = moment(phi, 0.0, 1.0, side="frequency")
-        rows.append(f"{T},{len(system)},{value!r}")
-        del members, system
+        rows.append(f"{T},{(2 * T + 1) ** 2},{value!r}")
     path = out / "balian_low.csv"
     _write_csv(path, "window,members,frequency_moment", rows, _provenance(cfg))
     return [path]

@@ -111,8 +111,41 @@ class SweepRow(NamedTuple):
     condition: float
 
 
+def gaussian_atom_gram(a, b) -> np.ndarray:
+    """Closed-form Gram of the atoms e^{2 pi i b t} g(t - a), g = 2^{1/4} e^{-pi t^2}.
+
+    G[m, n] = exp(-pi |z_n - z_m|^2 / 2) exp(i pi (b_n - b_m)(a_n + a_m)) with
+    z = (a, b), the inner product of atom n with atom m.  Under the Bargmann
+    isometry this is D* K D, K the normalized Fock kernel Gram at
+    lam = a - i b and D = diag(exp(i pi a_n b_n)).  When every phase is an
+    exact multiple of pi (lattices with integer alpha * beta) the Gram is
+    returned real, with signs taken from the integer parity, not from exp.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    db = np.subtract.outer(b, b)
+    # turns[m, n] = (b_m - b_n)(a_m + a_n): minus the phase of entry [m, n], over pi
+    turns = db * np.add.outer(a, a)
+    modulus = np.subtract.outer(a, a) ** 2
+    modulus += db**2
+    del db
+    modulus *= -0.5 * np.pi
+    np.exp(modulus, out=modulus)
+    if not np.fmod(turns, 1.0).any():
+        np.negative(modulus, out=modulus, where=np.fmod(turns, 2.0) != 0)
+        return modulus
+    G = -1j * np.pi * turns
+    del turns
+    np.exp(G, out=G)
+    G *= modulus
+    return G
+
+
 def fock_gram(point_set: FockPointSet) -> FockGram:
-    """Closed-form Gram (k_lam, k_mu) = exp(pi mu~ lam - pi(|lam|^2+|mu|^2)/2)."""
+    """Closed-form Gram (k_lam, k_mu) = exp(pi mu~ lam - pi(|lam|^2+|mu|^2)/2).
+
+    Built as D G D* from :func:`gaussian_atom_gram` at a = Re lam, b = -Im lam.
+    """
     if len(point_set) < 1:
         raise ValueError("need at least one point")
     lam = point_set.as_array()
@@ -121,8 +154,9 @@ def fock_gram(point_set: FockPointSet) -> FockGram:
         closest = dist[~np.eye(len(point_set), dtype=bool)].min()
         if closest < 1e-12:
             raise ValueError("duplicate points make the kernel Gram singular")
-    sq = np.abs(lam) ** 2
-    G = np.exp(np.pi * np.conj(lam)[None, :] * lam[:, None] - 0.5 * np.pi * (sq[:, None] + sq[None, :]))
+    a, b = lam.real, -lam.imag
+    phase = np.exp(1j * np.pi * a * b)
+    G = phase[:, None] * gaussian_atom_gram(a, b) * np.conj(phase)[None, :]
     G = 0.5 * (G + np.conj(G).T)
     eigs = np.linalg.eigvalsh(G)
     return FockGram(G, float(eigs[0]), float(eigs[-1]))

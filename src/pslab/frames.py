@@ -177,6 +177,27 @@ def dual_system(sys: FunctionSystem) -> FunctionSystem:
     return FunctionSystem(members, list(sys.centers), sys.label + "-dual")
 
 
+def _inverse_sqrt_factors(G: np.ndarray, cap: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors U and weights s with (U * s) @ U^H the pseudo-inverse G^{-1/2}.
+
+    Eigenvalues up to w_max * M * eps span the numerical null space and get
+    weight 0.  Without a cap, a span condition number of 1e10 or more is
+    refused; with one, the directions below cap * w_max are dropped instead.
+    """
+    w, U = np.linalg.eigh(G)
+    tol = w[-1] * len(w) * np.finfo(float).eps
+    kept = w > (tol if cap is None else max(tol, w[-1] * cap))
+    if not kept.any():
+        raise ValueError("Gramian is numerically zero; nothing to orthonormalize")
+    if cap is None:
+        cond = w[-1] / w[kept].min()
+        if cond >= 1e10:
+            raise ValueError(f"Gramian condition number {cond:.3e} on the span exceeds 1e10; no stable tight system")
+    scale = np.zeros_like(w)
+    scale[kept] = w[kept] ** -0.5
+    return U, scale
+
+
 def canonical_tight(sys: FunctionSystem) -> FunctionSystem:
     """Loewdin orthonormalization: coefficients conj(G^{-1/2}).
 
@@ -184,17 +205,7 @@ def canonical_tight(sys: FunctionSystem) -> FunctionSystem:
     square root, so the output Gramian is the orthogonal projection onto the
     span rather than the identity; its span-restricted bounds are still (1, 1).
     """
-    G = gramian(sys)
-    w, U = np.linalg.eigh(G)
-    tol = w[-1] * len(sys) * np.finfo(float).eps
-    kept = w > tol
-    if not kept.any():
-        raise ValueError("Gramian is numerically zero; nothing to orthonormalize")
-    cond = w[-1] / w[kept].min()
-    if cond >= 1e10:
-        raise ValueError(f"Gramian condition number {cond:.3e} on the span exceeds 1e10; no stable tight system")
-    scale = np.zeros_like(w)
-    scale[kept] = w[kept] ** -0.5
+    U, scale = _inverse_sqrt_factors(gramian(sys))
     inv_sqrt = (U * scale) @ np.conj(U).T
     Vt = np.conj(inv_sqrt) @ sys.member_matrix()
     members = [SampledFunction(sys.grid, row.reshape(sys.grid.shape)) for row in Vt]

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._csvio import _write_csv
 from .frames import FunctionSystem
@@ -36,6 +35,8 @@ from .localization import modulation_weight
 from .stft import multiplier_matrix
 
 DENSE_LIMIT = 4096
+# Bytes a dense Gram eigendecomposition may take (balian-low's pre-flight check).
+GRAM_BYTES_LIMIT = 2**31
 
 
 def _center_tuple(value, dim: int) -> tuple[float, ...]:
@@ -189,7 +190,11 @@ def spectrum(op: RestrictionOperator, k: int) -> OperatorSpectrum:
     Eigenfunctions are the section's eigenvectors, zero-padded off T; for
     k > |T| the rest are unit samples off T, which the operator annihilates.
     """
-    n = op.grid.n[0] if op.grid.dim == 1 else -1
+    import scipy.linalg  # imported here: it costs every CLI start ~0.27 s and only this needs it
+
+    if op.grid.dim != 1:
+        raise ValueError("dense assembly is one-dimensional")
+    n = op.grid.n[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     lam = op.eigenvalues()

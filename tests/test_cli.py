@@ -1,5 +1,8 @@
 """Config parsing, corpus recipes, and the experiment runner CLI."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +10,14 @@ import pytest
 
 from pslab.cli import main
 from pslab.config import EXPERIMENTS, ConfigError, load_config
-from pslab.experiments import _tight_central_member, corpus
-from pslab.frames import canonical_tight, gramian
+from pslab.experiments import _gabor_central_member, _tight_central_member, corpus
+from pslab.frames import FunctionSystem, canonical_tight, gramian
 from pslab.grid import GridSpec, PhasePoint, gaussian_window, tf_shift
+from pslab.localization import moment
 from pslab.operators import RestrictionSpec
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 DEFAULT = CONFIG_DIR / "default.cfg"
 GRID = GridSpec(1, 256, 1 / 16)
 
@@ -126,6 +131,34 @@ class TestTightCentralMember:
         assert np.abs(phi.values - tight.members[central].values).max() < 1e-10
 
 
+class TestGaborCentralMember:
+    @staticmethod
+    def sampled_path(grid, alpha, beta, T):
+        """tf_shift members, their sampled Gramian, and one row of its G^{-1/2}."""
+        g = gaussian_window(grid)
+        centers = [PhasePoint((alpha * m,), (beta * n,)) for m in range(-T, T + 1) for n in range(-T, T + 1)]
+        return _tight_central_member(FunctionSystem([tf_shift(g, c) for c in centers], centers))
+
+    @pytest.mark.parametrize("alpha, beta, T", [(1.0, 1.0, 4), (0.5, 2.0, 2), (1.5, 0.75, 4)])
+    def test_matches_sampled_path(self, alpha, beta, T):
+        grid = GridSpec(1, 1024, 1 / 32)
+        sampled = self.sampled_path(grid, alpha, beta, T)
+        phi = _gabor_central_member(grid, alpha, beta, T)
+        assert np.abs(phi.values - sampled.values).max() < 1e-12 * np.abs(sampled.values).max()
+
+    def test_capped_redundant_lattice_matches_sampled_path(self):
+        # At alpha = beta = 1/2 the Gram is numerically rank deficient and the cap
+        # keeps directions down to 1e-10 w_max, which roundoff-level differences
+        # between the two Grams perturb at about 1e-5 of themselves; the members
+        # agree to about 1e-6 and their moments to about 1e-7.
+        grid = GridSpec(1, 1024, 1 / 32)
+        sampled = self.sampled_path(grid, 0.5, 0.5, 5)
+        phi = _gabor_central_member(grid, 0.5, 0.5, 5)
+        assert np.abs(phi.values - sampled.values).max() < 1e-5 * np.abs(sampled.values).max()
+        expected = moment(sampled, 0.0, 1.0, side="frequency")
+        assert moment(phi, 0.0, 1.0, side="frequency") == pytest.approx(expected, rel=1e-6)
+
+
 class TestCli:
     def test_density_on_bundled_lattice(self, tmp_path):
         assert main(["density", "--config", str(DEFAULT), "--out", str(tmp_path)]) == 0
@@ -205,6 +238,32 @@ class TestCli:
         stub.write_text("[balian-low]\ngrid_n = 512\ngrid_dx = 0.03125\nwindows = 2 8\n")
         assert main(["balian-low", "--config", str(stub), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "grid_n = 512\ngrid_dx = 0.03125\n",  # alpha * 6 sits 2 inside the time half-extent 8
+            "grid_n = 1024\ngrid_dx = 0.0625\n",  # beta * 6 sits 2 inside the frequency half-extent 8
+        ],
+    )
+    def test_balian_low_rejects_wrapping_tails(self, tmp_path, capsys, grid):
+        stub = tmp_path / "bl.cfg"
+        stub.write_text(f"[balian-low]\n{grid}windows = 2 6\n")
+        assert main(["balian-low", "--config", str(stub), "--out", str(tmp_path / "o")]) == 2
+        assert "tails wrap" in capsys.readouterr().err
+
+    def test_balian_low_refuses_oversized_gram_before_building(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Gram built before the memory check")
+
+        monkeypatch.setattr("pslab.experiments.gaussian_atom_gram", refuse)
+        # T = 64 is 16641 atoms: 16.5 GiB for a complex Gram's eigendecomposition
+        stub = tmp_path / "bl.cfg"
+        stub.write_text("[balian-low]\ngrid_n = 65536\ngrid_dx = 0.00390625\nwindows = 8 64\n")
+        out = tmp_path / "out"
+        assert main(["balian-low", "--config", str(stub), "--out", str(out)]) == 2
+        assert "memory budget" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_plunge_counts_match_areas(self, tmp_path):
         stub = tmp_path / "pc.cfg"
         stub.write_text("[plunge-count]\ngrid_n = 512\ngrid_dx = 0.03125\nradii = 2 3\n")
@@ -277,3 +336,11 @@ class TestCli:
         out = tmp_path / "deep" / "nested"
         assert main(["fock-sweep", "--config", str(DEFAULT), "--out", str(out)]) == 0
         assert (out / "fock_sweep.csv").exists()
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg costs every CLI start ~0.27 s; only operators.spectrum needs it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, pslab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pslab.fock import (
     FockGram,
     FockPointSet,
     fock_gram,
+    gaussian_atom_gram,
     lattice_sweep,
     sampling_bounds,
     save_sweep_csv,
@@ -61,6 +64,56 @@ class TestPointSet:
         assert back.window == 4.0
         explicit = FockPointSet.load_csv(path, window=6.0)
         assert explicit.window == 6.0
+
+
+@st.composite
+def aligned_atoms(draw):
+    """Distinct grid-aligned centers (a, b) at least 4 inside both boxes, N <= 512."""
+    grid = GridSpec(1, draw(st.sampled_from([256, 512])), draw(st.sampled_from([1 / 16, 1 / 32])))
+    dual = grid.dual()
+    reach_a = int((grid.half_extent() - 4) / grid.step[0])
+    reach_b = int((dual.half_extent() - 4) / dual.step[0])
+    index = st.tuples(st.integers(-reach_a, reach_a), st.integers(-reach_b, reach_b))
+    pairs = draw(st.lists(index, min_size=1, max_size=12, unique=True))
+    a = np.array([i * grid.step[0] for i, _ in pairs])
+    b = np.array([j * dual.step[0] for _, j in pairs])
+    return grid, a, b
+
+
+class TestGaussianAtomGram:
+    """The closed form against its sampled twin and the Fock kernel Gram."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(aligned_atoms())
+    def test_matches_sampled_gramian(self, atoms):
+        grid, a, b = atoms
+        g = gaussian_window(grid)
+        centers = [PhasePoint([x], [y]) for x, y in zip(a, b)]
+        sampled = gramian(FunctionSystem([tf_shift(g, c) for c in centers], centers))
+        np.testing.assert_allclose(gaussian_atom_gram(a, b), sampled, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(aligned_atoms())
+    def test_is_fock_gram_under_unimodular_similarity(self, atoms):
+        _, a, b = atoms
+        G = gaussian_atom_gram(a, b)
+        lam = a - 1j * b
+        K = fock_gram(FockPointSet(lam, float(np.abs(lam).max()) + 1.0)).matrix
+        D = np.exp(1j * np.pi * a * b)
+        np.testing.assert_allclose(np.conj(D)[:, None] * K * D[None, :], G, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(G, np.conj(G).T)
+        assert np.linalg.eigvalsh(G)[0] > -1e-12
+
+    def test_integer_lattice_is_real_with_parity_signs(self):
+        k = np.arange(-3, 4)
+        a, b = np.repeat(1.0 * k, k.size), np.tile(2.0 * k, k.size)
+        G = gaussian_atom_gram(a, b)
+        assert G.dtype == np.float64
+        phase = np.pi * np.subtract.outer(b, b).T * np.add.outer(a, a)
+        modulus = np.exp(-np.pi * (np.subtract.outer(a, a) ** 2 + np.subtract.outer(b, b) ** 2) / 2)
+        np.testing.assert_allclose(G, modulus * np.exp(1j * phase), rtol=0, atol=1e-12)
+        half = gaussian_atom_gram(0.5 * a, b / 2)
+        assert np.iscomplexobj(half)
 
 
 class TestFockGram:

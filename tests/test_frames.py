@@ -10,6 +10,7 @@ from pslab.frames import (
     GRAM_FLOOR,
     CommutationLedger,
     FunctionSystem,
+    _inverse_sqrt_factors,
     canonical_tight,
     commutation_ledger,
     dual_localization_check,
@@ -215,6 +216,16 @@ class TestCanonicalTight:
         assert on_span
         assert lo == pytest.approx(1.0, abs=1e-8)
         assert hi == pytest.approx(1.0, abs=1e-8)
+
+    def test_ill_conditioned_span_refused_unless_capped(self, hermites):
+        h0, h1 = hermites[:2]
+        sys = FunctionSystem([h0, h0 + h1 * 1e-6], [PhasePoint(0.0, 0.0)] * 2)
+        with pytest.raises(ValueError, match="condition"):
+            canonical_tight(sys)
+        U, scale = _inverse_sqrt_factors(np.diag([1.0, 0.5, 1e-12]), cap=1e-10)
+        np.testing.assert_allclose(scale, [0.0, 2**0.5, 1.0], rtol=1e-15)
+        with pytest.raises(ValueError, match="condition"):
+            _inverse_sqrt_factors(np.diag([1.0, 0.5, 1e-12]))
 
     def test_critical_lattice_spoils_frequency_moment(self):
         # Orthonormalizing the critical-density Gabor family pushes frequency

@@ -251,6 +251,11 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="k must be"):
             spectrum(box_op, GRID.n[0] + 1)
 
+    def test_two_dimensional_operator_rejected(self):
+        op = RestrictionOperator(RestrictionSpec(GridSpec(2, 16, 0.25), 1.0, 1.0))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            spectrum(op, 2)
+
 
 class TestProlateCount:
     def test_count_tracks_area(self):
