@@ -147,9 +147,10 @@ def _run_balian_low(cfg: ExperimentConfig, out: Path) -> list[Path]:
         raise ConfigError("[balian-low] runs on one-dimensional grids")
     alpha = cfg.get_float("alpha", 1.0)
     beta = cfg.get_float("beta", 1.0)
-    windows = [int(w) for w in cfg.get_floats("windows")]
-    if any(w <= 0 for w in windows) or any(b <= a for a, b in zip(windows, windows[1:])):
+    windows = cfg.get_floats("windows")
+    if any(not w.is_integer() or w <= 0 for w in windows) or any(b <= a for a, b in zip(windows, windows[1:])):
         raise ConfigError("[balian-low] windows must be increasing positive integers")
+    windows = [int(w) for w in windows]
     dual = grid.dual()
     if abs(alpha / grid.step[0] - round(alpha / grid.step[0])) > 1e-9 or abs(
         beta / dual.step[0] - round(beta / dual.step[0])
@@ -181,20 +182,10 @@ def _run_balian_low(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [path]
 
 
-def _check_sections(cfg: ExperimentConfig, specs: list[RestrictionSpec]) -> None:
-    """Refuse time sets whose dense |T| x |T| section would exceed DENSE_LIMIT."""
-    for spec in specs:
-        size = int(np.count_nonzero(spec.time_mask()))
-        if size > DENSE_LIMIT:
-            raise ConfigError(
-                f"[{cfg.experiment}] time set of {size} samples exceeds the dense limit {DENSE_LIMIT}"
-            )
-
-
 def _run_trace_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
     grid = cfg.grid()
     if grid.dim != 1:
-        raise ConfigError("[trace-check] dense traces run on one-dimensional grids")
+        raise ConfigError("[trace-check] runs on one-dimensional grids")
     pairs = []
     for token in cfg.get_str("pairs").split():
         try:
@@ -206,7 +197,6 @@ def _run_trace_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
         specs = [RestrictionSpec(grid, ht, hf) for ht, hf in pairs]
     except ValueError as exc:
         raise ConfigError(f"[trace-check] {exc}") from None
-    _check_sections(cfg, specs)
     rows = []
     for spec in specs:
         tr = RestrictionOperator(spec).trace()
@@ -229,7 +219,10 @@ def _run_plunge_count(cfg: ExperimentConfig, out: Path) -> list[Path]:
         specs = [RestrictionSpec(grid, R / 2, R / 2) for R in radii]
     except ValueError as exc:
         raise ConfigError(f"[plunge-count] {exc}") from None
-    _check_sections(cfg, specs)
+    for spec in specs:
+        size = int(np.count_nonzero(spec.time_mask()))
+        if size > DENSE_LIMIT:
+            raise ConfigError(f"[plunge-count] time set of {size} samples exceeds the dense limit {DENSE_LIMIT}")
     rows = []
     for R, spec in zip(radii, specs):
         count = plunge_count(RestrictionOperator(spec))

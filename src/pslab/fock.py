@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -56,30 +55,6 @@ class FockPointSet:
             for k in range(-reach, reach + 1)
             if abs(alpha * (m + 1j * k)) <= window + 1e-12
         ]
-        return cls(pts, window)
-
-    def save_csv(self, path) -> None:
-        rows = [f"{p.real!r},{p.imag!r}" for p in self.points]
-        _write_csv(path, "re,im", rows, [f"window {self.window!r}"])
-
-    @classmethod
-    def load_csv(cls, path, window: float | None = None) -> "FockPointSet":
-        pts = []
-        stored = None
-        for raw in Path(path).read_text().splitlines():
-            line = raw.strip()
-            if line.startswith("# window "):
-                stored = float(line.removeprefix("# window "))
-            if not line or line.startswith("#") or line.startswith("re,"):
-                continue
-            re_part, im_part = line.split(",")
-            pts.append(complex(float(re_part), float(im_part)))
-        if window is None:
-            window = stored
-        if window is None:
-            if not pts:
-                raise ValueError("cannot infer a window radius from an empty point file")
-            window = math.ceil(max(abs(p) for p in pts))
         return cls(pts, window)
 
 

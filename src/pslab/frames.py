@@ -9,12 +9,9 @@ postconditions here are exact for complex systems too.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -60,33 +57,6 @@ class FunctionSystem:
 
     def center_array(self) -> np.ndarray:
         return np.stack([c.as_vector() for c in self.centers])
-
-    def save_dir(self, path) -> None:
-        path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
-        names = []
-        for k, m in enumerate(self.members):
-            name = f"member_{k:04d}.npy"
-            np.save(path / name, m.values)
-            names.append(name)
-        manifest = {
-            "label": self.label,
-            "grid": {"dim": self.grid.dim, "n": list(self.grid.n), "step": list(self.grid.step)},
-            "centers": [{"a": list(c.a), "b": list(c.b)} for c in self.centers],
-            "members": names,
-        }
-        tmp = path / "manifest.json.tmp"
-        tmp.write_text(json.dumps(manifest, indent=1))
-        os.replace(tmp, path / "manifest.json")
-
-    @classmethod
-    def load_dir(cls, path) -> "FunctionSystem":
-        path = Path(path)
-        manifest = json.loads((path / "manifest.json").read_text())
-        grid = GridSpec(manifest["grid"]["dim"], tuple(manifest["grid"]["n"]), tuple(manifest["grid"]["step"]))
-        members = [SampledFunction(grid, np.load(path / name)) for name in manifest["members"]]
-        centers = [PhasePoint(tuple(c["a"]), tuple(c["b"])) for c in manifest["centers"]]
-        return cls(members, centers, manifest["label"])
 
 
 class FrameBounds(NamedTuple):
@@ -337,16 +307,6 @@ def offdiagonal_tail(
         cross = ca[:, :, j] * da[:, :, j].T + da[:, :, j] * ca[:, :, j].T
         total += float(cross[np.ix_(~inside, inside)].sum())
     return total
-
-
-def save_gram_csv(path, G: np.ndarray, comments: Sequence[str] = ()) -> None:
-    """Gram entries as CSV rows m,n,re,im with #-prefixed comment header."""
-    rows = []
-    for m in range(G.shape[0]):
-        for n in range(G.shape[1]):
-            z = complex(G[m, n])
-            rows.append(f"{m},{n},{z.real!r},{z.imag!r}")
-    _write_csv(path, "m,n,re,im", rows, comments)
 
 
 def save_ledger_csv(path, ledger: CommutationLedger, comments: Sequence[str] = ()) -> None:

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._csvio import _write_csv
 from ._kernels import max_cube_count_2axes
 from .grid import PhasePoint
 
@@ -65,12 +66,9 @@ class PhasePointSet:
 
     def save_csv(self, path) -> None:
         d = self.dim
-        header = [f"a_{j + 1}" for j in range(d)] + [f"b_{j + 1}" for j in range(d)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in self.coords:
-                writer.writerow([repr(float(v)) for v in row])
+        header = ",".join([f"a_{j + 1}" for j in range(d)] + [f"b_{j + 1}" for j in range(d)])
+        rows = [",".join(repr(float(v)) for v in row) for row in self.coords]
+        _write_csv(path, header, rows, ())
 
     @classmethod
     def load_csv(cls, path, window: float | None = None) -> "PhasePointSet":

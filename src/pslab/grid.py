@@ -14,7 +14,7 @@ as a Riemann sum, which for even ``n`` is an exact rearrangement of the FFT
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,8 @@ class GridSpec:
     dim: int
     n: tuple[int, ...]
     step: tuple[float, ...]
+    # the grid this one is the dual of: 1/(n * (1/(n * s))) need not round back to s
+    _dual: GridSpec | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, dim, n, step):
         if dim not in (1, 2):
@@ -56,6 +58,7 @@ class GridSpec:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "step", step)
+        object.__setattr__(self, "_dual", None)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -87,8 +90,12 @@ class GridSpec:
         return out
 
     def dual(self) -> "GridSpec":
-        """The frequency grid matching this one."""
-        return GridSpec(self.dim, self.n, tuple(1.0 / (ni * si) for ni, si in zip(self.n, self.step)))
+        """The frequency grid matching this one; its dual is this grid again."""
+        if self._dual is None:
+            dual = GridSpec(self.dim, self.n, tuple(1.0 / (ni * si) for ni, si in zip(self.n, self.step)))
+            object.__setattr__(dual, "_dual", self)
+            object.__setattr__(self, "_dual", dual)
+        return self._dual
 
 
 @dataclass(frozen=True)

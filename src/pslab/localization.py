@@ -33,7 +33,6 @@ class LocalizationReport:
     center: PhasePoint
     total: float
     tail_warning: bool = False
-    weight_convention: str = "euclidean"
 
     def __post_init__(self):
         if self.time_moment < 0 or self.freq_moment < 0:

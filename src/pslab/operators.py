@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import _write_csv
 from .frames import FunctionSystem
 from .grid import (
     GridMismatchError,
@@ -142,19 +141,9 @@ class RestrictionOperator:
             self._sec = c[np.subtract.outer(self._support, self._support) % self.grid.n[0]]
         return self._sec
 
-    def matrix(self) -> np.ndarray:
-        """Dense N x N Hermitian form: the Toeplitz section embedded in zeros."""
-        if self.grid.dim != 1:
-            raise ValueError("dense assembly is one-dimensional")
-        n = self.grid.n[0]
-        if n > DENSE_LIMIT:
-            raise ValueError(f"dense assembly capped at N={DENSE_LIMIT}, grid has {n}")
-        out = np.zeros((n, n), dtype=complex)
-        out[np.ix_(self._support, self._support)] = self._section()
-        return out
-
     def trace(self) -> float:
-        return float(np.real(np.trace(self._section())))
+        """|T| |Omega| / N^d: every diagonal entry of the section is c[0] = mean(mf)."""
+        return self._support.size * int(np.count_nonzero(self._mf)) / self._mf.size
 
     def eigenvalues(self) -> np.ndarray:
         """All N eigenvalues, descending: the section's plus N - |T| zeros."""
@@ -324,9 +313,3 @@ def improve_system(
     improved = [tf_shift(SampledFunction(grid, psi.reshape(grid.shape)), c) for psi, c in zip(psis, centers)]
     out = FunctionSystem(improved, centers, system.label + "-improved")
     return ImproveResult(out, errors, sigma)
-
-
-def save_spectrum_csv(path, spec_result: OperatorSpectrum, comments=()) -> None:
-    """Eigenvalues as CSV rows index,eigenvalue with #-comment provenance."""
-    rows = [f"{i},{float(lam)!r}" for i, lam in enumerate(spec_result.eigenvalues)]
-    _write_csv(path, "index,eigenvalue", rows, comments)

@@ -54,12 +54,6 @@ class StftField:
         """L2 norm over phase space with the cell measure."""
         return math.sqrt(self.cell_measure * float(np.sum(np.abs(self.values) ** 2)))
 
-    def time_axes(self) -> tuple[int, ...]:
-        return tuple(range(self.grid.dim))
-
-    def freq_axes(self) -> tuple[int, ...]:
-        return tuple(range(self.grid.dim, 2 * self.grid.dim))
-
 
 def _shift_bank(window: SampledFunction) -> np.ndarray:
     """All cyclic time shifts of the window: bank[j, t] = w(t - x_j), d=1."""

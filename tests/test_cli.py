@@ -233,6 +233,14 @@ class TestCli:
         stub.write_text("[balian-low]\ngrid_n = 1024\ngrid_dx = 0.03125\nwindows = 2\nalpha = 0.3\n")
         assert main(["balian-low", "--config", str(stub), "--out", str(tmp_path / "o")]) == 2
 
+    def test_balian_low_rejects_fractional_window(self, tmp_path, capsys):
+        stub = tmp_path / "bl.cfg"
+        stub.write_text("[balian-low]\ngrid_n = 1024\ngrid_dx = 0.03125\nwindows = 2.7\n")
+        out = tmp_path / "out"
+        assert main(["balian-low", "--config", str(stub), "--out", str(out)]) == 2
+        assert "positive integers" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_balian_low_rejects_wrapping_window(self, tmp_path):
         stub = tmp_path / "bl.cfg"
         stub.write_text("[balian-low]\ngrid_n = 512\ngrid_dx = 0.03125\nwindows = 2 8\n")
@@ -290,10 +298,7 @@ class TestCli:
         interior = [row[1] for row in rows[:8]]
         assert max(interior) < 0.05
 
-    @pytest.mark.parametrize(
-        "experiment, sets",
-        [("trace-check", "pairs = 1,1 20,1\n"), ("plunge-count", "radii = 2 40\n")],
-    )
+    @pytest.mark.parametrize("experiment, sets", [("plunge-count", "radii = 2 40\n")])
     def test_oversized_time_set_exits_2(self, tmp_path, capsys, experiment, sets):
         # halfwidth 20 at dx = 1/128 is a 5120-sample time set, past DENSE_LIMIT
         stub = tmp_path / "big.cfg"
@@ -302,6 +307,18 @@ class TestCli:
         assert main([experiment, "--config", str(stub), "--out", str(out)]) == 2
         assert "dense limit" in capsys.readouterr().err
         assert not list(out.iterdir())
+
+    def test_trace_check_oversized_time_set_runs(self, tmp_path):
+        # the 5120-sample time set that plunge-count refuses: the trace is a count ratio
+        grid = GridSpec(1, 8192, 0.0078125)
+        stub = tmp_path / "big.cfg"
+        stub.write_text("[trace-check]\ngrid_n = 8192\ngrid_dx = 0.0078125\npairs = 1,1 20,1\n")
+        assert main(["trace-check", "--config", str(stub), "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "trace_check.csv")
+        assert [row[:2] for row in rows] == [[1.0, 1.0], [20.0, 1.0]]
+        for ht, hf, trace, _, _ in rows:
+            spec = RestrictionSpec(grid, ht, hf)
+            assert spec.time_mask().sum() * spec.freq_mask().sum() / grid.n[0] == trace
 
     @pytest.mark.parametrize(
         "grid", ["grid_n = 1048576\ngrid_dx = 0.0009765625\n", "grid_dim = 2\ngrid_n = 128\ngrid_dx = 0.125\n"]

@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
-from pslab.fock import FockPointSet, SweepRow, save_sweep_csv
-from pslab.frames import CommutationLedger, save_gram_csv, save_ledger_csv
-from pslab.operators import OperatorSpectrum, save_spectrum_csv
+from pslab.fock import SweepRow, save_sweep_csv
+from pslab.frames import CommutationLedger, save_ledger_csv
+from pslab.geometry import PhasePointSet
 
 WRITERS = {
-    "gram": lambda path: save_gram_csv(path, np.eye(2)),
     "ledger": lambda path: save_ledger_csv(
         path,
         CommutationLedger(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), np.zeros(1), np.zeros((1, 1))),
     ),
-    "fock_points": lambda path: FockPointSet([0j, 0.5 + 0.5j], 1.0).save_csv(path),
+    "phase_points": lambda path: PhasePointSet(np.array([[0.0, 0.5]]), 1.0).save_csv(path),
     "sweep": lambda path: save_sweep_csv(path, [SweepRow(1.0, 1.0, 0.5, 1.0, 2.0)]),
-    "spectrum": lambda path: save_spectrum_csv(path, OperatorSpectrum(np.array([1.0, 0.0]), [], 1.0)),
 }
 
 

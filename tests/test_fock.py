@@ -55,16 +55,6 @@ class TestPointSet:
         with pytest.raises(ValueError, match="pitch"):
             FockPointSet.from_lattice(0.0, 4.0)
 
-    def test_csv_round_trip(self, tmp_path):
-        ps = FockPointSet([0.25 + 0.5j, -1.0 - 2.0j, 3.0j], 4.0)
-        path = tmp_path / "points.csv"
-        ps.save_csv(path)
-        back = FockPointSet.load_csv(path)
-        assert back.points == ps.points
-        assert back.window == 4.0
-        explicit = FockPointSet.load_csv(path, window=6.0)
-        assert explicit.window == 6.0
-
 
 @st.composite
 def aligned_atoms(draw):

@@ -19,7 +19,6 @@ from pslab.frames import (
     gramian,
     localization_fit,
     offdiagonal_tail,
-    save_gram_csv,
     save_ledger_csv,
 )
 from pslab.grid import (
@@ -94,17 +93,6 @@ class TestFunctionSystem:
     def test_center_dim_mismatch_rejected(self, hermites):
         with pytest.raises(ValueError, match="center dim"):
             FunctionSystem([hermites[0]], [PhasePoint((0.0, 0.0), (0.0, 0.0))])
-
-    def test_directory_round_trip(self, tmp_path):
-        sys = gaussian_system(GRID, [(0.0, 0.0), (1.5, -2.0), (0.5, 3.0)], "trip")
-        sys.save_dir(tmp_path / "sys")
-        back = FunctionSystem.load_dir(tmp_path / "sys")
-        assert back.label == "trip"
-        assert back.grid == GRID
-        assert back.centers == sys.centers
-        for a, b in zip(back.members, sys.members):
-            assert np.array_equal(a.values, b.values)
-        assert not (tmp_path / "sys" / "manifest.json.tmp").exists()
 
 
 class TestGramian:
@@ -427,20 +415,6 @@ class TestOffdiagonalTail:
 
 
 class TestSerialization:
-    def test_gram_csv(self, tmp_path, hermite_sys):
-        G = gramian(FunctionSystem(hermite_sys.members[:3], hermite_sys.centers[:3]))
-        path = tmp_path / "gram.csv"
-        save_gram_csv(path, G, ["made by test"])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# made by test"
-        assert lines[1] == "m,n,re,im"
-        assert len(lines) == 2 + 9
-        m, n, re, im = lines[2].split(",")
-        assert (m, n) == ("0", "0")
-        assert float(re) == pytest.approx(1.0, abs=1e-8)
-        assert float(im) == pytest.approx(0.0, abs=1e-12)
-        assert not path.with_suffix(".csv.tmp").exists()
-
     def test_ledger_csv(self, tmp_path, hermites):
         sys = FunctionSystem(hermites[:8], [PhasePoint(0.0, 0.0)] * 8)
         ledger = commutation_ledger(sys, sys)

@@ -197,6 +197,17 @@ class TestSerialization:
         assert back.dim == 2
         np.testing.assert_array_equal(back.coords, lam.coords)
 
+    def test_failed_save_leaves_existing_target(self, tmp_path):
+        path = tmp_path / "points.csv"
+        lattice_point_set((1.0, 1.0), 2.0).save_csv(path)
+        before = path.read_bytes()
+        broken = lattice_point_set((1.0, 1.0), 2.0)
+        broken.coords = np.array([[object(), object()]], dtype=object)
+        with pytest.raises(TypeError):
+            broken.save_csv(path)
+        assert path.read_bytes() == before
+        assert not (tmp_path / "points.csv.tmp").exists()
+
     def test_load_skips_comments_and_infers_window(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("# generated by hand\na_1,b_1\n0.5,1.5\n-2.25,0.0\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pslab import (
     GridMismatchError,
@@ -88,11 +90,22 @@ def test_shift_theorem():
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
-def test_unitarity_and_round_trip():
-    g = make_grid()
-    f = random_function(g, seed=2, bandlimit=6.0)
-    fh = fourier_transform(f)
+@st.composite
+def random_grids(draw):
+    """d in {1, 2}, 8 to 256 samples and a random spacing per axis."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = tuple(draw(st.sampled_from([8, 16, 32, 64, 128, 256])) for _ in range(dim))
+    step = tuple(draw(st.floats(1e-3, 10.0)) for _ in range(dim))
+    return GridSpec(dim, n, step)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_grids(), st.integers(0, 2**32 - 1))
+def test_unitarity_and_round_trip(g, seed):
+    f, h = random_function(g, seed), random_function(g, seed + 1)
+    fh, hh = fourier_transform(f), fourier_transform(h)
     assert fh.norm() == pytest.approx(f.norm(), rel=1e-12)
+    assert abs(inner_product(fh, hh) - inner_product(f, h)) < 1e-12 * f.norm() * h.norm()
     back = inverse_fourier_transform(fh)
     assert back.grid == g
     rel = np.linalg.norm(back.values - f.values) / np.linalg.norm(f.values)

@@ -28,7 +28,6 @@ from pslab.operators import (
     localization_operator,
     plunge_count,
     prolate_count,
-    save_spectrum_csv,
     spectrum,
     tensor_prolate_system,
 )
@@ -143,10 +142,6 @@ class TestRestrictionOperator:
         rhs = inner_product(f, box_op.apply(h))
         assert abs(lhs - rhs) < 1e-10
 
-    def test_matrix_agrees_with_apply(self, box_op, gauss):
-        out = box_op.matrix() @ gauss.values
-        assert np.abs(out - box_op.apply(gauss).values).max() < 1e-10
-
     def test_operator_norm_at_most_one(self, box_op):
         for seed in range(3):
             f = random_bandlimited(GRID, seed)
@@ -163,7 +158,10 @@ class TestRestrictionOperator:
         dense = dense_from_apply(op)
         reference = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))[::-1]
         assert np.abs(op.eigenvalues() - reference).max() < 1e-12
-        assert np.abs(op.matrix() - dense).max() < 1e-12
+        on_t = np.ix_(op._support, op._support)
+        assert np.abs(op._section() - dense[on_t]).max(initial=0.0) < 1e-12
+        dense[on_t] = 0.0
+        assert np.abs(dense).max() < 1e-12
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(restriction_specs())
@@ -171,12 +169,15 @@ class TestRestrictionOperator:
         op = RestrictionOperator(spec)
         count = spec.time_mask().sum() * spec.freq_mask().sum() / spec.grid.n[0]
         assert abs(op.trace() - count) < 1e-12
+        # the definition: the diagonal sum of the |T| x |T| section
+        assert abs(op.trace() - np.trace(op._section()).real) < 1e-12
 
     def test_dense_assembly_capped(self):
+        # halfwidth 40 at dx = 1/64 is a 5120-sample time set, past DENSE_LIMIT
         big = GridSpec(1, 2 * DENSE_LIMIT, 1 / 64)
-        op = RestrictionOperator(RestrictionSpec(big, 4.0, 4.0))
+        op = RestrictionOperator(RestrictionSpec(big, 40.0, 4.0))
         with pytest.raises(ValueError, match="capped"):
-            op.matrix()
+            op.eigenvalues()
 
 
 class TestTrace:
@@ -438,19 +439,3 @@ class TestImproveSystem:
         keep = (np.abs(h.values) > 1e-10) & (np.abs(x) <= 4)
         alpha = np.polyfit(x[keep] ** 2, np.log(np.abs(h.values[keep])), 1)[0]
         assert -alpha > 0
-
-
-class TestSpectrumCsv:
-    def test_round_trip(self, tmp_path):
-        op = RestrictionOperator(RestrictionSpec(GRID, 1.0, 1.0))
-        res = spectrum(op, 2)
-        path = tmp_path / "spectrum.csv"
-        save_spectrum_csv(path, res, ["demo run"])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# demo run"
-        assert lines[1] == "index,eigenvalue"
-        assert len(lines) == 2 + GRID.n[0]
-        idx, lam = lines[2].split(",")
-        assert idx == "0"
-        assert float(lam) == pytest.approx(res.eigenvalues[0])
-        assert not path.with_suffix(".csv.tmp").exists()

@@ -1,13 +1,12 @@
-"""The declared dependencies are exactly the third-party packages pslab imports."""
+"""Packaging and docs: declared dependencies match the imports, the README quick start runs."""
 
 import ast
+import math
 import re
 import sys
 from pathlib import Path
 
 import pytest
-
-tomllib = pytest.importorskip("tomllib")
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,7 +23,18 @@ def imported_top_level(src: Path) -> set[str]:
 
 
 def test_dependencies_match_imports():
+    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in project["dependencies"]}
     third_party = imported_top_level(ROOT / "src" / "pslab") - set(sys.stdlib_module_names) - {"pslab"}
     assert declared == third_party == {"numpy", "scipy"}
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    namespace = {}
+    exec(compile(block, "README.md quick start", "exec"), namespace)
+    assert math.isfinite(namespace["err"])
+    assert namespace["bounds"].lower <= namespace["bounds"].upper
