@@ -24,7 +24,7 @@ from .frames import (
     localization_fit,
     save_ledger_csv,
 )
-from .geometry import PhasePointSet, density_trend
+from .geometry import PhasePointSet, density_trend, scan_bins
 from .grid import GridSpec, PhasePoint, SampledFunction, gaussian_window, snap_to_grid, tf_shift
 from .localization import moment
 from .operators import (
@@ -244,6 +244,15 @@ def _run_density(cfg: ExperimentConfig, out: Path) -> list[Path]:
         raise ConfigError(f"[density] radii must lie in (0, {lam.window / 2}]")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("[density] radii must be strictly increasing")
+    # the block-sum scan peaks at about six float64 arrays the size of the
+    # histogram of the smallest radius
+    nbins, ndim = scan_bins(lam.window, radii[0]), 2 * lam.dim
+    need = 6 * nbins**ndim * np.dtype(float).itemsize
+    if need > GRAM_BYTES_LIMIT:
+        raise ConfigError(
+            f"[density] radius {radii[0]!r} needs {need / 2**20:.0f} MiB to scan {nbins}^{ndim} "
+            f"bins, over the memory budget of {GRAM_BYTES_LIMIT / 2**20:.0f} MiB"
+        )
     rows = [
         f"{est.radius!r},{est.lower!r},{est.upper!r},{est.midpoint!r}"
         for est in density_trend(lam, radii)

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._csvio import _write_csv
-from ._kernels import max_cube_count_2axes
+from ._kernels import max_cube_count_2axes, unit_slabs
 from .grid import PhasePoint
 
 
@@ -106,6 +106,11 @@ class DensityEstimate:
         return 0.5 * (self.lower + self.upper)
 
 
+def scan_bins(window: float, r: float) -> int:
+    """Bins per axis of density_estimate's pitch-r/4 histogram over Q(0, window)."""
+    return int(math.ceil(8 * window / r - 1e-9))
+
+
 def density_estimate(lam: PhasePointSet, r: float) -> DensityEstimate:
     """Max and min of count(Q(x, r)) / (2r)^{2d} over a pitch r/4 scan lattice.
 
@@ -119,7 +124,7 @@ def density_estimate(lam: PhasePointSet, r: float) -> DensityEstimate:
         raise ValueError(f"radius {r} outside (0, window/2] for window {W}")
     ndim = 2 * lam.dim
     pitch = r / 4.0
-    nbins = int(math.ceil(2 * W / pitch - 1e-9))
+    nbins = scan_bins(W, r)
     hist = np.zeros((nbins,) * ndim)
     if len(lam):
         idx = np.floor((lam.coords + W) / pitch).astype(np.int64)
@@ -144,21 +149,21 @@ def density_estimate(lam: PhasePointSet, r: float) -> DensityEstimate:
 
 
 def _sweep_axes(columns: Sequence[np.ndarray]) -> int:
-    """Exact max count over unit cubes, recursing one axis at a time."""
-    if columns[0].size == 0:
-        return 0
+    """Exact max count over unit cubes, recursing one axis at a time.
+
+    Each level sorts its first column once and recurses into the slab
+    [x0, x0+1) of every distinct x0, largest slab first, on the remaining
+    columns; two columns are the sorted sweep of ``max_cube_count_2axes``.
+    """
     if len(columns) == 2:
         return max_cube_count_2axes(columns[0], columns[1])
-    if len(columns) == 1:
-        xs = columns[0]
-        return max(int(((xs >= x0) & (xs < x0 + 1.0)).sum()) for x0 in xs)
+    order, slabs = unit_slabs(columns[0])
+    rest = [c[order] for c in columns[1:]]
     best = 0
-    xs = columns[0]
-    for x0 in np.unique(xs):
-        mask = (xs >= x0) & (xs < x0 + 1.0)
-        if int(mask.sum()) <= best:
-            continue
-        best = max(best, _sweep_axes([c[mask] for c in columns[1:]]))
+    for start, stop in slabs:
+        if stop - start <= best:
+            break
+        best = max(best, _sweep_axes([c[start:stop] for c in rest]))
     return best
 
 
@@ -167,7 +172,10 @@ def separation_stat(lam: PhasePointSet) -> int:
 
     The count changes only when a cube face crosses a point coordinate and a
     maximizing cube can be slid until its lower faces touch points, so the
-    sweep over observed coordinates is exhaustive rather than sampled.
+    sweep over observed coordinates is exhaustive rather than sampled.  Every
+    axis but the last two is cut into sorted slabs, one per distinct lower
+    face, and the last two go to the 2-axis kernel; a slab of s points costs
+    one O(s log s) sort, and slabs no larger than the best count are skipped.
     """
     if len(lam) == 0:
         raise ValueError("separation_stat needs a nonempty point set")

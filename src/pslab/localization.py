@@ -40,20 +40,6 @@ class LocalizationReport:
         if not math.isclose(self.total, self.time_moment + self.freq_moment, rel_tol=1e-12, abs_tol=1e-12):
             raise ValueError("total must equal time_moment + freq_moment")
 
-    def to_json(self) -> dict:
-        dim = self.center.dim
-        a = self.center.a[0] if dim == 1 else list(self.center.a)
-        b = self.center.b[0] if dim == 1 else list(self.center.b)
-        return {
-            "s": self.s,
-            "time_moment": self.time_moment,
-            "freq_moment": self.freq_moment,
-            "center_a": a,
-            "center_b": b,
-            "total": self.total,
-            "tail_warning": self.tail_warning,
-        }
-
 
 def _side_function(f: SampledFunction, side: str) -> SampledFunction:
     if side == "time":

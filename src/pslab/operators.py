@@ -34,7 +34,8 @@ from .localization import modulation_weight
 from .stft import multiplier_matrix
 
 DENSE_LIMIT = 4096
-# Bytes a dense Gram eigendecomposition may take (balian-low's pre-flight check).
+# Bytes a dense Gram eigendecomposition or a density scan may take (the
+# balian-low and density pre-flight checks).
 GRAM_BYTES_LIMIT = 2**31
 
 

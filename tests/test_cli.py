@@ -272,6 +272,20 @@ class TestCli:
         assert "memory budget" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    def test_density_refuses_oversized_scan_before_binning(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("density scanned before the memory check")
+
+        monkeypatch.setattr("pslab.experiments.density_trend", refuse)
+        # r = 0.01 on the W = 32 lattice is 25600^2 bins: about 30 GiB for the scan
+        stub = tmp_path / "dens.cfg"
+        points = CONFIG_DIR / "points_unit_lattice.csv"
+        stub.write_text(f"[density]\npoints_csv = {points}\nwindow = 32\nradii = 0.01 4\n")
+        out = tmp_path / "out"
+        assert main(["density", "--config", str(stub), "--out", str(out)]) == 2
+        assert "memory budget" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_plunge_counts_match_areas(self, tmp_path):
         stub = tmp_path / "pc.cfg"
         stub.write_text("[plunge-count]\ngrid_n = 512\ngrid_dx = 0.03125\nradii = 2 3\n")

@@ -127,6 +127,14 @@ class TestSeparation:
         lam = PhasePointSet(rng.uniform(-1.5, 1.5, size=(7, 4)), 2.0, 2)
         assert separation_stat(lam) == brute_separation(lam)
 
+    def test_matches_corner_sweep_oracle_2d_face_ties(self):
+        # quarter-integer coordinates put points on cube faces in all four
+        # axes, and the repeated rows are duplicate points
+        for seed in range(3):
+            coords = np.random.default_rng(seed).integers(-5, 5, size=(30, 4)) / 4
+            lam = PhasePointSet(np.concatenate([coords, coords[:4]]), 2.0, 2)
+            assert separation_stat(lam) == brute_separation(lam)
+
     def test_empty_rejected(self):
         lam = PhasePointSet(np.zeros((0, 2)), 4.0, 1)
         with pytest.raises(ValueError):

@@ -1,6 +1,5 @@
 """Moments, optimal centers, weighted norms, and the sampling inequality."""
 
-import json
 import math
 
 import numpy as np
@@ -137,14 +136,6 @@ class TestLocalizationReport:
         h1 = hermite_functions(GRID, 2)[1]
         rep = localization_report(h1, 1.0)
         assert rep.total == pytest.approx(3 / (2 * math.pi), abs=1e-4)
-
-    def test_json_record(self, gauss):
-        rep = localization_report(gauss, 1.0)
-        record = rep.to_json()
-        assert set(record) == {"s", "time_moment", "freq_moment", "center_a", "center_b", "total", "tail_warning"}
-        parsed = json.loads(json.dumps(record))
-        assert parsed["total"] == pytest.approx(rep.total)
-        assert parsed["tail_warning"] is False
 
     def test_boundary_mass_warns(self, gauss):
         hugging = tf_shift(gauss, PhasePoint(6.0, 0.0))
