@@ -1,11 +1,12 @@
 """Moments, optimal centers, weighted norms, and the sampling inequality."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from pslab.corpus import hermite_functions, standard_corpus, two_bump
+from pslab.corpus import hermite_functions, random_bandlimited, standard_corpus, two_bump
 from pslab.geometry import PhasePointSet, lattice_point_set, separation_stat
 from pslab.grid import (
     GridSpec,
@@ -20,6 +21,7 @@ from pslab.localization import (
     amalgam_norm,
     localization_report,
     modulation_norm,
+    modulation_weight,
     moment,
     optimal_center,
     sampled_weighted_sum,
@@ -29,6 +31,17 @@ from pslab.localization import (
 from pslab.stft import stft
 
 GRID = GridSpec(1, 256, 1 / 16)
+GRID_2D = GridSpec(2, 16, 1 / 4)
+
+
+def phase_axes_2d():
+    """Sample positions of the four phase-space axes of GRID_2D: time, then frequency."""
+    dual = GRID_2D.dual()
+    return [GRID_2D.axis_points(ax) for ax in range(2)] + [dual.axis_points(ax) for ax in range(2)]
+
+
+def field_2d(seed):
+    return stft(random_bandlimited(GRID_2D, seed), gaussian_window(GRID_2D))
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +206,18 @@ class TestWeightedNorms:
                 assert modulation_norm(sh, 1.0) <= (1 + abs(a) + abs(b)) * base
 
 
+class TestModulationWeight:
+    @pytest.mark.parametrize("s", [0.0, 0.5, 2.0])
+    def test_matches_loop_2d(self, s):
+        axes = phase_axes_2d()
+        ref = np.empty((16,) * 4)
+        for j in np.ndindex(ref.shape):
+            r = math.sqrt(sum(ax[i] ** 2 for ax, i in zip(axes, j)))
+            ref[j] = (1 + r) ** (2 * s)
+        weight = np.broadcast_to(modulation_weight(GRID_2D, s), ref.shape)
+        np.testing.assert_allclose(weight, ref, rtol=1e-14)
+
+
 class TestAmalgamNorm:
     def test_coarse_grid_rejected(self, gauss):
         coarse = GridSpec(1, 16, 1.0)
@@ -229,6 +254,18 @@ class TestAmalgamNorm:
                 total += block.max() * (1 + abs(k) + abs(n)) ** (2 * s)
         assert amalgam_norm(field, s) == pytest.approx(math.sqrt(total), abs=1e-10)
 
+    @pytest.mark.parametrize("s", [0.0, 1.0, 2.5])
+    def test_matches_box_loop_2d(self, s):
+        field = field_2d(3)
+        axes = phase_axes_2d()
+        total = 0.0
+        for corner in itertools.product(range(-2, 2), repeat=4):
+            masks = [(p >= c) & (p < c + 1) for p, c in zip(axes, corner)]
+            block = np.abs(field.values[np.ix_(*masks)]) ** 2
+            k, n = np.array(corner[:2]), np.array(corner[2:])
+            total += block.max() * (1 + np.linalg.norm(k) + np.linalg.norm(n)) ** (2 * s)
+        assert amalgam_norm(field, s) == pytest.approx(math.sqrt(total), rel=1e-12)
+
     def test_embedding_into_modulation_norm(self, corpus, gauss):
         ratios = [amalgam_norm(stft(f, gauss), 1.0) / modulation_norm(f, 1.0) for f in corpus]
         assert max(ratios) < 3.5
@@ -263,6 +300,18 @@ class TestSampledWeightedSum:
         lam = lattice_point_set((1.0, 1.0), 8.0)
         with pytest.raises(ValueError):
             sampled_weighted_sum(field, lam, (0.25, -0.125), 1.0)
+
+    def test_matches_point_loop_2d(self):
+        field = field_2d(4)
+        axes = phase_axes_2d()
+        lam = PhasePointSet(np.random.default_rng(2).uniform(-1.5, 1.5, size=(12, 4)), 1.5, 2)
+        z, s = np.array([0.25, -0.125, 0.1, 0.0]), 1.5
+        total = 0.0
+        for row in lam.coords:
+            p = row + z
+            idx = tuple(int(np.argmin(np.abs(ax - v))) for ax, v in zip(axes, p))
+            total += abs(field.values[idx]) ** 2 * (1 + np.linalg.norm(p)) ** (2 * s)
+        assert sampled_weighted_sum(field, lam, z, s) == pytest.approx(math.sqrt(total), rel=1e-12)
 
     def test_empty_set_is_zero(self, gauss):
         field = stft(gauss, gauss)

@@ -35,6 +35,7 @@ from pslab.stft import StftField, adjoint_stft, stft
 
 GRID = GridSpec(1, 256, 1 / 16)
 TRACE_GRID = GridSpec(1, 1024, 1 / 32)
+GRID_2D = GridSpec(2, 16, 1 / 4)
 
 
 def cutoff_by_definition(f, R, window):
@@ -365,6 +366,14 @@ class TestLocalizationOperator:
             ref = cutoff_by_definition(f, R, gauss).values
             assert np.abs(localization_operator(f, R, gauss).values - ref).max() < 1e-12
 
+    @pytest.mark.parametrize("R", [0.75, 1.5, 2.0])
+    def test_matches_definition_2d(self, R):
+        gauss2 = gaussian_window(GRID_2D)
+        for seed in range(2):
+            f = random_bandlimited(GRID_2D, seed)
+            ref = cutoff_by_definition(f, R, gauss2).values
+            assert np.abs(localization_operator(f, R, gauss2).values - ref).max() < 1e-12
+
     def test_radius_validation(self, gauss):
         with pytest.raises(ValueError, match="outside"):
             localization_operator(gauss, 0.0, gauss)
@@ -386,6 +395,24 @@ class TestImproveSystem:
             warnings.simplefilter("ignore", UserWarning)
             result = improve_system(system, R, sigma)
             members_ref, errors_ref = improve_by_loop(system, R, sigma, gauss)
+        for h, ref in zip(result.system.members, members_ref):
+            assert np.abs(h.values - ref.values).max() < 1e-12
+        np.testing.assert_allclose(result.modulation_errors, errors_ref, rtol=1e-9, atol=1e-13)
+
+    @pytest.mark.parametrize("R, sigma", [(1.0, 1.0), (1.75, 2.0)])
+    def test_matches_member_loop_2d(self, R, sigma):
+        gauss2 = gaussian_window(GRID_2D)
+        rng = np.random.default_rng(16)
+        centers = [PhasePoint(tuple(a), tuple(b)) for a, b in rng.uniform(-1, 1, size=(4, 2, 2))]
+        members = [
+            tf_shift(gauss2, snap_to_grid(GRID_2D, c)) + random_bandlimited(GRID_2D, i) * 0.1
+            for i, c in enumerate(centers)
+        ]
+        system = FunctionSystem(members, centers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            result = improve_system(system, R, sigma)
+            members_ref, errors_ref = improve_by_loop(system, R, sigma, gauss2)
         for h, ref in zip(result.system.members, members_ref):
             assert np.abs(h.values - ref.values).max() < 1e-12
         np.testing.assert_allclose(result.modulation_errors, errors_ref, rtol=1e-9, atol=1e-13)

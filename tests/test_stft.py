@@ -105,6 +105,34 @@ def test_single_cell_field_synthesizes_shifted_window(setup):
     assert np.max(np.abs(out.values - expected.values)) < 1e-10
 
 
+@pytest.fixture(scope="module")
+def setup_2d():
+    g = GridSpec(2, 16, 1 / 4)
+    return g, gaussian_window(g)
+
+
+def test_adjoint_identity_2d(setup_2d):
+    g, w = setup_2d
+    f = random_function(g, seed=13)
+    h = random_function(g, seed=14)
+    Fh = stft(h, w)
+    lhs = inner_product(adjoint_stft(Fh, w), f)
+    rhs = Fh.cell_measure * np.sum(Fh.values * np.conj(stft(f, w).values))
+    assert abs(lhs - rhs) < 1e-12 * abs(rhs)
+
+
+def test_single_cell_field_synthesizes_shifted_window_2d(setup_2d):
+    g, w = setup_2d
+    field = StftField(g, np.zeros(g.shape + g.shape, dtype=complex))
+    jt, jf = (8 + 3, 8 - 2), (8 - 1, 8 + 4)
+    field.values[jt + jf] = 1.0 / field.cell_measure
+    out = adjoint_stft(field, w)
+    x = tuple(g.axis_points(ax)[jt[ax]] for ax in range(2))
+    xi = tuple(g.dual().axis_points(ax)[jf[ax]] for ax in range(2))
+    expected = tf_shift(w, PhasePoint(x, xi))
+    assert np.max(np.abs(out.values - expected.values)) < 1e-12
+
+
 def test_covariance(setup):
     g, w = setup
     f = random_function(g, seed=15, bandlimit=3.0)
