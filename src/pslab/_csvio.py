@@ -1,4 +1,4 @@
-"""Atomic CSV output shared by the experiment runners and the ``save_*`` writers."""
+"""Atomic CSV output shared by the experiment runners and ``PhasePointSet.save_csv``."""
 
 from __future__ import annotations
 

@@ -13,7 +13,7 @@ from . import __version__
 from ._csvio import _write_csv
 from .config import ConfigError, ExperimentConfig
 from .corpus import hermite_functions, two_bump
-from .fock import gaussian_atom_gram, lattice_sweep, save_sweep_csv
+from .fock import gaussian_atom_gram, lattice_sweep
 from .frames import (
     FunctionSystem,
     _inverse_sqrt_factors,
@@ -22,7 +22,6 @@ from .frames import (
     frame_bounds,
     gramian,
     localization_fit,
-    save_ledger_csv,
 )
 from .geometry import PhasePointSet, density_trend, scan_bins
 from .grid import GridSpec, PhasePoint, SampledFunction, gaussian_window, snap_to_grid, tf_shift
@@ -54,7 +53,7 @@ def corpus(recipe: str, grid: GridSpec, seed: int = 0) -> FunctionSystem:
     if name == "hermite-onb":
         count = int(args[0]) if args else 16
         members = hermite_functions(grid, count)
-        return FunctionSystem(members, [origin] * count, f"hermite-onb({count})")
+        return FunctionSystem(members, [origin] * count)
     if name in ("gabor-gaussian", "jittered-gabor"):
         jittered = name == "jittered-gabor"
         expected = 3 if jittered else 2
@@ -76,10 +75,10 @@ def corpus(recipe: str, grid: GridSpec, seed: int = 0) -> FunctionSystem:
                 point = snap_to_grid(grid, PhasePoint((a,) * grid.dim, (b,) * grid.dim))
                 centers.append(point)
                 members.append(tf_shift(g, point))
-        return FunctionSystem(members, centers, recipe.strip())
+        return FunctionSystem(members, centers)
     if name == "two-bump":
         separation = args[0] if args else 3.0
-        return FunctionSystem([two_bump(grid, separation)], [origin], "two-bump")
+        return FunctionSystem([two_bump(grid, separation)], [origin])
     raise ValueError(f"unknown recipe {name!r}")
 
 
@@ -244,10 +243,11 @@ def _run_density(cfg: ExperimentConfig, out: Path) -> list[Path]:
         raise ConfigError(f"[density] radii must lie in (0, {lam.window / 2}]")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("[density] radii must be strictly increasing")
-    # the block-sum scan peaks at about six float64 arrays the size of the
-    # histogram of the smallest radius
+    # the block-sum scan holds three float64 arrays the size of the histogram
+    # of the smallest radius at a time (block, padded cumsum, next block;
+    # tracemalloc peaks at 3.0-3.3x the histogram), budgeted here as four
     nbins, ndim = scan_bins(lam.window, radii[0]), 2 * lam.dim
-    need = 6 * nbins**ndim * np.dtype(float).itemsize
+    need = 4 * nbins**ndim * np.dtype(float).itemsize
     if need > GRAM_BYTES_LIMIT:
         raise ConfigError(
             f"[density] radius {radii[0]!r} needs {need / 2**20:.0f} MiB to scan {nbins}^{ndim} "
@@ -320,8 +320,13 @@ def _run_uncertainty_sum(cfg: ExperimentConfig, out: Path) -> list[Path]:
     except ValueError as exc:
         raise ConfigError(f"[uncertainty-sum] {exc}") from None
     ledger = commutation_ledger(system, system)
+    worst = ledger.truncation_defect.max(axis=1)
+    rows = [
+        f"{n},{float(res)!r},{float(dft)!r}"
+        for n, (res, dft) in enumerate(zip(ledger.per_n_identity_residual, worst))
+    ]
     path = out / "uncertainty_sum.csv"
-    save_ledger_csv(path, ledger, comments=_provenance(cfg))
+    _write_csv(path, "n,identity_residual,truncation_defect", rows, _provenance(cfg))
     return [path]
 
 
@@ -330,9 +335,12 @@ def _run_fock_sweep(cfg: ExperimentConfig, out: Path) -> list[Path]:
     window = cfg.get_float("window", 6.0)
     if any(a <= 0 for a in alphas) or window <= 0:
         raise ConfigError("[fock-sweep] pitches and window must be positive")
-    rows = lattice_sweep(alphas, window)
+    rows = [
+        f"{r.alpha!r},{r.density!r},{r.lower!r},{r.upper!r},{r.condition!r}"
+        for r in lattice_sweep(alphas, window)
+    ]
     path = out / "fock_sweep.csv"
-    save_sweep_csv(path, rows, comments=_provenance(cfg))
+    _write_csv(path, "alpha,density,lower,upper,condition", rows, _provenance(cfg))
     return [path]
 
 

@@ -14,8 +14,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._csvio import _write_csv
-
 
 @dataclass(frozen=True)
 class FockPointSet:
@@ -152,7 +150,3 @@ def lattice_sweep(alpha_values: Sequence[float], window: float) -> list[SweepRow
         rows.append(SweepRow(float(alpha), 1.0 / float(alpha) ** 2, lower, upper, condition))
     return rows
 
-
-def save_sweep_csv(path, rows: Sequence[SweepRow], comments: Sequence[str] = ()) -> None:
-    lines = [f"{r.alpha!r},{r.density!r},{r.lower!r},{r.upper!r},{r.condition!r}" for r in rows]
-    _write_csv(path, "alpha,density,lower,upper,condition", lines, comments)

@@ -16,7 +16,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._csvio import _write_csv
 from .grid import GridMismatchError, GridSpec, PhasePoint, SampledFunction, fourier_transform
 from .localization import tail_mass
 
@@ -29,7 +28,6 @@ class FunctionSystem:
 
     members: list[SampledFunction]
     centers: list[PhasePoint]
-    label: str = ""
 
     def __post_init__(self):
         if len(self.members) < 1:
@@ -144,7 +142,7 @@ def dual_system(sys: FunctionSystem) -> FunctionSystem:
     G, _ = _solve_coefficients(sys)
     Vd = np.linalg.solve(np.conj(G), sys.member_matrix())
     members = [SampledFunction(sys.grid, row.reshape(sys.grid.shape)) for row in Vd]
-    return FunctionSystem(members, list(sys.centers), sys.label + "-dual")
+    return FunctionSystem(members, list(sys.centers))
 
 
 def _inverse_sqrt_factors(G: np.ndarray, cap: float | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +177,7 @@ def canonical_tight(sys: FunctionSystem) -> FunctionSystem:
     inv_sqrt = (U * scale) @ np.conj(U).T
     Vt = np.conj(inv_sqrt) @ sys.member_matrix()
     members = [SampledFunction(sys.grid, row.reshape(sys.grid.shape)) for row in Vt]
-    return FunctionSystem(members, list(sys.centers), sys.label + "-tight")
+    return FunctionSystem(members, list(sys.centers))
 
 
 def localization_fit(
@@ -308,12 +306,3 @@ def offdiagonal_tail(
         total += float(cross[np.ix_(~inside, inside)].sum())
     return total
 
-
-def save_ledger_csv(path, ledger: CommutationLedger, comments: Sequence[str] = ()) -> None:
-    """Per-index residuals and truncation defects as CSV."""
-    worst = ledger.truncation_defect.max(axis=1)
-    rows = [
-        f"{n},{float(res)!r},{float(dft)!r}"
-        for n, (res, dft) in enumerate(zip(ledger.per_n_identity_residual, worst))
-    ]
-    _write_csv(path, "n,identity_residual,truncation_defect", rows, comments)

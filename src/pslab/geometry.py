@@ -125,20 +125,18 @@ def density_estimate(lam: PhasePointSet, r: float) -> DensityEstimate:
     ndim = 2 * lam.dim
     pitch = r / 4.0
     nbins = scan_bins(W, r)
-    hist = np.zeros((nbins,) * ndim)
+    block = np.zeros((nbins,) * ndim)
     if len(lam):
         idx = np.floor((lam.coords + W) / pitch).astype(np.int64)
         np.clip(idx, 0, nbins - 1, out=idx)
-        np.add.at(hist, tuple(idx.T), 1.0)
-    # block sums over 8 bins per axis via padded cumulative sums
-    block = hist
+        np.add.at(block, tuple(idx.T), 1.0)
+    # block sums over 8 bins per axis: differences of slices of one
+    # cumulative sum with a leading zero
     for ax in range(ndim):
-        csum = np.cumsum(block, axis=ax)
-        pad = np.zeros_like(np.take(csum, [0], axis=ax))
-        csum = np.concatenate([pad, csum], axis=ax)
-        hi = np.take(csum, range(8, csum.shape[ax]), axis=ax)
-        lo = np.take(csum, range(0, csum.shape[ax] - 8), axis=ax)
-        block = hi - lo
+        cut = (slice(None),) * ax
+        csum = np.zeros(block.shape[:ax] + (block.shape[ax] + 1,) + block.shape[ax + 1 :])
+        np.cumsum(block, axis=ax, out=csum[cut + (slice(1, None),)])
+        block = csum[cut + (slice(8, None),)] - csum[cut + (slice(None, -8),)]
     volume = (2.0 * r) ** ndim
     return DensityEstimate(
         radius=r,

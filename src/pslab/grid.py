@@ -82,6 +82,15 @@ class GridSpec:
         axes = [self.axis_points(i) for i in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
 
+    def phase_mesh(self) -> tuple[np.ndarray, ...]:
+        """Phase-space coordinates broadcast over ``shape + dual().shape``.
+
+        The time axes of this grid come first, then the frequency axes of its
+        dual: the layout of every STFT field and phase-space weight.
+        """
+        axes = [g.axis_points(i) for g in (self, self.dual()) for i in range(self.dim)]
+        return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
+
     def radius_squared(self) -> np.ndarray:
         """|x|^2 on the full grid."""
         out = np.zeros((1,) * self.dim)

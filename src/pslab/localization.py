@@ -212,15 +212,7 @@ def modulation_weight(grid: GridSpec, s: float) -> np.ndarray:
     """
     if s < 0:
         raise ValueError(f"weight exponent s must be >= 0, got {s}")
-    d = grid.dim
-    rsq = np.zeros((1,) * (2 * d))
-    for ax in range(d):
-        c = grid.axis_points(ax).reshape((-1,) + (1,) * (2 * d - ax - 1))
-        rsq = rsq + c * c
-    dual = grid.dual()
-    for ax in range(d):
-        c = dual.axis_points(ax).reshape((-1,) + (1,) * (d - ax - 1))
-        rsq = rsq + c * c
+    rsq = sum(c * c for c in grid.phase_mesh())
     return (1.0 + np.sqrt(rsq)) ** (2.0 * s)
 
 
@@ -240,34 +232,18 @@ def amalgam_norm(field: StftField, s: float) -> float:
     if s < 0:
         raise ValueError(f"weight exponent s must be >= 0, got {s}")
     g = field.grid
-    dual = g.dual()
-    for ax in range(g.dim):
-        if g.step[ax] > 0.5 or dual.step[ax] > 0.5:
-            raise ValueError("phase-space grid too coarse to resolve unit boxes (need spacing <= 1/2)")
+    if max(g.step + g.dual().step) > 0.5:
+        raise ValueError("phase-space grid too coarse to resolve unit boxes (need spacing <= 1/2)")
     d = g.dim
-    axis_idx = []
-    offsets = []
-    sizes = []
-    for ax in range(2 * d):
-        pts = g.axis_points(ax) if ax < d else dual.axis_points(ax - d)
-        k = np.floor(pts).astype(np.int64)
-        off = int(k.min())
-        axis_idx.append(k - off)
-        offsets.append(off)
-        sizes.append(int(k.max()) - off + 1)
-    sup = np.zeros(tuple(sizes))
-    mesh = np.meshgrid(*axis_idx, indexing="ij", sparse=True)
-    np.maximum.at(sup, tuple(np.broadcast_arrays(*mesh)), np.abs(field.values) ** 2)
-    corner_axes = [np.arange(n) + off for n, off in zip(sizes, offsets)]
-    tnorm = np.zeros(tuple(sizes))
-    fnorm = np.zeros(tuple(sizes))
-    for ax in range(d):
-        c = corner_axes[ax].reshape((-1,) + (1,) * (2 * d - ax - 1))
-        tnorm = tnorm + c.astype(float) ** 2
-    for ax in range(d, 2 * d):
-        c = corner_axes[ax].reshape((-1,) + (1,) * (2 * d - ax - 1))
-        fnorm = fnorm + c.astype(float) ** 2
-    weight = (1.0 + np.sqrt(tnorm) + np.sqrt(fnorm)) ** (2.0 * s)
+    corners = [np.floor(c).astype(np.int64) for c in g.phase_mesh()]
+    low = [int(k.min()) for k in corners]
+    sup = np.zeros(tuple(int(k.max()) - lo + 1 for k, lo in zip(corners, low)))
+    box = np.broadcast_arrays(*(k - lo for k, lo in zip(corners, low)))
+    np.maximum.at(sup, tuple(box), np.abs(field.values) ** 2)
+    # the integer corner (k, n) of each box
+    kn = np.meshgrid(*(np.arange(m) + lo for m, lo in zip(sup.shape, low)), indexing="ij", sparse=True)
+    knorm, nnorm = (np.sqrt(sum(c * c for c in half)) for half in (kn[:d], kn[d:]))
+    weight = (1.0 + knorm + nnorm) ** (2.0 * s)
     return math.sqrt(float(np.sum(sup * weight)))
 
 
@@ -289,13 +265,9 @@ def sampled_weighted_sum(field: StftField, lam: PhasePointSet, z, s: float) -> f
     if len(lam) == 0:
         return 0.0
     shifted = lam.coords + z[None, :]
-    dual = g.dual()
     idx = []
-    for ax in range(2 * d):
-        spec = g if ax < d else dual
-        sax = ax if ax < d else ax - d
-        ni, si = spec.n[sax], spec.step[sax]
-        j = np.round(shifted[:, ax] / si).astype(np.int64) + ni // 2
+    for col, ni, si in zip(shifted.T, g.n + g.dual().n, g.step + g.dual().step):
+        j = np.round(col / si).astype(np.int64) + ni // 2
         if j.min() < 0 or j.max() >= ni:
             raise ValueError("shifted points fall outside the phase-space box")
         idx.append(j)

@@ -1,9 +1,10 @@
 """Restriction operators L = P1 P2 P1, prolate systems, and phase-space cutoffs.
 
-Set membership follows the half-open convention: a d=1 interval of halfwidth
-rho around c is [c - rho, c + rho), which makes traces of on-grid intervals
-exact count ratios.  d=2 sets are open balls; only operator application is
-offered there, dense spectra stay one-dimensional.
+Sets are centred at the origin.  Set membership follows the half-open
+convention: a d=1 interval of halfwidth rho is [-rho, rho), which makes
+traces of on-grid intervals exact count ratios.  d=2 sets are open balls;
+only operator application is offered there, dense spectra stay
+one-dimensional.
 
 Spectra come from the |T| x |T| Toeplitz section of the restriction operator
 (the periodic discrete-prolate matrix), and the phase-space cutoff A_R is an
@@ -39,67 +40,42 @@ DENSE_LIMIT = 4096
 GRAM_BYTES_LIMIT = 2**31
 
 
-def _center_tuple(value, dim: int) -> tuple[float, ...]:
-    if value == ():
-        return (0.0,) * dim
-    if np.isscalar(value):
-        return (float(value),) * dim
-    out = tuple(float(v) for v in value)
-    if len(out) != dim:
-        raise ValueError(f"center needs {dim} components, got {len(out)}")
-    return out
-
-
-def _axis_mask(points: np.ndarray, center: float, halfwidth: float) -> np.ndarray:
-    return (points >= center - halfwidth) & (points < center + halfwidth)
-
-
-def _ball_mask(grid: GridSpec, center, halfwidth: float) -> np.ndarray:
+def _ball_mask(grid: GridSpec, halfwidth: float) -> np.ndarray:
     if grid.dim == 1:
-        return _axis_mask(grid.axis_points(0), center[0], halfwidth)
-    rsq = np.zeros(grid.shape)
-    for ax, coords in enumerate(grid.mesh()):
-        rsq = rsq + (coords - center[ax]) ** 2
-    return rsq < halfwidth**2
+        points = grid.axis_points(0)
+        return (points >= -halfwidth) & (points < halfwidth)
+    return grid.radius_squared() < halfwidth**2
 
 
-def _check_margin(grid: GridSpec, center, halfwidth: float, what: str) -> None:
+def _check_margin(grid: GridSpec, halfwidth: float, what: str) -> None:
     for ax in range(grid.dim):
         he = grid.half_extent(ax)
-        margin = 4 * grid.step[ax]
-        full = center[ax] - halfwidth <= -he and center[ax] + halfwidth >= he
-        if full:
-            continue
-        if center[ax] + halfwidth > he - margin or center[ax] - halfwidth < -(he - margin):
+        if he - 4 * grid.step[ax] < halfwidth < he:
             raise ValueError(
-                f"{what} set [{center[ax] - halfwidth}, {center[ax] + halfwidth}) needs "
+                f"{what} set [{-halfwidth}, {halfwidth}) needs "
                 f"4-sample margin inside [-{he}, {he}) or full coverage"
             )
 
 
 @dataclass
 class RestrictionSpec:
-    """Time interval/ball and frequency interval/ball cut out of a grid."""
+    """Origin-centred time interval/ball and frequency interval/ball cut out of a grid."""
 
     grid: GridSpec
     time_halfwidth: float
     freq_halfwidth: float
-    time_center: tuple[float, ...] = ()
-    freq_center: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.time_halfwidth < 0 or self.freq_halfwidth < 0:
             raise ValueError("halfwidths must be nonnegative")
-        self.time_center = _center_tuple(self.time_center, self.grid.dim)
-        self.freq_center = _center_tuple(self.freq_center, self.grid.dim)
-        _check_margin(self.grid, self.time_center, self.time_halfwidth, "time")
-        _check_margin(self.grid.dual(), self.freq_center, self.freq_halfwidth, "frequency")
+        _check_margin(self.grid, self.time_halfwidth, "time")
+        _check_margin(self.grid.dual(), self.freq_halfwidth, "frequency")
 
     def time_mask(self) -> np.ndarray:
-        return _ball_mask(self.grid, self.time_center, self.time_halfwidth)
+        return _ball_mask(self.grid, self.time_halfwidth)
 
     def freq_mask(self) -> np.ndarray:
-        return _ball_mask(self.grid.dual(), self.freq_center, self.freq_halfwidth)
+        return _ball_mask(self.grid.dual(), self.freq_halfwidth)
 
 
 class RestrictionOperator:
@@ -245,18 +221,12 @@ def _cutoff_matrix(grid: GridSpec, R: float, window: SampledFunction) -> np.ndar
     """Matrix of A_R = V* 1_Q V, Q the phase-space cube [-R, R]^{2d}."""
     if window.grid != grid:
         raise GridMismatchError(f"grids differ: {grid} vs {window.grid}")
-    dual = grid.dual()
-    extents = [grid.half_extent(ax) for ax in range(grid.dim)]
-    extents += [dual.half_extent(ax) for ax in range(dual.dim)]
-    if not 0 < R <= min(extents):
-        raise ValueError(f"R={R} outside (0, {min(extents)}] for this phase-space grid")
-    mask = np.ones(grid.shape + dual.shape, dtype=bool)
-    for ax in range(grid.dim):
-        pts = grid.axis_points(ax)
-        mask &= (np.abs(pts) <= R).reshape((-1,) + (1,) * (2 * grid.dim - ax - 1))
-    for ax in range(grid.dim):
-        pts = dual.axis_points(ax)
-        mask &= (np.abs(pts) <= R).reshape((-1,) + (1,) * (grid.dim - ax - 1))
+    extent = min(g.half_extent(ax) for g in (grid, grid.dual()) for ax in range(grid.dim))
+    if not 0 < R <= extent:
+        raise ValueError(f"R={R} outside (0, {extent}] for this phase-space grid")
+    mask = True
+    for coords in grid.phase_mesh():
+        mask = mask & (np.abs(coords) <= R)
     return multiplier_matrix(window, mask)
 
 
@@ -277,12 +247,7 @@ class ImproveResult:
     sigma: float
 
 
-def improve_system(
-    system: FunctionSystem,
-    R: float,
-    sigma: float = 1.0,
-    window: SampledFunction | None = None,
-) -> ImproveResult:
+def improve_system(system: FunctionSystem, R: float, sigma: float = 1.0) -> ImproveResult:
     """De-shift members to the origin, apply A_R, re-shift.
 
     Members are carried to phi_n = pi(a_n, b_n)^{-1} f_n, smoothed to
@@ -294,7 +259,7 @@ def improve_system(
     """
     grid = system.grid
     gauss = gaussian_window(grid)
-    cutoff = _cutoff_matrix(grid, R, gauss if window is None else window)
+    cutoff = _cutoff_matrix(grid, R, gauss)
     weight = multiplier_matrix(gauss, modulation_weight(grid, sigma))
     phis = np.empty((len(system), cutoff.shape[0]), dtype=complex)
     centers = []
@@ -312,5 +277,4 @@ def improve_system(
     quad = np.einsum("mt,mt->m", np.conj(residual), residual @ weight.T).real
     errors = np.sqrt(grid.cell_volume * quad)
     improved = [tf_shift(SampledFunction(grid, psi.reshape(grid.shape)), c) for psi, c in zip(psis, centers)]
-    out = FunctionSystem(improved, centers, system.label + "-improved")
-    return ImproveResult(out, errors, sigma)
+    return ImproveResult(FunctionSystem(improved, centers), errors, sigma)

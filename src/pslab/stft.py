@@ -55,37 +55,44 @@ class StftField:
         return math.sqrt(self.cell_measure * float(np.sum(np.abs(self.values) ** 2)))
 
 
-def _shift_bank(window: SampledFunction) -> np.ndarray:
-    """All cyclic time shifts of the window: bank[j, t] = w(t - x_j), d=1."""
-    n = window.grid.n[0]
-    idx = (np.arange(n)[None, :] - (np.arange(n)[:, None] - n // 2)) % n
-    return window.values[idx]
-
-
 def _check_window(window: SampledFunction) -> None:
     wnorm = window.norm()
     if not (1e-6 <= wnorm <= 1e6):
         raise ValueError(f"window norm {wnorm:g} outside [1e-6, 1e6]")
 
 
+def _shifted_windows(grid: GridSpec, values: np.ndarray):
+    """Yield ``(lead, bank)`` with bank[j, t...] = values[(t - s) mod n], s = (lead, j) - n // 2.
+
+    ``lead`` runs over the time shifts of all axes but the last.  The shifts
+    along the last axis are gathered once and tiled twice along each leading
+    axis, so every ``bank`` is a view; d = 1 has a single lead.
+    """
+    n = grid.n[-1]
+    shifts = np.arange(n)[:, None] - n // 2
+    bank = np.moveaxis(np.take(values, (np.arange(n) - shifts) % n, axis=-1), -2, 0)
+    for ax in range(1, grid.dim):
+        bank = np.concatenate([bank, bank], axis=ax)
+    for lead in np.ndindex(grid.shape[:-1]):
+        # a cyclic roll by s along an axis of length m is the slice [m - s mod m, +m) of the tiling
+        start = [m - (j - m // 2) % m for j, m in zip(lead, grid.n)]
+        yield lead, bank[(slice(None),) + tuple(slice(a, a + m) for a, m in zip(start, grid.n))]
+
+
 def stft(f: SampledFunction, window: SampledFunction) -> StftField:
     """V_w f(x_j, xi_k) = (f, tf_shift(window, (x_j, xi_k))) on the full grid.
 
-    Computed as one FFT per time-shift row: the k-row at shift x_j is the
+    Computed as one FFT per time shift: the k-block at shift x_j is the
     forward transform of f * conj(window(. - x_j)).
     """
     _require_same_grid(f, window)
     _check_window(window)
     g = f.grid
-    if g.dim == 1:
-        rows = f.values[None, :] * np.conj(_shift_bank(window))
-        vals = _centered_fft(rows, axes=(1,)) * g.cell_volume
-        return StftField(g, vals)
+    axes = tuple(range(1, g.dim + 1))
     out = np.empty(g.shape + g.shape, dtype=np.complex128)
-    for j in np.ndindex(g.shape):
-        shift = tuple(ji - ni // 2 for ji, ni in zip(j, g.n))
-        rolled = np.roll(window.values, shift, axis=tuple(range(g.dim)))
-        out[j] = _centered_fft(f.values * np.conj(rolled), axes=tuple(range(g.dim))) * g.cell_volume
+    for lead, bank in _shifted_windows(g, np.conj(window.values)):
+        block = np.multiply(f.values, bank, out=out[lead])
+        np.multiply(_centered_fft(block, axes=axes), g.cell_volume, out=block)
     return StftField(g, out)
 
 
@@ -95,19 +102,13 @@ def adjoint_stft(field: StftField, window: SampledFunction) -> SampledFunction:
         raise ValueError("field phase-space grid does not match the window grid")
     _check_window(window)
     g = window.grid
-    if g.dim == 1:
-        n = g.n[0]
-        # rows[j, t] = sum_k F[j, k] exp(2 pi i x_t xi_k)
-        rows = _centered_fft(field.values, axes=(1,), inverse=True) * n
-        out = np.einsum("jt,jt->t", rows, _shift_bank(window)) * field.cell_measure
-        return SampledFunction(g, out)
+    axes = tuple(range(1, g.dim + 1))
     out = np.zeros(g.shape, dtype=np.complex128)
-    scale = float(np.prod(g.n))
-    for j in np.ndindex(g.shape):
-        shift = tuple(ji - ni // 2 for ji, ni in zip(j, g.n))
-        rolled = np.roll(window.values, shift, axis=tuple(range(g.dim)))
-        row = _centered_fft(field.values[j], axes=tuple(range(g.dim)), inverse=True) * scale
-        out += row * rolled
+    for lead, bank in _shifted_windows(g, window.values):
+        # rows[j, t] = sum_k F[lead, j, k] exp(2 pi i x_t.xi_k)
+        rows = _centered_fft(field.values[lead], axes=axes, inverse=True)
+        rows *= math.prod(g.n)
+        out += np.einsum("j...,j...->...", rows, bank)
     return SampledFunction(g, out * field.cell_measure)
 
 

@@ -277,7 +277,7 @@ class TestCli:
             raise AssertionError("density scanned before the memory check")
 
         monkeypatch.setattr("pslab.experiments.density_trend", refuse)
-        # r = 0.01 on the W = 32 lattice is 25600^2 bins: about 30 GiB for the scan
+        # r = 0.01 on the W = 32 lattice is 25600^2 bins: about 20 GiB for the scan
         stub = tmp_path / "dens.cfg"
         points = CONFIG_DIR / "points_unit_lattice.csv"
         stub.write_text(f"[density]\npoints_csv = {points}\nwindow = 32\nradii = 0.01 4\n")

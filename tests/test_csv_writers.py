@@ -1,19 +1,12 @@
-"""Every ``save_*`` CSV writer is atomic: a failed write leaves no temp file."""
+"""``_write_csv`` is atomic: a failed write leaves no temp file."""
 
 import numpy as np
 import pytest
 
-from pslab.fock import SweepRow, save_sweep_csv
-from pslab.frames import CommutationLedger, save_ledger_csv
 from pslab.geometry import PhasePointSet
 
 WRITERS = {
-    "ledger": lambda path: save_ledger_csv(
-        path,
-        CommutationLedger(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), np.zeros(1), np.zeros((1, 1))),
-    ),
     "phase_points": lambda path: PhasePointSet(np.array([[0.0, 0.5]]), 1.0).save_csv(path),
-    "sweep": lambda path: save_sweep_csv(path, [SweepRow(1.0, 1.0, 0.5, 1.0, 2.0)]),
 }
 
 

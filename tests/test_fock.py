@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pslab.cli import main
 from pslab.fock import (
     FockGram,
     FockPointSet,
@@ -14,7 +15,6 @@ from pslab.fock import (
     gaussian_atom_gram,
     lattice_sweep,
     sampling_bounds,
-    save_sweep_csv,
 )
 from pslab.frames import FunctionSystem, frame_bounds, gramian
 from pslab.grid import GridSpec, PhasePoint, gaussian_window, tf_shift
@@ -224,12 +224,12 @@ class TestLatticeSweep:
             assert r.upper >= r.lower
 
     def test_csv_output(self, rows, tmp_path):
-        path = tmp_path / "sweep.csv"
-        save_sweep_csv(path, rows, comments=["pitch sweep"])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# pitch sweep"
-        assert lines[1] == "alpha,density,lower,upper,condition"
-        assert len(lines) == 2 + len(rows)
-        first = [float(tok) for tok in lines[2].split(",")]
-        assert first[0] == 2.0
-        assert first[1] == 0.25
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("[fock-sweep]\nalphas = 2 1.5 1.2 1 0.9\nwindow = 6.0\n")
+        assert main(["fock-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "fock_sweep.csv").read_text().splitlines()
+        assert lines[0] == "# experiment fock-sweep"
+        lines = [ln for ln in lines if not ln.startswith("#")]
+        assert lines[0] == "alpha,density,lower,upper,condition"
+        assert len(lines) == 1 + len(rows)
+        assert [[float(tok) for tok in ln.split(",")] for ln in lines[1:]] == [list(r) for r in rows]

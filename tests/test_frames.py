@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pslab.cli import main
 from pslab.corpus import hermite_functions, random_bandlimited
 from pslab.frames import (
     GRAM_FLOOR,
@@ -19,7 +20,6 @@ from pslab.frames import (
     gramian,
     localization_fit,
     offdiagonal_tail,
-    save_ledger_csv,
 )
 from pslab.grid import (
     GridMismatchError,
@@ -38,10 +38,10 @@ from pslab.localization import moment
 GRID = GridSpec(1, 256, 1 / 16)
 
 
-def gaussian_system(grid, points, label=""):
+def gaussian_system(grid, points):
     g = gaussian_window(grid)
     centers = [PhasePoint(a, b) for a, b in points]
-    return FunctionSystem([tf_shift(g, c) for c in centers], centers, label)
+    return FunctionSystem([tf_shift(g, c) for c in centers], centers)
 
 
 def full_box_half_lattice(grid):
@@ -77,7 +77,7 @@ def hermites():
 
 @pytest.fixture(scope="module")
 def hermite_sys(hermites):
-    return FunctionSystem(hermites, [PhasePoint(0.0, 0.0)] * 12, "hermite")
+    return FunctionSystem(hermites, [PhasePoint(0.0, 0.0)] * 12)
 
 
 class TestFunctionSystem:
@@ -344,7 +344,7 @@ class TestCommutationLedger:
 
     def test_hermite_truncation_profile(self):
         members = hermite_functions(GRID, 64)
-        sys = FunctionSystem(members, [PhasePoint(0.0, 0.0)] * 64, "hermite64")
+        sys = FunctionSystem(members, [PhasePoint(0.0, 0.0)] * 64)
         with pytest.warns(UserWarning, match="boundary mass"):
             ledger = commutation_ledger(sys, sys)
         res = ledger.per_n_identity_residual
@@ -415,14 +415,15 @@ class TestOffdiagonalTail:
 
 
 class TestSerialization:
-    def test_ledger_csv(self, tmp_path, hermites):
-        sys = FunctionSystem(hermites[:8], [PhasePoint(0.0, 0.0)] * 8)
-        ledger = commutation_ledger(sys, sys)
-        path = tmp_path / "ledger.csv"
-        save_ledger_csv(path, ledger, ["demo"])
-        lines = path.read_text().splitlines()
-        assert lines[1] == "n,identity_residual,truncation_defect"
-        assert len(lines) == 2 + 8
+    def test_ledger_csv(self, tmp_path):
+        # the uncertainty-sum experiment writes the ledger of hermite-onb(8) on GRID
+        cfg = tmp_path / "ledger.cfg"
+        cfg.write_text("[uncertainty-sum]\ngrid_n = 256\ngrid_dx = 0.0625\ncount = 8\n")
+        assert main(["uncertainty-sum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "uncertainty_sum.csv").read_text().splitlines()
+        lines = [ln for ln in lines if not ln.startswith("#")]
+        assert lines[0] == "n,identity_residual,truncation_defect"
+        assert len(lines) == 1 + 8
         n, res, dft = lines[-1].split(",")
         assert n == "7"
         assert float(res) > 0
