@@ -1,4 +1,4 @@
-"""Entry point: run one experiment from a config file and emit CSV artifacts."""
+"""Entry point: run one experiment from a config file and emit its CSV."""
 
 from __future__ import annotations
 
@@ -30,15 +30,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config, args.experiment, seed=args.seed)
-        files = run(cfg, args.out)
+        path = run(cfg, args.out)
     except ConfigError as exc:
         print(f"pslab: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"pslab: {args.experiment} failed: {exc}", file=sys.stderr)
         return 1
-    for path in files:
-        print(path)
+    print(path)
     return 0
 
 

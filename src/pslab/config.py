@@ -35,10 +35,14 @@ class ExperimentConfig:
     sha256: str
     source: Path = field(default_factory=lambda: Path("."))
 
+    def error(self, message: str) -> ConfigError:
+        """A ConfigError whose message names this experiment's section."""
+        return ConfigError(f"[{self.experiment}] {message}")
+
     def get_str(self, key: str, default: str | None = None) -> str:
         value = self.params.get(key, default)
         if value is None:
-            raise ConfigError(f"[{self.experiment}] is missing required key '{key}'")
+            raise self.error(f"is missing required key '{key}'")
         return value
 
     def get_int(self, key: str, default: int | None = None) -> int:
@@ -46,30 +50,31 @@ class ExperimentConfig:
         try:
             return int(raw)
         except ValueError:
-            raise ConfigError(f"[{self.experiment}] {key} = {raw!r} is not an integer") from None
+            raise self.error(f"{key} = {raw!r} is not an integer") from None
 
     def get_float(self, key: str, default: float | None = None) -> float:
         raw = self.get_str(key, None if default is None else repr(default))
         try:
             return float(raw)
         except ValueError:
-            raise ConfigError(f"[{self.experiment}] {key} = {raw!r} is not a number") from None
+            raise self.error(f"{key} = {raw!r} is not a number") from None
 
     def get_floats(self, key: str, default: str | None = None) -> list[float]:
         raw = self.get_str(key, default)
         try:
             values = [float(tok) for tok in raw.split()]
         except ValueError:
-            raise ConfigError(f"[{self.experiment}] {key} = {raw!r} is not a number list") from None
+            raise self.error(f"{key} = {raw!r} is not a number list") from None
         if not values:
-            raise ConfigError(f"[{self.experiment}] {key} must list at least one number")
+            raise self.error(f"{key} must list at least one number")
         return values
 
     def grid(self) -> GridSpec:
+        dim, n, dx = self.get_int("grid_dim", 1), self.get_int("grid_n"), self.get_float("grid_dx")
         try:
-            return GridSpec(self.get_int("grid_dim", 1), self.get_int("grid_n"), self.get_float("grid_dx"))
+            return GridSpec(dim, n, dx)
         except ValueError as exc:
-            raise ConfigError(f"[{self.experiment}] bad grid: {exc}") from None
+            raise self.error(f"bad grid: {exc}") from None
 
     def resolve_path(self, key: str) -> Path:
         """A path value, taken relative to the config file's directory."""

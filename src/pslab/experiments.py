@@ -11,7 +11,7 @@ import scipy
 
 from . import __version__
 from ._csvio import _write_csv
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .corpus import hermite_functions, two_bump
 from .fock import gaussian_atom_gram, lattice_sweep
 from .frames import (
@@ -28,12 +28,20 @@ from .grid import GridSpec, PhasePoint, SampledFunction, gaussian_window, snap_t
 from .localization import moment
 from .operators import (
     DENSE_LIMIT,
-    GRAM_BYTES_LIMIT,
     RestrictionOperator,
     RestrictionSpec,
+    cutoff_extent,
     improve_system,
     plunge_count,
 )
+
+# Bytes a dense Gram eigendecomposition or a density scan may take (the
+# balian-low and density pre-flight checks).
+GRAM_BYTES_LIMIT = 2**31
+
+# What a runner returns: the CSV header, its data rows, and comment lines
+# that follow the provenance block.
+Table = tuple[str, list[str], list[str]]
 
 _RECIPE = re.compile(r"^([a-z-]+)\(([^)]*)\)$|^([a-z-]+)$")
 
@@ -80,15 +88,6 @@ def corpus(recipe: str, grid: GridSpec, seed: int = 0) -> FunctionSystem:
         separation = args[0] if args else 3.0
         return FunctionSystem([two_bump(grid, separation)], [origin])
     raise ValueError(f"unknown recipe {name!r}")
-
-
-def _provenance(cfg: ExperimentConfig) -> list[str]:
-    return [
-        f"experiment {cfg.experiment}",
-        f"config sha256 {cfg.sha256}",
-        f"seed {cfg.seed}",
-        f"pslab {__version__} numpy {np.__version__} scipy {scipy.__version__}",
-    ]
 
 
 # A Gaussian atom's tail at distance d from the box edge is e^{-pi d^2}; at this
@@ -140,25 +139,34 @@ def _gabor_central_member(grid: GridSpec, alpha: float, beta: float, T: int) -> 
     return SampledFunction(grid, values)
 
 
-def _run_balian_low(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _check_budget(cfg: ExperimentConfig, need: int, subject: str, task: str) -> None:
+    """Refuse, before allocating, a step whose ``need`` bytes exceed GRAM_BYTES_LIMIT."""
+    if need > GRAM_BYTES_LIMIT:
+        raise cfg.error(
+            f"{subject} needs {need / 2**20:.0f} MiB to {task}, "
+            f"over the memory budget of {GRAM_BYTES_LIMIT / 2**20:.0f} MiB"
+        )
+
+
+def _run_balian_low(cfg: ExperimentConfig) -> Table:
     grid = cfg.grid()
     if grid.dim != 1:
-        raise ConfigError("[balian-low] runs on one-dimensional grids")
+        raise cfg.error("runs on one-dimensional grids")
     alpha = cfg.get_float("alpha", 1.0)
     beta = cfg.get_float("beta", 1.0)
     windows = cfg.get_floats("windows")
     if any(not w.is_integer() or w <= 0 for w in windows) or any(b <= a for a, b in zip(windows, windows[1:])):
-        raise ConfigError("[balian-low] windows must be increasing positive integers")
+        raise cfg.error("windows must be increasing positive integers")
     windows = [int(w) for w in windows]
     dual = grid.dual()
     if abs(alpha / grid.step[0] - round(alpha / grid.step[0])) > 1e-9 or abs(
         beta / dual.step[0] - round(beta / dual.step[0])
     ) > 1e-9:
-        raise ConfigError(f"[balian-low] spacings ({alpha}, {beta}) are not grid-aligned")
+        raise cfg.error(f"spacings ({alpha}, {beta}) are not grid-aligned")
     widest = windows[-1]
     if alpha * widest + _WRAP_MARGIN > grid.half_extent() or beta * widest + _WRAP_MARGIN > dual.half_extent():
-        raise ConfigError(
-            f"[balian-low] window {widest} puts lattice atoms within {_WRAP_MARGIN:.2f} of the "
+        raise cfg.error(
+            f"window {widest} puts lattice atoms within {_WRAP_MARGIN:.2f} of the "
             f"grid box edge (half-extents {grid.half_extent()}, {dual.half_extent()}), "
             "so their tails wrap"
         )
@@ -166,36 +174,32 @@ def _run_balian_low(cfg: ExperimentConfig, out: Path) -> list[Path]:
     # about two more; complex entries bound it (integer alpha * beta Grams are real)
     members = (2 * widest + 1) ** 2
     need = 4 * members**2 * np.dtype(complex).itemsize
-    if need > GRAM_BYTES_LIMIT:
-        raise ConfigError(
-            f"[balian-low] window {widest} needs {need / 2**20:.0f} MiB to orthonormalize "
-            f"{members} atoms, over the memory budget of {GRAM_BYTES_LIMIT / 2**20:.0f} MiB"
-        )
+    _check_budget(cfg, need, f"window {widest}", f"orthonormalize {members} atoms")
     rows = []
     for T in windows:
         phi = _gabor_central_member(grid, alpha, beta, T)
         value = moment(phi, 0.0, 1.0, side="frequency")
         rows.append(f"{T},{(2 * T + 1) ** 2},{value!r}")
-    path = out / "balian_low.csv"
-    _write_csv(path, "window,members,frequency_moment", rows, _provenance(cfg))
-    return [path]
+    return "window,members,frequency_moment", rows, []
 
 
-def _run_trace_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _run_trace_check(cfg: ExperimentConfig) -> Table:
     grid = cfg.grid()
     if grid.dim != 1:
-        raise ConfigError("[trace-check] runs on one-dimensional grids")
+        raise cfg.error("runs on one-dimensional grids")
     pairs = []
     for token in cfg.get_str("pairs").split():
         try:
             ht, hf = (float(v) for v in token.split(","))
         except ValueError:
-            raise ConfigError(f"[trace-check] bad pair {token!r}, expected time,freq") from None
+            raise cfg.error(f"bad pair {token!r}, expected time,freq") from None
+        if ht <= 0 or hf <= 0:
+            raise cfg.error(f"bad pair {token!r}, halfwidths must be positive")
         pairs.append((ht, hf))
     try:
         specs = [RestrictionSpec(grid, ht, hf) for ht, hf in pairs]
     except ValueError as exc:
-        raise ConfigError(f"[trace-check] {exc}") from None
+        raise cfg.error(str(exc)) from None
     rows = []
     for spec in specs:
         tr = RestrictionOperator(spec).trace()
@@ -204,77 +208,70 @@ def _run_trace_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
             f"{spec.time_halfwidth!r},{spec.freq_halfwidth!r},{tr!r},{area!r},"
             f"{abs(tr - area) / area!r}"
         )
-    path = out / "trace_check.csv"
-    _write_csv(path, "time_halfwidth,freq_halfwidth,trace,area,rel_error", rows, _provenance(cfg))
-    return [path]
+    return "time_halfwidth,freq_halfwidth,trace,area,rel_error", rows, []
 
 
-def _run_plunge_count(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _run_plunge_count(cfg: ExperimentConfig) -> Table:
     grid = cfg.grid()
     if grid.dim != 1:
-        raise ConfigError("[plunge-count] dense spectra run on one-dimensional grids")
+        raise cfg.error("dense spectra run on one-dimensional grids")
     radii = cfg.get_floats("radii")
+    if any(R <= 0 for R in radii):
+        raise cfg.error("radii must be positive")
     try:
         specs = [RestrictionSpec(grid, R / 2, R / 2) for R in radii]
     except ValueError as exc:
-        raise ConfigError(f"[plunge-count] {exc}") from None
+        raise cfg.error(str(exc)) from None
     for spec in specs:
         size = int(np.count_nonzero(spec.time_mask()))
         if size > DENSE_LIMIT:
-            raise ConfigError(f"[plunge-count] time set of {size} samples exceeds the dense limit {DENSE_LIMIT}")
+            raise cfg.error(f"time set of {size} samples exceeds the dense limit {DENSE_LIMIT}")
     rows = []
     for R, spec in zip(radii, specs):
         count = plunge_count(RestrictionOperator(spec))
         rows.append(f"{R!r},{count},{count / R**2!r}")
-    path = out / "plunge_count.csv"
-    _write_csv(path, "radius,count,count_per_square_radius", rows, _provenance(cfg))
-    return [path]
+    return "radius,count,count_per_square_radius", rows, []
 
 
-def _run_density(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _run_density(cfg: ExperimentConfig) -> Table:
     points_path = cfg.resolve_path("points_csv")
     radii = cfg.get_floats("radii")
     window = cfg.get_float("window", 0.0) or None
     try:
         lam = PhasePointSet.load_csv(points_path, window=window)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"[density] cannot load {points_path}: {exc}") from None
+        raise cfg.error(f"cannot load {points_path}: {exc}") from None
     if any(not 0 < r <= lam.window / 2 for r in radii):
-        raise ConfigError(f"[density] radii must lie in (0, {lam.window / 2}]")
+        raise cfg.error(f"radii must lie in (0, {lam.window / 2}]")
     if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ConfigError("[density] radii must be strictly increasing")
+        raise cfg.error("radii must be strictly increasing")
     # the block-sum scan holds three float64 arrays the size of the histogram
     # of the smallest radius at a time (block, padded cumsum, next block;
     # tracemalloc peaks at 3.0-3.3x the histogram), budgeted here as four
     nbins, ndim = scan_bins(lam.window, radii[0]), 2 * lam.dim
     need = 4 * nbins**ndim * np.dtype(float).itemsize
-    if need > GRAM_BYTES_LIMIT:
-        raise ConfigError(
-            f"[density] radius {radii[0]!r} needs {need / 2**20:.0f} MiB to scan {nbins}^{ndim} "
-            f"bins, over the memory budget of {GRAM_BYTES_LIMIT / 2**20:.0f} MiB"
-        )
+    _check_budget(cfg, need, f"radius {radii[0]!r}", f"scan {nbins}^{ndim} bins")
     rows = [
         f"{est.radius!r},{est.lower!r},{est.upper!r},{est.midpoint!r}"
         for est in density_trend(lam, radii)
     ]
-    path = out / "density.csv"
-    _write_csv(path, "radius,lower,upper,midpoint", rows, _provenance(cfg))
-    return [path]
+    return "radius,lower,upper,midpoint", rows, []
 
 
-def _run_improve(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _run_improve(cfg: ExperimentConfig) -> Table:
     grid = cfg.grid()
     size = math.prod(grid.n)
     if size > DENSE_LIMIT:
-        raise ConfigError(f"[improve] grid of {size} samples exceeds the dense limit {DENSE_LIMIT}")
+        raise cfg.error(f"grid of {size} samples exceeds the dense limit {DENSE_LIMIT}")
     radii = cfg.get_floats("radii")
     sigma = cfg.get_float("sigma", 1.0)
+    extent = cutoff_extent(grid)
+    if any(not 0 < R <= extent for R in radii):
+        raise cfg.error(f"radii must lie in (0, {extent}]")
     try:
         system = corpus(cfg.get_str("recipe"), grid, cfg.seed)
     except ValueError as exc:
-        raise ConfigError(f"[improve] {exc}") from None
-    if any(r <= 0 for r in radii):
-        raise ConfigError("[improve] radii must be positive")
+        raise cfg.error(str(exc)) from None
     source = frame_bounds(system)
     rows = []
     for R in radii:
@@ -283,21 +280,19 @@ def _run_improve(cfg: ExperimentConfig, out: Path) -> list[Path]:
         rows.append(
             f"{R!r},{float(result.modulation_errors.mean())!r},{bounds.lower!r},{bounds.upper!r}"
         )
-    path = out / "improve.csv"
-    comments = _provenance(cfg) + [
+    notes = [
         f"source bounds lower {source.lower!r} upper {source.upper!r}",
         f"modulation weight sigma {sigma!r}",
     ]
-    _write_csv(path, "radius,mean_error,lower,upper", rows, comments)
-    return [path]
+    return "radius,mean_error,lower,upper", rows, notes
 
 
-def _run_dual_decay(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _run_dual_decay(cfg: ExperimentConfig) -> Table:
     grid = cfg.grid()
     try:
         system = corpus(cfg.get_str("recipe"), grid, cfg.seed)
     except ValueError as exc:
-        raise ConfigError(f"[dual-decay] {exc}") from None
+        raise cfg.error(str(exc)) from None
     primal = localization_fit(gramian(system), system.centers)
     dual = dual_system(system)
     shadow = localization_fit(gramian(dual), dual.centers)
@@ -305,43 +300,38 @@ def _run_dual_decay(cfg: ExperimentConfig, out: Path) -> list[Path]:
         f"primal,{primal.exponent!r},{primal.constant!r},{primal.r2!r}",
         f"dual,{shadow.exponent!r},{shadow.constant!r},{shadow.r2!r}",
     ]
-    path = out / "dual_decay.csv"
-    _write_csv(path, "which,exponent,constant,r_squared", rows, _provenance(cfg))
-    return [path]
+    return "which,exponent,constant,r_squared", rows, []
 
 
-def _run_uncertainty_sum(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _run_uncertainty_sum(cfg: ExperimentConfig) -> Table:
     grid = cfg.grid()
     count = cfg.get_int("count", 64)
     if count < 2:
-        raise ConfigError("[uncertainty-sum] count must be at least 2")
+        raise cfg.error("count must be at least 2")
     try:
-        system = corpus(f"hermite-onb({count})", grid, cfg.seed)
+        members = hermite_functions(grid, count)
     except ValueError as exc:
-        raise ConfigError(f"[uncertainty-sum] {exc}") from None
+        raise cfg.error(str(exc)) from None
+    system = FunctionSystem(members, [PhasePoint((0.0,), (0.0,))] * count)
     ledger = commutation_ledger(system, system)
     worst = ledger.truncation_defect.max(axis=1)
     rows = [
         f"{n},{float(res)!r},{float(dft)!r}"
         for n, (res, dft) in enumerate(zip(ledger.per_n_identity_residual, worst))
     ]
-    path = out / "uncertainty_sum.csv"
-    _write_csv(path, "n,identity_residual,truncation_defect", rows, _provenance(cfg))
-    return [path]
+    return "n,identity_residual,truncation_defect", rows, []
 
 
-def _run_fock_sweep(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _run_fock_sweep(cfg: ExperimentConfig) -> Table:
     alphas = cfg.get_floats("alphas")
     window = cfg.get_float("window", 6.0)
     if any(a <= 0 for a in alphas) or window <= 0:
-        raise ConfigError("[fock-sweep] pitches and window must be positive")
+        raise cfg.error("pitches and window must be positive")
     rows = [
         f"{r.alpha!r},{r.density!r},{r.lower!r},{r.upper!r},{r.condition!r}"
         for r in lattice_sweep(alphas, window)
     ]
-    path = out / "fock_sweep.csv"
-    _write_csv(path, "alpha,density,lower,upper,condition", rows, _provenance(cfg))
-    return [path]
+    return "alpha,density,lower,upper,condition", rows, []
 
 
 _RUNNERS = {
@@ -356,8 +346,17 @@ _RUNNERS = {
 }
 
 
-def run(cfg: ExperimentConfig, out_dir) -> list[Path]:
-    """Execute one experiment; artifacts are written only after full compute."""
+def run(cfg: ExperimentConfig, out_dir) -> Path:
+    """Execute one experiment into ``<experiment>.csv``, written only after full compute."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[cfg.experiment](cfg, out)
+    header, rows, notes = _RUNNERS[cfg.experiment](cfg)
+    path = out / f"{cfg.experiment.replace('-', '_')}.csv"
+    provenance = [
+        f"experiment {cfg.experiment}",
+        f"config sha256 {cfg.sha256}",
+        f"seed {cfg.seed}",
+        f"pslab {__version__} numpy {np.__version__} scipy {scipy.__version__}",
+    ]
+    _write_csv(path, header, rows, provenance + notes)
+    return path

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .grid import GridMismatchError, GridSpec, PhasePoint, SampledFunction, fourier_transform
-from .localization import tail_mass
+from .localization import TAIL_MASS_THRESHOLD, tail_mass
 
 GRAM_FLOOR = 1e-12
 
@@ -268,7 +268,7 @@ def commutation_ledger(sys: FunctionSystem, dual: FunctionSystem) -> Commutation
     defect = np.abs(biorth - np.eye(len(sys))).max()
     if defect > 1e-6:
         raise ValueError(f"pair is not biorthogonal: max deviation {defect:.3e}")
-    if any(tail_mass(m) > 1e-6 for m in sys.members):
+    if any(tail_mass(m) > TAIL_MASS_THRESHOLD for m in sys.members):
         warnings.warn("members carry boundary mass; moment coefficients may be truncated", stacklevel=2)
     c, dcoef = _coefficient_arrays(sys, dual)
     sums = 2j * np.pi * (

@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._csvio import _write_csv
-from ._kernels import max_cube_count_2axes, unit_slabs
 from .grid import PhasePoint
 
 
@@ -147,18 +146,28 @@ def density_estimate(lam: PhasePointSet, r: float) -> DensityEstimate:
 
 
 def _sweep_axes(columns: Sequence[np.ndarray]) -> int:
-    """Exact max count over unit cubes, recursing one axis at a time.
+    """Exact max count over the unit cubes whose lower corners are point coordinates.
 
-    Each level sorts its first column once and recurses into the slab
-    [x0, x0+1) of every distinct x0, largest slab first, on the remaining
-    columns; two columns are the sorted sweep of ``max_cube_count_2axes``.
+    One column is one sort: the points >= xs[j] start at the first index of
+    xs[j]'s run of ties, so "stop index - j" undercounts inside a run and is
+    exact at its first index.  With more columns, the first is sorted and cut
+    into the slabs [x0, x0+1), one per distinct x0 (``searchsorted`` with
+    side="left" gives the half-open bounds), and the sweep recurses on the
+    remaining columns of each slab, largest slab first, stopping at the first
+    slab holding no more points than the best count found.
     """
-    if len(columns) == 2:
-        return max_cube_count_2axes(columns[0], columns[1])
-    order, slabs = unit_slabs(columns[0])
+    if len(columns) == 1:
+        xs = np.sort(columns[0])
+        return int((np.searchsorted(xs, xs + 1.0, "left") - np.arange(xs.size)).max())
+    order = np.argsort(columns[0], kind="stable")
+    xs = columns[0][order]
+    lo = np.searchsorted(xs, xs, "left")
+    hi = np.searchsorted(xs, xs + 1.0, "left")
+    first = np.flatnonzero(lo == np.arange(xs.size))
+    first = first[np.argsort(lo[first] - hi[first], kind="stable")]
     rest = [c[order] for c in columns[1:]]
     best = 0
-    for start, stop in slabs:
+    for start, stop in zip(lo[first].tolist(), hi[first].tolist()):
         if stop - start <= best:
             break
         best = max(best, _sweep_axes([c[start:stop] for c in rest]))
@@ -171,9 +180,9 @@ def separation_stat(lam: PhasePointSet) -> int:
     The count changes only when a cube face crosses a point coordinate and a
     maximizing cube can be slid until its lower faces touch points, so the
     sweep over observed coordinates is exhaustive rather than sampled.  Every
-    axis but the last two is cut into sorted slabs, one per distinct lower
-    face, and the last two go to the 2-axis kernel; a slab of s points costs
-    one O(s log s) sort, and slabs no larger than the best count are skipped.
+    axis but the last is cut into sorted slabs, one per distinct lower face,
+    and the last is counted by one sort; a slab of s points costs one
+    O(s log s) sort, and slabs no larger than the best count are skipped.
     """
     if len(lam) == 0:
         raise ValueError("separation_stat needs a nonempty point set")

@@ -35,9 +35,6 @@ from .localization import modulation_weight
 from .stft import multiplier_matrix
 
 DENSE_LIMIT = 4096
-# Bytes a dense Gram eigendecomposition or a density scan may take (the
-# balian-low and density pre-flight checks).
-GRAM_BYTES_LIMIT = 2**31
 
 
 def _ball_mask(grid: GridSpec, halfwidth: float) -> np.ndarray:
@@ -196,7 +193,7 @@ def prolate_count(R: float, eps: float, delta: float, grid: GridSpec) -> int:
 
 
 def tensor_prolate_system(sigma: tuple[int, int], center: PhasePoint, base: OperatorSpectrum) -> SampledFunction:
-    """Modulated translate of a prolate tensor product on the doubled grid."""
+    """pi(center) applied to a prolate tensor product on the doubled grid."""
     base_grid = base.eigenfunctions[0].grid
     if base_grid.dim != 1:
         raise ValueError("base spectrum must be one-dimensional")
@@ -204,24 +201,21 @@ def tensor_prolate_system(sigma: tuple[int, int], center: PhasePoint, base: Oper
         raise ValueError("tensor prolates are two-dimensional")
     if any(not 0 <= s < len(base.eigenfunctions) for s in sigma):
         raise ValueError(f"indices {sigma} outside the {len(base.eigenfunctions)} computed eigenfunctions")
-    step = base_grid.step[0]
-    grid2 = GridSpec(2, base_grid.n[0], step)
-    factors = []
-    for j in range(2):
-        ratio = center.a[j] / step
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
-            raise ValueError(f"translation {center.a[j]} is not a grid multiple of {step}")
-        phi = np.roll(base.eigenfunctions[sigma[j]].values, round(ratio))
-        x = base_grid.axis_points(0)
-        factors.append(np.exp(-2j * np.pi * center.b[j] * x) * phi)
-    return SampledFunction(grid2, np.multiply.outer(factors[0], factors[1]))
+    first, second = (base.eigenfunctions[s].values for s in sigma)
+    origin = SampledFunction(GridSpec(2, base_grid.n[0], base_grid.step[0]), np.multiply.outer(first, second))
+    return tf_shift(origin, center)
+
+
+def cutoff_extent(grid: GridSpec) -> float:
+    """Largest R for which the cube [-R, R]^{2d} fits the phase-space grid."""
+    return min(g.half_extent(ax) for g in (grid, grid.dual()) for ax in range(grid.dim))
 
 
 def _cutoff_matrix(grid: GridSpec, R: float, window: SampledFunction) -> np.ndarray:
     """Matrix of A_R = V* 1_Q V, Q the phase-space cube [-R, R]^{2d}."""
     if window.grid != grid:
         raise GridMismatchError(f"grids differ: {grid} vs {window.grid}")
-    extent = min(g.half_extent(ax) for g in (grid, grid.dual()) for ax in range(grid.dim))
+    extent = cutoff_extent(grid)
     if not 0 < R <= extent:
         raise ValueError(f"R={R} outside (0, {extent}] for this phase-space grid")
     mask = True
@@ -244,7 +238,6 @@ class ImproveResult:
 
     system: FunctionSystem
     modulation_errors: np.ndarray
-    sigma: float
 
 
 def improve_system(system: FunctionSystem, R: float, sigma: float = 1.0) -> ImproveResult:
@@ -277,4 +270,4 @@ def improve_system(system: FunctionSystem, R: float, sigma: float = 1.0) -> Impr
     quad = np.einsum("mt,mt->m", np.conj(residual), residual @ weight.T).real
     errors = np.sqrt(grid.cell_volume * quad)
     improved = [tf_shift(SampledFunction(grid, psi.reshape(grid.shape)), c) for psi, c in zip(psis, centers)]
-    return ImproveResult(FunctionSystem(improved, centers), errors, sigma)
+    return ImproveResult(FunctionSystem(improved, centers), errors)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import bargmann_sum
 from .grid import (
     GridSpec,
     SampledFunction,
@@ -41,10 +40,6 @@ class StftField:
         if values.shape != expected:
             raise ValueError(f"field shape {values.shape} does not match phase-space grid {expected}")
         self.values = values
-
-    @property
-    def dual_grid(self) -> GridSpec:
-        return self.grid.dual()
 
     @property
     def cell_measure(self) -> float:
@@ -189,9 +184,12 @@ def bargmann_transform(f: SampledFunction, z_grid: ComplexGrid) -> np.ndarray:
         raise ValueError("bargmann_transform is implemented for dim 1 only")
     t = f.grid.axis_points()
     weights = f.values * np.exp(-np.pi * t * t) * f.grid.cell_volume
-    sums = bargmann_sum(t, weights, z_grid.re_points, z_grid.im_points)
+    # exp(2 pi t (x + iy)) factors into a growth and a modulation part, so the
+    # sum over t at every z is one complex matmul
+    growth = np.exp(2.0 * np.pi * np.outer(t, z_grid.re_points)) * weights[:, None]
+    modulation = np.exp(2.0j * np.pi * np.outer(t, z_grid.im_points))
     z = z_grid.mesh()
-    return 2.0 ** 0.25 * np.exp(-np.pi * z * z / 2.0) * sums
+    return 2.0 ** 0.25 * np.exp(-np.pi * z * z / 2.0) * (growth.T @ modulation)
 
 
 def cauchy_riemann_residual(values: np.ndarray, step: float) -> float:

@@ -241,6 +241,6 @@ def test_10_cli_reproducibility(tmp_path):
             assert main([exp, "--config", str(DEFAULT_CFG), "--out", str(out)]) == 0
     first = sorted(p.name for p in outs[0].iterdir())
     second = sorted(p.name for p in outs[1].iterdir())
-    assert first == second and len(first) == len(experiments)
+    assert first == second == sorted(f"{exp.replace('-', '_')}.csv" for exp in experiments)
     for name in first:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -349,6 +349,40 @@ class TestCli:
         assert "dense limit" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "experiment, body, message",
+        [
+            # the default improve grid's phase-space cube reaches R = 8
+            ("improve", "grid_n = 512\ngrid_dx = 0.0625\nrecipe = two-bump\nradii = 2 9\n", "(0, 8.0]"),
+            # a zero halfwidth has zero area, the denominator of rel_error
+            ("trace-check", "grid_n = 1024\ngrid_dx = 0.03125\npairs = 1,1 0,2\n", "halfwidths must be positive"),
+            # count / R**2 at R = 0
+            ("plunge-count", "grid_n = 1024\ngrid_dx = 0.03125\nradii = 0\n", "radii must be positive"),
+        ],
+        ids=["improve", "trace-check", "plunge-count"],
+    )
+    def test_degenerate_radii_exit_2_before_computing(self, tmp_path, monkeypatch, capsys, experiment, body, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before the parameter check")
+
+        monkeypatch.setattr("pslab.experiments.corpus", refuse)
+        monkeypatch.setattr("pslab.experiments.RestrictionOperator", refuse)
+        stub = tmp_path / "stub.cfg"
+        stub.write_text(f"[{experiment}]\n{body}")
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(stub), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_empty_section_exits_2_naming_it_once(self, tmp_path, capsys, experiment):
+        stub = tmp_path / "empty.cfg"
+        stub.write_text(f"[{experiment}]\n")
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(stub), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count(f"[{experiment}]") == 1
+        assert not out.exists() or not list(out.iterdir())
+
     def test_trace_check_beyond_dense_grid(self, tmp_path):
         # N = 8192 is past DENSE_LIMIT; the time sets (64 and 128 samples) are not
         grid = GridSpec(1, 8192, 0.03125)

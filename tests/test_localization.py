@@ -244,7 +244,7 @@ class TestAmalgamNorm:
     def test_matches_box_scan_oracle(self, gauss, s):
         field = stft(gauss, gauss)
         x = GRID.axis_points(0)
-        xi = field.dual_grid.axis_points(0)
+        xi = GRID.dual().axis_points(0)
         total = 0.0
         for k in range(-8, 8):
             mx = (x >= k) & (x < k + 1)

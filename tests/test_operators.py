@@ -311,8 +311,15 @@ class TestTensorProlate:
         mass = (np.abs(psi.values[outside]) ** 2).sum() * psi.grid.cell_volume
         assert mass <= eps**2 + 1e-6
 
+    def test_equals_tf_shift_of_origin_tensor(self, prolate_base):
+        # pi(a, b) f = exp(2 pi i b.t) f(t - a), as tf_shift and PhasePoint define it
+        center = PhasePoint((1.0, 0.5), (0.5, -1.0))
+        origin = tensor_prolate_system((0, 1), PhasePoint((0.0, 0.0), (0.0, 0.0)), prolate_base)
+        psi = tensor_prolate_system((0, 1), center, prolate_base)
+        assert np.abs(psi.values - tf_shift(origin, center).values).max() < 1e-12
+
     def test_off_grid_translation_rejected(self, prolate_base):
-        with pytest.raises(ValueError, match="not a grid multiple"):
+        with pytest.raises(ValueError, match="not a multiple of spacing"):
             tensor_prolate_system((0, 0), PhasePoint((0.3, 0.0), (0.0, 0.0)), prolate_base)
 
     def test_index_out_of_range_rejected(self, prolate_base):
