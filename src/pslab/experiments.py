@@ -13,7 +13,7 @@ from . import __version__
 from ._csvio import _write_csv
 from .config import ExperimentConfig
 from .corpus import hermite_functions, two_bump
-from .fock import gaussian_atom_gram, lattice_sweep
+from .fock import _lattice_reach, gaussian_atom_gram, lattice_sweep
 from .frames import (
     FunctionSystem,
     _inverse_sqrt_factors,
@@ -75,8 +75,9 @@ def corpus(recipe: str, grid: GridSpec, seed: int = 0) -> FunctionSystem:
         rng = np.random.default_rng(seed)
         g = gaussian_window(grid)
         members, centers = [], []
-        for m in range(-int(window / alpha), int(window / alpha) + 1):
-            for n in range(-int(window / beta), int(window / beta) + 1):
+        reach_a, reach_b = _lattice_reach(window, alpha), _lattice_reach(window, beta)
+        for m in range(-reach_a, reach_a + 1):
+            for n in range(-reach_b, reach_b + 1):
                 a, b = alpha * m, beta * n
                 if jittered:
                     a, b = a + rng.uniform(-jitter, jitter), b + rng.uniform(-jitter, jitter)

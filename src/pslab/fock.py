@@ -15,6 +15,17 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 
+def _lattice_reach(window: float, pitch: float) -> int:
+    """floor(window / pitch), taking a ratio within 1e-9 (relative) of an integer as that integer.
+
+    0.3 / 0.1 is 2.9999999999999996; a plain floor would drop the outer ring
+    of lattice points that lies on the window's edge.
+    """
+    ratio = window / pitch
+    nearest = round(ratio)
+    return nearest if abs(ratio - nearest) <= 1e-9 * ratio else math.floor(ratio)
+
+
 @dataclass(frozen=True)
 class FockPointSet:
     """Finitely many complex points inside the disk of radius ``window``."""
@@ -46,7 +57,7 @@ class FockPointSet:
         """The square lattice alpha*(Z + iZ) clipped to the window disk."""
         if alpha <= 0:
             raise ValueError(f"lattice pitch must be positive, got {alpha}")
-        reach = int(math.floor(window / alpha))
+        reach = _lattice_reach(window, alpha)
         pts = [
             alpha * (m + 1j * k)
             for m in range(-reach, reach + 1)

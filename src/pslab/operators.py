@@ -14,6 +14,7 @@ operators, not approximations.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -232,6 +233,18 @@ def localization_operator(f: SampledFunction, R: float, window: SampledFunction 
     return SampledFunction(f.grid, out.reshape(f.grid.shape))
 
 
+@functools.lru_cache(maxsize=1)
+def _weight_matrix(grid: GridSpec, sigma: float) -> np.ndarray:
+    """Read-only STFT-multiplier matrix of the sigma-weighted modulation norm.
+
+    ``improve`` runs one radius at a time with the same grid and sigma, so one
+    entry spares a rebuild per radius and holds only the matrix a call needs.
+    """
+    weight = multiplier_matrix(gaussian_window(grid), modulation_weight(grid, sigma))
+    weight.setflags(write=False)
+    return weight
+
+
 @dataclass
 class ImproveResult:
     """Outcome of smoothing a system through the phase-space cutoff."""
@@ -247,13 +260,13 @@ def improve_system(system: FunctionSystem, R: float, sigma: float = 1.0) -> Impr
     psi_n = A_R phi_n, and returned as h_n = pi(a_n, b_n) psi_n under the
     original centers.  ``modulation_errors[n]`` is ||phi_n - psi_n|| in the
     sigma-weighted modulation norm.  A_R and the modulation weight are
-    assembled once as STFT-multiplier matrices and applied to all members by
-    matrix products.
+    STFT-multiplier matrices applied to all members by matrix products; A_R
+    is assembled once per call, the weight once per (grid, sigma) and reused
+    by the next call with the same pair.
     """
     grid = system.grid
-    gauss = gaussian_window(grid)
-    cutoff = _cutoff_matrix(grid, R, gauss)
-    weight = multiplier_matrix(gauss, modulation_weight(grid, sigma))
+    cutoff = _cutoff_matrix(grid, R, gaussian_window(grid))
+    weight = _weight_matrix(grid, sigma)
     phis = np.empty((len(system), cutoff.shape[0]), dtype=complex)
     centers = []
     for idx, (f, c) in enumerate(zip(system.members, system.centers)):

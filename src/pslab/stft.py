@@ -9,6 +9,7 @@ tolerances downstream are rounding-level rather than discretization-level.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -158,6 +159,11 @@ class ComplexGrid:
             raise ValueError("empty complex rectangle")
         if not (self.step > 0):
             raise ValueError("z-grid spacing must be positive")
+        # a step that does not tile a side would put the last point past it
+        for lo, hi in ((self.re_min, self.re_max), (self.im_min, self.im_max)):
+            ratio = (hi - lo) / self.step
+            if abs(ratio - round(ratio)) > 1e-9 * ratio:
+                raise ValueError(f"z-grid spacing {self.step} does not tile the side [{lo}, {hi}]")
 
     @property
     def re_points(self) -> np.ndarray:
@@ -173,23 +179,43 @@ class ComplexGrid:
         return self.re_points[:, None] + 1j * self.im_points[None, :]
 
 
+@functools.lru_cache(maxsize=1)
+def _bargmann_kernels(grid: GridSpec, z_grid: ComplexGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of the Bargmann quadrature on one (time grid, z-grid) pair.
+
+    exp(2 pi t (x + iy)) factors into the real growth table exp(2 pi t x) and
+    the modulation table exp(2 pi i t y); the prefactor is 2^(1/4) e^{-pi z^2/2}.
+    Callers transform one function at a time on the same grids, so one entry
+    keeps the tables across calls and holds no more than a call allocates.
+    """
+    t = grid.axis_points()
+    growth = np.exp(2.0 * np.pi * np.outer(t, z_grid.re_points))
+    modulation = np.exp(2.0j * np.pi * np.outer(t, z_grid.im_points))
+    z = z_grid.mesh()
+    prefactor = 2.0 ** 0.25 * np.exp(-np.pi * z * z / 2.0)
+    for table in (growth, modulation, prefactor):
+        table.setflags(write=False)
+    return growth, modulation, prefactor
+
+
 def bargmann_transform(f: SampledFunction, z_grid: ComplexGrid) -> np.ndarray:
     """Evaluate 2^(1/4) exp(-pi z^2/2) int f(t) exp(-pi t^2) exp(2 pi t z) dt.
 
     Direct quadrature over the time grid (the kernel exp(2 pi t z) is not a
     modulation at complex z, so there is no FFT shortcut); the t-integrand
-    decays like a Gaussian so the Riemann sum converges spectrally.
+    decays like a Gaussian so the Riemann sum converges spectrally.  The
+    exponential tables depend only on the grid and the z-grid and are built
+    once per pair; a call weights the modulation table by f(t) e^{-pi t^2} dt
+    and contracts it with the real growth table in one real matrix product.
     """
     if f.grid.dim != 1:
         raise ValueError("bargmann_transform is implemented for dim 1 only")
+    growth, modulation, prefactor = _bargmann_kernels(f.grid, z_grid)
     t = f.grid.axis_points()
     weights = f.values * np.exp(-np.pi * t * t) * f.grid.cell_volume
-    # exp(2 pi t (x + iy)) factors into a growth and a modulation part, so the
-    # sum over t at every z is one complex matmul
-    growth = np.exp(2.0 * np.pi * np.outer(t, z_grid.re_points)) * weights[:, None]
-    modulation = np.exp(2.0j * np.pi * np.outer(t, z_grid.im_points))
-    z = z_grid.mesh()
-    return 2.0 ** 0.25 * np.exp(-np.pi * z * z / 2.0) * (growth.T @ modulation)
+    rhs = weights[:, None] * modulation
+    # a real matrix times a complex one is a real product over the (re, im) float pairs
+    return prefactor * (growth.T @ rhs.view(np.float64)).view(np.complex128)
 
 
 def cauchy_riemann_residual(values: np.ndarray, step: float) -> float:

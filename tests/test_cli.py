@@ -91,6 +91,11 @@ class TestCorpus:
         system = corpus("gabor-gaussian(0.5, 0.5, 2)", GRID)
         assert len(system) == 81
 
+    def test_gabor_lattice_keeps_outer_ring(self):
+        # 0.3 / 0.1 rounds to 2.9999999999999996; the atoms at +-0.3 stay
+        assert len(corpus("gabor-gaussian(0.1, 0.1, 0.3)", GRID)) == 49
+        assert len(corpus("gabor-gaussian(1, 1, 3)", GRID)) == 49
+
     def test_jittered_gabor_deterministic(self):
         one = corpus("jittered-gabor(1, 1, 0.125, 2)", GRID, seed=5)
         two = corpus("jittered-gabor(1, 1, 0.125, 2)", GRID, seed=5)

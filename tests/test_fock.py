@@ -39,6 +39,10 @@ class TestPointSet:
         assert 0 in ps.points
         assert all(abs(p) <= 6.0 + 1e-12 for p in ps.points)
 
+    def test_lattice_keeps_outer_ring(self):
+        # 0.3 / 0.1 rounds to 2.9999999999999996; the ring at radius 0.3 stays
+        assert len(FockPointSet.from_lattice(0.1, 0.3)) == len(FockPointSet.from_lattice(1.0, 3.0)) == 29
+
     def test_point_outside_window_rejected(self):
         with pytest.raises(ValueError, match="outside the window"):
             FockPointSet([3.0 + 3.0j], 4.0)

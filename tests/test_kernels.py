@@ -4,12 +4,13 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pslab.geometry import PhasePointSet, lattice_point_set, separation_stat
 from pslab.grid import GridSpec, SampledFunction
-from pslab.stft import ComplexGrid, bargmann_transform
+from pslab.stft import ComplexGrid, _bargmann_kernels, bargmann_transform
 
 
 def random_cube_inputs(seed, m=40):
@@ -73,20 +74,44 @@ class TestCubeCountKernel:
         assert cube_count(xs, ys) == 3
 
 
+def bargmann_by_definition(f, z_grid):
+    """2^(1/4) e^{-pi z^2/2} sum_t w_t exp(2 pi t z) at each z, w_t = f(t) e^{-pi t^2} dt."""
+    t = f.grid.axis_points(0).tolist()
+    weights = [v * math.exp(-math.pi * tt * tt) * f.grid.cell_volume for tt, v in zip(t, f.values.tolist())]
+
+    def at(z):
+        total = sum(w * cmath.exp(2.0 * math.pi * tt * z) for tt, w in zip(t, weights))
+        return 2.0**0.25 * cmath.exp(-math.pi * z * z / 2) * total
+
+    return np.array([[at(complex(x, y)) for y in z_grid.im_points] for x in z_grid.re_points])
+
+
+def random_complex_function(grid, seed):
+    rng = np.random.default_rng(seed)
+    n = grid.n[0]
+    return SampledFunction(grid, rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
 class TestBargmannKernel:
     def test_matches_definition(self):
-        # the factored matmul against 2^(1/4) e^{-pi z^2/2} sum_t w_t exp(2 pi t z)
-        # at each z, w_t = f(t) e^{-pi t^2} dt
-        rng = np.random.default_rng(4)
-        grid = GridSpec(1, 128, 1 / 16)
-        f = SampledFunction(grid, rng.normal(size=128) + 1j * rng.normal(size=128))
-        t = grid.axis_points(0).tolist()
-        weights = [v * math.exp(-math.pi * tt * tt) * grid.cell_volume for tt, v in zip(t, f.values.tolist())]
+        # the factored real matmul against the sum over t at each z
+        f = random_complex_function(GridSpec(1, 128, 1 / 16), 4)
         z_grid = ComplexGrid(-1.0, 1.0, -1.0, 1.0, 0.25)
-
-        def by_definition(z):
-            total = sum(w * cmath.exp(2.0 * math.pi * tt * z) for tt, w in zip(t, weights))
-            return 2.0**0.25 * cmath.exp(-math.pi * z * z / 2) * total
-
-        want = np.array([[by_definition(complex(x, y)) for y in z_grid.im_points] for x in z_grid.re_points])
+        want = bargmann_by_definition(f, z_grid)
         np.testing.assert_allclose(bargmann_transform(f, z_grid), want, rtol=1e-12, atol=1e-12)
+
+    def test_tables_follow_both_grids(self):
+        # interleaved calls switch the cached tables' grid, z-grid or both
+        grids = [GridSpec(1, 128, 1 / 16), GridSpec(1, 64, 1 / 8)]
+        z_grids = [ComplexGrid(-1.0, 1.0, -1.0, 1.0, 0.25), ComplexGrid(-0.5, 0.5, -0.75, 0.75, 0.25)]
+        funcs = [random_complex_function(g, seed) for seed, g in enumerate(grids)]
+        wants = {(i, j): bargmann_by_definition(funcs[i], z_grids[j]) for i in range(2) for j in range(2)}
+        for i, j in [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (1, 1)]:
+            got = bargmann_transform(funcs[i], z_grids[j])
+            np.testing.assert_allclose(got, wants[i, j], rtol=1e-12, atol=1e-12)
+
+    def test_cached_tables_are_read_only(self):
+        for table in _bargmann_kernels(GridSpec(1, 64, 1 / 8), ComplexGrid(-1.0, 1.0, -1.0, 1.0, 0.5)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pslab import operators
 from pslab.corpus import random_bandlimited
 from pslab.frames import FunctionSystem, frame_bounds
 from pslab.grid import (
@@ -19,7 +20,7 @@ from pslab.grid import (
     snap_to_grid,
     tf_shift,
 )
-from pslab.localization import modulation_norm
+from pslab.localization import modulation_norm, modulation_weight
 from pslab.operators import (
     DENSE_LIMIT,
     RestrictionOperator,
@@ -31,7 +32,7 @@ from pslab.operators import (
     spectrum,
     tensor_prolate_system,
 )
-from pslab.stft import StftField, adjoint_stft, stft
+from pslab.stft import StftField, adjoint_stft, multiplier_matrix, stft
 
 GRID = GridSpec(1, 256, 1 / 16)
 TRACE_GRID = GridSpec(1, 1024, 1 / 32)
@@ -416,6 +417,22 @@ class TestImproveSystem:
         for h, ref in zip(result.system.members, members_ref):
             assert np.abs(h.values - ref.values).max() < 1e-12
         np.testing.assert_allclose(result.modulation_errors, errors_ref, rtol=1e-9, atol=1e-13)
+
+    def test_weight_follows_sigma(self, gauss):
+        # sigma 1, 2, 1 on one grid: each call must use its own sigma's weight
+        members = [tf_shift(gauss, PhasePoint(0.5, -0.25)) + random_bandlimited(GRID, 3) * 0.1]
+        system = FunctionSystem(members, [PhasePoint(0.5, -0.25)])
+
+        def direct(grid, sigma):
+            return multiplier_matrix(gaussian_window(grid), modulation_weight(grid, sigma))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_weight_matrix", direct)
+            want = {sigma: improve_system(system, 3.0, sigma).modulation_errors for sigma in (1.0, 2.0)}
+        assert not np.array_equal(want[1.0], want[2.0])
+        for sigma in (1.0, 2.0, 1.0):
+            np.testing.assert_array_equal(improve_system(system, 3.0, sigma).modulation_errors, want[sigma])
+        assert not operators._weight_matrix(GRID, 1.0).flags.writeable
 
     def test_gaussian_system_fixed_point(self, gauss):
         points = [PhasePoint(a, b) for a, b in [(0.0, 0.0), (1.0, -2.0), (-1.5, 0.5)]]

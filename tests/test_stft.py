@@ -288,6 +288,15 @@ def test_bargmann_entirety(setup):
     assert cauchy_riemann_residual(B, zg.step) < 1e-5
 
 
+def test_complex_grid_step_must_tile_both_sides():
+    for args in ((0.0, 1.0, 0.0, 0.7, 0.35), (0.0, 0.7, 0.0, 1.0, 0.35)):
+        with pytest.raises(ValueError, match="does not tile"):
+            ComplexGrid(*args)
+    zg = ComplexGrid(-2.0, 2.0, -2.0, 2.0, 4 / 95)
+    assert zg.re_points.size == zg.im_points.size == 96
+    assert abs(zg.re_points[-1] - 2.0) < 1e-12
+
+
 def test_bargmann_rejects_2d():
     g = GridSpec(2, 16, 1 / 4)
     with pytest.raises(ValueError):
