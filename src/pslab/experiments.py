@@ -13,10 +13,10 @@ from . import __version__
 from ._csvio import _write_csv
 from .config import ExperimentConfig
 from .corpus import hermite_functions, two_bump
-from .fock import _lattice_reach, gaussian_atom_gram, lattice_sweep
+from .fock import _lattice_reach, gaussian_atom_gram, lattice_sweep, rotation_blocks
 from .frames import (
     FunctionSystem,
-    _inverse_sqrt_factors,
+    _inverse_sqrt_weights,
     commutation_ledger,
     dual_system,
     frame_bounds,
@@ -96,16 +96,17 @@ def corpus(recipe: str, grid: GridSpec, seed: int = 0) -> FunctionSystem:
 _WRAP_MARGIN = math.sqrt(-math.log(np.finfo(float).eps) / math.pi)
 
 
-def _central_row(G: np.ndarray, central: int) -> np.ndarray:
-    """Row ``central`` of G^{-1/2}, the weakest directions capped at 1e-10 * w_max.
+def _central_row(G: np.ndarray, central: int) -> tuple[np.ndarray, int]:
+    """Row ``central`` of G^{-1/2} with directions below 1e-10 * w_max capped, and how many were capped.
 
     Where canonical_tight refuses a badly conditioned span, this caps the
     pseudo-inverse instead: a redundant lattice truncates to a rank-deficient
     Gramian whose weakest retained directions are edge artifacts, and dropping
     them perturbs the central member at the same order as the cap.
     """
-    U, scale = _inverse_sqrt_factors(G, cap=1e-10)
-    return (U[central, :] * scale) @ np.conj(U).T
+    w, U = np.linalg.eigh(G)
+    (scale,), dropped = _inverse_sqrt_weights([w], cap=1e-10)
+    return (U[central, :] * scale) @ np.conj(U).T, dropped
 
 
 def _tight_central_member(system: FunctionSystem) -> SampledFunction:
@@ -116,28 +117,70 @@ def _tight_central_member(system: FunctionSystem) -> SampledFunction:
     the sampled twin of :func:`_gabor_central_member`.
     """
     central = int(np.argmin([sum(v * v for v in c.a + c.b) for c in system.centers]))
-    row = _central_row(gramian(system), central)
+    row, _ = _central_row(gramian(system), central)
     values = np.conj(row) @ system.member_matrix()
     return SampledFunction(system.grid, values.reshape(system.grid.shape))
 
 
-def _gabor_central_member(grid: GridSpec, alpha: float, beta: float, T: int) -> SampledFunction:
-    """Central member of the orthonormalized lattice pi(alpha m, beta n) g, |m|, |n| <= T.
+def _gabor_central_row(alpha: float, beta: float, T: int) -> tuple[np.ndarray, int]:
+    """:func:`_central_row` of the closed-form Gram of pi(alpha m, beta n) g, |m|, |n| <= T, m-major.
 
-    The Gram is the closed form of :func:`gaussian_atom_gram` (real when
-    alpha * beta is an integer).  With atoms ordered m-major the central row
-    reshapes to C[m, n], and the member is sum_m T_{alpha m} g * (C E)[m],
-    E[n] = e^{2 pi i beta n t}: no member matrix is formed.
+    On a square lattice (alpha == beta) the Gram is G = D* K D, K the kernel
+    Gram at lam = alpha (m - i n) and D = diag(e^{i pi a b}), and the lattice
+    is invariant under lam -> i lam.  The central row of G^{-1/2} is then
+    conj(K^{-1/2} e_0) D, and e_0 lies in block 0 of
+    :func:`~pslab.fock.rotation_blocks`, so only that block of order
+    T(T + 1) + 1 is decomposed; the other three give their spectra to the cap.
     """
     k = np.arange(-T, T + 1)
-    G = gaussian_atom_gram(np.repeat(alpha * k, k.size), np.tile(beta * k, k.size))
-    row = _central_row(G, k.size**2 // 2)
+    if alpha != beta:
+        G = gaussian_atom_gram(np.repeat(alpha * k, k.size), np.tile(beta * k, k.size))
+        return _central_row(G, k.size**2 // 2)
+    # one point per orbit: m >= 1, n <= 0, m-major, so Re lam > 0 and Im lam >= 0
+    m, n = np.divmod(np.arange(T * (T + 1)), T + 1)
+    blocks = rotation_blocks(alpha * ((m + 1) + 1j * (T - n)), origin=True)
+    spectra = [np.linalg.eigvalsh(blocks.pop()) for _ in range(3)]  # popped, so each is freed
+    w, U = np.linalg.eigh(blocks.pop())
+    (scale, *_), dropped = _inverse_sqrt_weights([w, *spectra], cap=1e-10)
+    coeffs = U @ (scale * np.conj(U[0]))  # B_0^{-1/2} on the origin's basis vector
+    # K^{-1/2} e_0 is constant on orbits: coeffs[0] at the origin, coeffs[s] / 2 on
+    # the orbit of rep s.  On the (m, n) index square lam -> i lam is a rot90.
+    quadrant = np.zeros((k.size, k.size), dtype=complex)
+    quadrant[T + 1 :, : T + 1] = coeffs[1:].reshape(T, T + 1) / 2
+    column = sum(np.rot90(quadrant, j) for j in range(4))
+    column[T, T] = coeffs[0]
+    phases = np.exp(1j * np.pi * np.multiply.outer(alpha * k, beta * k))
+    return (np.conj(column) * phases).ravel(), dropped
+
+
+def _lattice_synthesis(grid: GridSpec, alpha: float, beta: float, row: np.ndarray) -> SampledFunction:
+    """sum conj(row) of the atoms pi(alpha m, beta n) g, |m|, |n| <= T, ordered m-major.
+
+    The row reshapes to C[m, n] and the sum is sum_m T_{alpha m} g * (C E)[m],
+    E[n] = e^{2 pi i beta n t}: no member matrix is formed.
+    """
+    size = math.isqrt(row.size)
+    k = np.arange(size) - size // 2
     t = grid.axis_points(0)
-    CE = np.conj(row).reshape(k.size, k.size) @ np.exp(np.multiply.outer(2j * np.pi * (beta * k), t))
+    CE = np.conj(row).reshape(size, size) @ np.exp(np.multiply.outer(2j * np.pi * (beta * k), t))
     g = gaussian_window(grid).values
     shift = round(alpha / grid.step[0])
     values = sum(np.roll(g, shift * m) * CE[i] for i, m in enumerate(k))
     return SampledFunction(grid, values)
+
+
+def _gabor_central_member(grid: GridSpec, alpha: float, beta: float, T: int) -> SampledFunction:
+    """Central member of the orthonormalized lattice pi(alpha m, beta n) g, |m|, |n| <= T."""
+    return _lattice_synthesis(grid, alpha, beta, _gabor_central_row(alpha, beta, T)[0])
+
+
+def _eigh_bytes(order: int) -> int:
+    """Bytes for eigh of a complex matrix of this order.
+
+    eigh holds the matrix, its eigenvectors and a divide-and-conquer workspace
+    of about two more.
+    """
+    return 4 * order**2 * np.dtype(complex).itemsize
 
 
 def _check_budget(cfg: ExperimentConfig, need: int, subject: str, task: str) -> None:
@@ -171,11 +214,10 @@ def _run_balian_low(cfg: ExperimentConfig) -> Table:
             f"grid box edge (half-extents {grid.half_extent()}, {dual.half_extent()}), "
             "so their tails wrap"
         )
-    # eigh holds the Gram, its eigenvectors and a divide-and-conquer workspace of
-    # about two more; complex entries bound it (integer alpha * beta Grams are real)
+    # the whole Gram is decomposed, or on a square lattice its rotation block 0
     members = (2 * widest + 1) ** 2
-    need = 4 * members**2 * np.dtype(complex).itemsize
-    _check_budget(cfg, need, f"window {widest}", f"orthonormalize {members} atoms")
+    order = members // 4 + 1 if alpha == beta else members
+    _check_budget(cfg, _eigh_bytes(order), f"window {widest}", f"orthonormalize {members} atoms")
     rows = []
     for T in windows:
         phi = _gabor_central_member(grid, alpha, beta, T)
@@ -328,6 +370,9 @@ def _run_fock_sweep(cfg: ExperimentConfig) -> Table:
     window = cfg.get_float("window", 6.0)
     if any(a <= 0 for a in alphas) or window <= 0:
         raise cfg.error("pitches and window must be positive")
+    # the finest lattice has at most (2 reach + 1)^2 points; each rotation block a quarter
+    points = (2 * _lattice_reach(window, min(alphas)) + 1) ** 2
+    _check_budget(cfg, _eigh_bytes(points // 4 + 1), f"pitch {min(alphas)!r}", f"bound {points} lattice points")
     rows = [
         f"{r.alpha!r},{r.density!r},{r.lower!r},{r.upper!r},{r.condition!r}"
         for r in lattice_sweep(alphas, window)

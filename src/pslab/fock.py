@@ -146,10 +146,83 @@ def fock_gram(point_set: FockPointSet) -> FockGram:
     return FockGram(G, float(eigs[0]), float(eigs[-1]))
 
 
+# Rows of the orbit terms evaluated at a time by rotation_blocks.
+_SLAB_ROWS = 128
+
+
+def _kernel_block(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """K[m, n] = (k_{t_n}, k_{r_m}), the entries of :func:`fock_gram` between two point arrays."""
+    dist2 = np.abs(np.subtract.outer(r, t)) ** 2
+    phase = np.multiply.outer(r.imag, t.real) - np.multiply.outer(r.real, t.imag)
+    return np.exp(-0.5 * np.pi * dist2 + 1j * np.pi * phase)
+
+
+def rotation_blocks(reps: np.ndarray, origin: bool) -> list[np.ndarray]:
+    """The four character blocks of the kernel Gram of a set invariant under z -> iz.
+
+    The set is the orbits {r, ir, -r, -ir} of the points ``reps``, plus 0 when
+    ``origin`` is set.  Since K(i lam, i mu) = K(lam, mu), the rotation commutes
+    with the Gram, which is block diagonal in the orthonormal vectors
+    (1/2) sum_j i^{jk} e_{i^j s}, k = 0..3:
+
+        B_k[r, s] = sum_j i^{jk} K[r, i^j s].
+
+    The origin is fixed, so it joins block 0 only, as its first row and column
+    (B_0[0, s] = 2 K[0, s]).  The union of the four spectra is the spectrum of
+    the full Gram, which is never formed.
+    """
+    reps = np.asarray(reps, dtype=complex)
+    size = reps.size
+    b0 = np.empty((size + origin, size + origin), dtype=complex)
+    b1, b2, b3 = (np.empty((size, size), dtype=complex) for _ in range(3))
+    # rows in slabs, so the orbit terms e_j = K[r, i^j s] stay small beside the blocks
+    for lo in range(0, size, _SLAB_ROWS):
+        rows = slice(lo, lo + _SLAB_ROWS)
+        e0, e1, e2, e3 = (_kernel_block(reps[rows], t) for t in (reps, 1j * reps, -reps, -1j * reps))
+        s02, d02, s13, d13 = e0 + e2, e0 - e2, e1 + e3, 1j * (e1 - e3)
+        b0[origin:, origin:][rows] = s02 + s13
+        b1[rows] = d02 + d13
+        b2[rows] = s02 - s13
+        b3[rows] = d02 - d13
+    if origin:
+        b0[0, 0] = 1.0
+        b0[0, 1:] = b0[1:, 0] = 2.0 * np.exp(-0.5 * np.pi * np.abs(reps) ** 2)
+    return [b0, b1, b2, b3]
+
+
+def _rotation_orbits(lam: np.ndarray) -> tuple[np.ndarray, bool] | None:
+    """One point per orbit {p, ip, -p, -ip} (those with Re > 0, Im >= 0) and whether 0 is present.
+
+    None unless the points are distinct and their set is exactly invariant
+    under z -> iz: multiplying by i only swaps and negates coordinates, so the
+    test is exact.
+    """
+    reps = lam[(lam.real > 0) & (lam.imag >= 0)]
+    origin = bool((lam == 0).any())
+    orbits = np.concatenate([reps, 1j * reps, -reps, -1j * reps, np.zeros(int(origin))])
+    if orbits.size != lam.size:
+        return None
+    given = lam[np.lexsort((lam.imag, lam.real))]
+    rotated = orbits[np.lexsort((orbits.imag, orbits.real))]
+    if not np.array_equal(given, rotated) or (np.diff(given) == 0).any():
+        return None
+    return reps, origin
+
+
 def sampling_bounds(point_set: FockPointSet) -> tuple[float, float]:
-    """Riesz-sequence bounds of the normalized kernel family."""
-    gram = fock_gram(point_set)
-    return gram.lower, gram.upper
+    """Riesz-sequence bounds of the normalized kernel family.
+
+    A set invariant under z -> iz (every square lattice from
+    :meth:`FockPointSet.from_lattice`) takes the extreme eigenvalues of the
+    four blocks of :func:`rotation_blocks`; any other set those of
+    :func:`fock_gram`.
+    """
+    orbits = _rotation_orbits(point_set.as_array()) if len(point_set) else None
+    if orbits is None:
+        gram = fock_gram(point_set)
+        return gram.lower, gram.upper
+    spectrum = np.concatenate([np.linalg.eigvalsh(block) for block in rotation_blocks(*orbits)])
+    return float(spectrum.min()), float(spectrum.max())
 
 
 def lattice_sweep(alpha_values: Sequence[float], window: float) -> list[SweepRow]:

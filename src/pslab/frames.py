@@ -145,24 +145,39 @@ def dual_system(sys: FunctionSystem) -> FunctionSystem:
     return FunctionSystem(members, list(sys.centers))
 
 
+def _inverse_sqrt_weights(spectra: Sequence[np.ndarray], cap: float | None = None) -> tuple[list[np.ndarray], int]:
+    """Weights w**-0.5 of the kept eigenvalues (0 for the dropped) and the number dropped.
+
+    ``spectra`` are the ascending spectra of the diagonal blocks of one
+    Gramian, or of the whole Gramian as a single block; M is their total
+    size and w_max their largest eigenvalue.  Eigenvalues up to
+    w_max * M * eps span the numerical null space and get weight 0.  Without a
+    cap, a span condition number of 1e10 or more is refused; with one, the
+    directions below cap * w_max are dropped instead.
+    """
+    w_max = max(w[-1] for w in spectra if w.size)
+    tol = w_max * sum(w.size for w in spectra) * np.finfo(float).eps
+    floor = tol if cap is None else max(tol, w_max * cap)
+    kept = [w > floor for w in spectra]
+    if not any(k.any() for k in kept):
+        raise ValueError("Gramian is numerically zero; nothing to orthonormalize")
+    if cap is None:
+        cond = w_max / min(w[k].min() for w, k in zip(spectra, kept) if k.any())
+        if cond >= 1e10:
+            raise ValueError(f"Gramian condition number {cond:.3e} on the span exceeds 1e10; no stable tight system")
+    scales = [np.zeros_like(w) for w in spectra]
+    for scale, w, k in zip(scales, spectra, kept):
+        scale[k] = w[k] ** -0.5
+    return scales, sum(int(np.count_nonzero(~k)) for k in kept)
+
+
 def _inverse_sqrt_factors(G: np.ndarray, cap: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors U and weights s with (U * s) @ U^H the pseudo-inverse G^{-1/2}.
 
-    Eigenvalues up to w_max * M * eps span the numerical null space and get
-    weight 0.  Without a cap, a span condition number of 1e10 or more is
-    refused; with one, the directions below cap * w_max are dropped instead.
+    The weights follow the rule of :func:`_inverse_sqrt_weights`.
     """
     w, U = np.linalg.eigh(G)
-    tol = w[-1] * len(w) * np.finfo(float).eps
-    kept = w > (tol if cap is None else max(tol, w[-1] * cap))
-    if not kept.any():
-        raise ValueError("Gramian is numerically zero; nothing to orthonormalize")
-    if cap is None:
-        cond = w[-1] / w[kept].min()
-        if cond >= 1e10:
-            raise ValueError(f"Gramian condition number {cond:.3e} on the span exceeds 1e10; no stable tight system")
-    scale = np.zeros_like(w)
-    scale[kept] = w[kept] ** -0.5
+    (scale,), _ = _inverse_sqrt_weights([w], cap)
     return U, scale
 
 

@@ -169,7 +169,6 @@ def test_07_dual_decay_preservation():
     assert dual.exponent >= 4.0
 
 
-@pytest.mark.slow
 def test_08_critical_moment_growth(tmp_path):
     critical = tmp_path / "critical.cfg"
     critical.write_text(

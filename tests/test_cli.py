@@ -10,7 +10,16 @@ import pytest
 
 from pslab.cli import main
 from pslab.config import EXPERIMENTS, ConfigError, load_config
-from pslab.experiments import _gabor_central_member, _tight_central_member, corpus
+from pslab.experiments import (
+    _central_row,
+    _gabor_central_member,
+    _gabor_central_row,
+    _lattice_synthesis,
+    _tight_central_member,
+    corpus,
+    run,
+)
+from pslab.fock import gaussian_atom_gram
 from pslab.frames import FunctionSystem, canonical_tight, gramian
 from pslab.grid import GridSpec, PhasePoint, gaussian_window, tf_shift
 from pslab.localization import moment
@@ -163,6 +172,36 @@ class TestGaborCentralMember:
         expected = moment(sampled, 0.0, 1.0, side="frequency")
         assert moment(phi, 0.0, 1.0, side="frequency") == pytest.approx(expected, rel=1e-6)
 
+    @staticmethod
+    def full_gram_row(alpha, T):
+        """The oracle: the central row of G^{-1/2} from eigh of the whole closed-form Gram."""
+        k = np.arange(-T, T + 1)
+        G = gaussian_atom_gram(np.repeat(alpha * k, k.size), np.tile(alpha * k, k.size))
+        return _central_row(G, k.size**2 // 2)
+
+    @pytest.mark.parametrize("T", [1, 4, 8])
+    def test_block_path_matches_full_gram_on_critical_lattice(self, T):
+        grid = GridSpec(1, 1024, 1 / 32)
+        full = _lattice_synthesis(grid, 1.0, 1.0, self.full_gram_row(1.0, T)[0])
+        phi = _gabor_central_member(grid, 1.0, 1.0, T)
+        assert np.abs(phi.values - full.values).max() < 1e-12 * np.abs(full.values).max()
+
+    def test_block_path_matches_full_gram_on_capped_control(self):
+        # the capped directions sit near 1e-10 w_max, so the two eigensolves
+        # keep slightly different spans; the moment agrees far below the cap
+        grid = GridSpec(1, 4096, 1 / 64)
+        full = _lattice_synthesis(grid, 0.5, 0.5, self.full_gram_row(0.5, 8)[0])
+        phi = _gabor_central_member(grid, 0.5, 0.5, 8)
+        expected = moment(full, 0.0, 1.0, side="frequency")
+        assert moment(phi, 0.0, 1.0, side="frequency") == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha, T", [(1.0, 4), (1.0, 8), (0.5, 5), (0.5, 8)])
+    def test_cap_drops_the_same_directions_on_both_paths(self, alpha, T):
+        _, dropped = _gabor_central_row(alpha, alpha, T)
+        assert dropped == self.full_gram_row(alpha, T)[1]
+        # the redundant control is rank deficient; the critical lattice is a Riesz basis
+        assert (dropped > 0) == (alpha == 0.5)
+
 
 class TestCli:
     def test_density_on_bundled_lattice(self, tmp_path):
@@ -269,13 +308,55 @@ class TestCli:
             raise AssertionError("Gram built before the memory check")
 
         monkeypatch.setattr("pslab.experiments.gaussian_atom_gram", refuse)
-        # T = 64 is 16641 atoms: 16.5 GiB for a complex Gram's eigendecomposition
+        monkeypatch.setattr("pslab.experiments.rotation_blocks", refuse)
+        # T = 80 is 25921 atoms: 2.5 GiB for the eigendecomposition of the
+        # square lattice's rotation block 0, of order 6481
         stub = tmp_path / "bl.cfg"
-        stub.write_text("[balian-low]\ngrid_n = 65536\ngrid_dx = 0.00390625\nwindows = 8 64\n")
+        stub.write_text("[balian-low]\ngrid_n = 65536\ngrid_dx = 0.00390625\nwindows = 8 80\n")
         out = tmp_path / "out"
         assert main(["balian-low", "--config", str(stub), "--out", str(out)]) == 2
         assert "memory budget" in capsys.readouterr().err
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "spacings, allowed",
+        [
+            ("alpha = 1\nbeta = 1\n", 75),  # rotation block 0 of order (2T + 1)^2 // 4 + 1
+            ("alpha = 1\nbeta = 0.5\n", 37),  # the whole Gram of order (2T + 1)^2
+        ],
+        ids=["square", "oblong"],
+    )
+    def test_balian_low_budget_follows_the_eigensolve(self, tmp_path, monkeypatch, spacings, allowed):
+        class Admitted(Exception):
+            pass
+
+        def admit(*args, **kwargs):
+            raise Admitted
+
+        monkeypatch.setattr("pslab.experiments._gabor_central_member", admit)
+        stub = tmp_path / "bl.cfg"
+        for T in (allowed, allowed + 1):
+            stub.write_text(f"[balian-low]\ngrid_n = 65536\ngrid_dx = 0.00390625\n{spacings}windows = {T}\n")
+            cfg = load_config(stub, "balian-low")
+            if T == allowed:
+                with pytest.raises(Admitted):
+                    run(cfg, tmp_path / "out")
+            else:
+                with pytest.raises(ConfigError, match="memory budget"):
+                    run(cfg, tmp_path / "out")
+
+    def test_fock_sweep_refuses_oversized_lattice_before_building(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lattice built before the memory check")
+
+        monkeypatch.setattr("pslab.fock.FockPointSet.from_lattice", refuse)
+        # pitch 1/4 in a window of 100 is up to 801^2 points: blocks of order 160401
+        stub = tmp_path / "fs.cfg"
+        stub.write_text("[fock-sweep]\nalphas = 2 0.25\nwindow = 100\n")
+        out = tmp_path / "out"
+        assert main(["fock-sweep", "--config", str(stub), "--out", str(out)]) == 2
+        assert "memory budget of 2048 MiB" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
 
     def test_density_refuses_oversized_scan_before_binning(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -316,6 +397,24 @@ class TestCli:
         assert len(rows) == 32
         interior = [row[1] for row in rows[:8]]
         assert max(interior) < 0.05
+
+    @pytest.mark.filterwarnings("ignore:.*boundary mass")
+    @pytest.mark.parametrize("count", [64, 32])
+    def test_uncertainty_sum_matches_closed_form(self, tmp_path, count):
+        # x h_n = sqrt((n+1)/4pi) h_{n+1} + sqrt(n/4pi) h_{n-1} and the Fourier
+        # transform is diagonal on h_n, so the ledger of the first M Hermite
+        # functions is tridiagonal: only the last row sees the truncation
+        stub = tmp_path / "us.cfg"
+        stub.write_text(f"[uncertainty-sum]\ngrid_n = 256\ngrid_dx = 0.0625\ncount = {count}\n")
+        assert main(["uncertainty-sum", "--config", str(stub), "--out", str(tmp_path)]) == 0
+        rows = np.array(read_rows(tmp_path / "uncertainty_sum.csv"))
+        residual = np.zeros(count)
+        residual[-1] = count
+        defect = np.zeros(count)
+        defect[-1] = np.sqrt(count / (4 * np.pi))
+        np.testing.assert_array_equal(rows[:, 0], np.arange(count))
+        np.testing.assert_allclose(rows[:, 1], residual, rtol=0, atol=5e-13)
+        np.testing.assert_allclose(rows[:, 2], defect, rtol=0, atol=5e-13)
 
     @pytest.mark.parametrize("experiment, sets", [("plunge-count", "radii = 2 40\n")])
     def test_oversized_time_set_exits_2(self, tmp_path, capsys, experiment, sets):

@@ -11,9 +11,11 @@ from pslab.cli import main
 from pslab.fock import (
     FockGram,
     FockPointSet,
+    _rotation_orbits,
     fock_gram,
     gaussian_atom_gram,
     lattice_sweep,
+    rotation_blocks,
     sampling_bounds,
 )
 from pslab.frames import FunctionSystem, frame_bounds, gramian
@@ -202,6 +204,64 @@ class TestSamplingBounds:
         assert lowers[0] > lowers[1] > lowers[2]
         ratio = lowers[2] / lowers[0]
         assert 0.24 < ratio < 0.30
+
+
+class TestRotationBlocks:
+    """The C4 block path of sampling_bounds against the full kernel Gram."""
+
+    LATTICES = [(alpha, W) for alpha in (2.0, 1.5, 1.2, 1.0, 0.9) for W in (4.0, 6.0, 8.0)]
+
+    @pytest.mark.parametrize("alpha, W", [(1.0, 6.0), (0.9, 8.0)])
+    def test_rotation_commutes_with_gram(self, alpha, W):
+        points = FockPointSet.from_lattice(alpha, W)
+        index = {p: i for i, p in enumerate(points.points)}
+        perm = [index[1j * p] for p in points.points]
+        K = fock_gram(points).matrix
+        assert np.abs(K[np.ix_(perm, perm)] - K).max() < 1e-14
+
+    @pytest.mark.parametrize("alpha, W", LATTICES)
+    def test_block_spectra_are_the_gram_spectrum(self, alpha, W):
+        points = FockPointSet.from_lattice(alpha, W)
+        reps, origin = _rotation_orbits(points.as_array())
+        assert origin and 4 * reps.size + 1 == len(points)
+        union = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in rotation_blocks(reps, origin)]))
+        np.testing.assert_allclose(union, np.linalg.eigvalsh(fock_gram(points).matrix), rtol=0, atol=1e-12)
+
+    def test_lattice_bounds_skip_the_full_gram(self, monkeypatch):
+        points = FockPointSet.from_lattice(1.0, 6.0)
+        expected = fock_gram(points)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("full Gram built for an invariant set")
+
+        monkeypatch.setattr("pslab.fock.fock_gram", refuse)
+        lower, upper = sampling_bounds(points)
+        assert lower == pytest.approx(expected.lower, abs=1e-12)
+        assert upper == pytest.approx(expected.upper, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            FockPointSet([p + 0.1 for p in FockPointSet.from_lattice(1.0, 4.0).points], 5.0),
+            FockPointSet([0.0, 1.0, 1j, -1.0], 2.0),
+            FockPointSet([1.0 + 0.5j, 2.0], 3.0),
+        ],
+        ids=["shifted-lattice", "missing-rotation", "no-orbit"],
+    )
+    def test_other_sets_fall_back_to_full_gram(self, points, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("block path taken for a set that is not invariant")
+
+        monkeypatch.setattr("pslab.fock.rotation_blocks", refuse)
+        gram = fock_gram(points)
+        assert sampling_bounds(points) == (gram.lower, gram.upper)
+
+    def test_repeated_orbit_still_refused(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            sampling_bounds(FockPointSet([1.0, 1j, -1.0, -1j] * 2, 2.0))
+
+    def test_origin_alone(self):
+        assert sampling_bounds(FockPointSet([0.0], 1.0)) == (1.0, 1.0)
 
 
 class TestLatticeSweep:
