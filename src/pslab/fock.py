@@ -226,10 +226,18 @@ def sampling_bounds(point_set: FockPointSet) -> tuple[float, float]:
 
 
 def lattice_sweep(alpha_values: Sequence[float], window: float) -> list[SweepRow]:
-    """Bounds and conditioning of square lattices clipped to the window."""
+    """Bounds and conditioning of square lattices clipped to the window.
+
+    A smallest eigenvalue at or below the null-space floor M * eps * upper
+    (M points), the floor of :func:`~pslab.frames.frame_bounds`, is roundoff
+    and carries no bound: the row reports lower 0 and condition inf.
+    """
     rows = []
     for alpha in alpha_values:
-        lower, upper = sampling_bounds(FockPointSet.from_lattice(alpha, window))
+        points = FockPointSet.from_lattice(alpha, window)
+        lower, upper = sampling_bounds(points)
+        if lower <= len(points) * np.finfo(float).eps * upper:
+            lower = 0.0
         condition = upper / lower if lower > 0 else math.inf
         rows.append(SweepRow(float(alpha), 1.0 / float(alpha) ** 2, lower, upper, condition))
     return rows

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class FunctionSystem:
     def member_matrix(self) -> np.ndarray:
         """Members as rows, samples flattened."""
         return np.stack([m.values.ravel() for m in self.members])
-
-    def center_array(self) -> np.ndarray:
-        return np.stack([c.as_vector() for c in self.centers])
 
 
 class FrameBounds(NamedTuple):
@@ -195,9 +192,7 @@ def canonical_tight(sys: FunctionSystem) -> FunctionSystem:
     return FunctionSystem(members, list(sys.centers))
 
 
-def localization_fit(
-    G: np.ndarray, centers: Sequence[PhasePoint], max_distance: float | None = None
-) -> DecayFit:
+def localization_fit(G: np.ndarray, centers: Sequence[PhasePoint]) -> DecayFit:
     """Bin |G| by center distance (width 1), fit log max vs log(1 + dist).
 
     Diagonal entries are excluded.  Bins whose maximum sits below the 1e-12
@@ -213,8 +208,6 @@ def localization_fit(
     dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
     mod = np.abs(G)
     off = ~np.eye(M, dtype=bool)
-    if max_distance is not None:
-        off &= dist <= max_distance
     bins: list[tuple[float, float]] = []
     nbins = int(np.floor(dist[off].max())) + 1 if off.any() else 0
     for k in range(nbins):
@@ -250,25 +243,6 @@ def dual_localization_check(sys: FunctionSystem, s_threshold: float) -> tuple[De
     return primal, dual
 
 
-def _coefficient_arrays(sys: FunctionSystem, dual: FunctionSystem):
-    """c[m,n,j] and d[m,n,j] for the pair, via spectral derivatives."""
-    grid = sys.grid
-    V = sys.member_matrix()
-    Vd = dual.member_matrix()
-    Vh = np.stack([fourier_transform(m).values.ravel() for m in sys.members])
-    Vdh = np.stack([fourier_transform(m).values.ravel() for m in dual.members])
-    dual_grid = grid.dual()
-    M, d = len(sys), grid.dim
-    c = np.empty((M, M, d), dtype=complex)
-    dcoef = np.empty((M, M, d), dtype=complex)
-    for j in range(d):
-        xj = np.broadcast_to(grid.mesh()[j], grid.shape).ravel()
-        xij = np.broadcast_to(dual_grid.mesh()[j], dual_grid.shape).ravel()
-        c[:, :, j] = grid.cell_volume * (np.conj(Vd) @ (xj * V).T)
-        dcoef[:, :, j] = dual_grid.cell_volume * (np.conj(Vdh) @ (xij * Vh).T)
-    return c, dcoef
-
-
 def commutation_ledger(sys: FunctionSystem, dual: FunctionSystem) -> CommutationLedger:
     """Multiplication and derivative coefficients plus the identity residual.
 
@@ -278,46 +252,29 @@ def commutation_ledger(sys: FunctionSystem, dual: FunctionSystem) -> Commutation
     """
     if sys.grid != dual.grid or len(sys) != len(dual):
         raise GridMismatchError("system and dual must match in grid and size")
+    grid, dual_grid = sys.grid, sys.grid.dual()
     V, Vd = sys.member_matrix(), dual.member_matrix()
-    biorth = sys.grid.cell_volume * (V @ np.conj(Vd).T)
+    biorth = grid.cell_volume * (V @ np.conj(Vd).T)
     defect = np.abs(biorth - np.eye(len(sys))).max()
     if defect > 1e-6:
         raise ValueError(f"pair is not biorthogonal: max deviation {defect:.3e}")
     if any(tail_mass(m) > TAIL_MASS_THRESHOLD for m in sys.members):
         warnings.warn("members carry boundary mass; moment coefficients may be truncated", stacklevel=2)
-    c, dcoef = _coefficient_arrays(sys, dual)
+    # c and d via spectral derivatives, and the norm of x_j f_n minus its reconstruction from c
+    Vh = np.stack([fourier_transform(m).values.ravel() for m in sys.members])
+    Vdh = np.stack([fourier_transform(m).values.ravel() for m in dual.members])
+    M, d = len(sys), grid.dim
+    c = np.empty((M, M, d), dtype=complex)
+    dcoef = np.empty((M, M, d), dtype=complex)
+    truncation = np.empty((M, d))
+    for j in range(d):
+        xj = np.broadcast_to(grid.mesh()[j], grid.shape).ravel()
+        xij = np.broadcast_to(dual_grid.mesh()[j], dual_grid.shape).ravel()
+        c[:, :, j] = grid.cell_volume * (np.conj(Vd) @ (xj * V).T)
+        dcoef[:, :, j] = dual_grid.cell_volume * (np.conj(Vdh) @ (xij * Vh).T)
+        truncation[:, j] = np.linalg.norm(xj * V - c[:, :, j].T @ V, axis=1) * np.sqrt(grid.cell_volume)
     sums = 2j * np.pi * (
         np.einsum("mnj,nmj->n", c, dcoef) - np.einsum("mnj,nmj->n", dcoef, c)
     )
-    residual = np.abs(sys.grid.dim - sums)
-    root_vol = np.sqrt(sys.grid.cell_volume)
-    defect = np.empty((len(sys), sys.grid.dim))
-    for j in range(sys.grid.dim):
-        xj = np.broadcast_to(sys.grid.mesh()[j], sys.grid.shape).ravel()
-        shifted = xj * V
-        recon = c[:, :, j].T @ V
-        defect[:, j] = np.linalg.norm(shifted - recon, axis=1) * root_vol
-    return CommutationLedger(c, dcoef, residual, defect)
-
-
-def offdiagonal_tail(
-    sys: FunctionSystem, dual: FunctionSystem, region: Callable[[int], bool] | Sequence[bool]
-) -> float:
-    """Sum of |c_m^n||d_n^m| + |d_m^n||c_n^m| over n in the region, m outside."""
-    M = len(sys)
-    if callable(region):
-        inside = np.array([bool(region(i)) for i in range(M)])
-    else:
-        inside = np.asarray(region, dtype=bool)
-        if inside.shape != (M,):
-            raise ValueError(f"region mask must have length {M}")
-    if not inside.any() or inside.all():
-        return 0.0
-    c, dcoef = _coefficient_arrays(sys, dual)
-    ca, da = np.abs(c), np.abs(dcoef)
-    total = 0.0
-    for j in range(sys.grid.dim):
-        cross = ca[:, :, j] * da[:, :, j].T + da[:, :, j] * ca[:, :, j].T
-        total += float(cross[np.ix_(~inside, inside)].sum())
-    return total
-
+    residual = np.abs(d - sums)
+    return CommutationLedger(c, dcoef, residual, truncation)

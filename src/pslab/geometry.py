@@ -11,12 +11,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ._csvio import _write_csv
-from .grid import PhasePoint
 
 
 @dataclass
@@ -45,23 +44,8 @@ class PhasePointSet:
             raise ValueError("points must lie inside the half-open window cube")
         self.coords = coords
 
-    @classmethod
-    def from_points(cls, points: Iterable[PhasePoint], window: float) -> "PhasePointSet":
-        pts = list(points)
-        if not pts:
-            return cls(np.zeros((0, 2)), window, 1)
-        dim = pts[0].dim
-        return cls(np.array([p.as_vector() for p in pts]), window, dim)
-
     def __len__(self) -> int:
         return self.coords.shape[0]
-
-    def points(self) -> list[PhasePoint]:
-        d = self.dim
-        return [PhasePoint(tuple(row[:d]), tuple(row[d:])) for row in self.coords]
-
-    def dilated(self, t: float) -> "PhasePointSet":
-        return PhasePointSet(self.coords * t, self.window * abs(t), self.dim)
 
     def save_csv(self, path) -> None:
         d = self.dim

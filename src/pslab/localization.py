@@ -1,70 +1,38 @@
-"""Localization functionals: power moments, optimal centers, weighted norms.
+"""Localization functionals: power moments, tail mass, weighted phase-space norms.
 
 Moments use the true (non-wrapped) distance on the centered box.  A function
 whose mass reaches the box boundary would have its moments silently capped by
-the truncation, so reports carry a tail-mass warning when more than 1e-6 of
-the relative mass sits outside the central half of the box.
+the truncation; :func:`tail_mass` measures the relative mass outside the
+central half of the box, and callers warn when it exceeds
+``TAIL_MASS_THRESHOLD``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import PhasePointSet
-from .grid import GridSpec, PhasePoint, SampledFunction, fourier_transform, gaussian_window
+from .grid import GridSpec, SampledFunction, fourier_transform, gaussian_window
 from .stft import StftField, stft
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 TAIL_MASS_THRESHOLD = 1e-6
-
-
-@dataclass
-class LocalizationReport:
-    """Both-sided power moments of a function at its optimal centers."""
-
-    s: float
-    time_moment: float
-    freq_moment: float
-    center: PhasePoint
-    total: float
-    tail_warning: bool = False
-
-    def __post_init__(self):
-        if self.time_moment < 0 or self.freq_moment < 0:
-            raise ValueError("moments must be nonnegative")
-        if not math.isclose(self.total, self.time_moment + self.freq_moment, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError("total must equal time_moment + freq_moment")
-
-
-def _side_function(f: SampledFunction, side: str) -> SampledFunction:
-    if side == "time":
-        return f
-    if side == "frequency":
-        return fourier_transform(f)
-    raise ValueError(f"side must be 'time' or 'frequency', got {side!r}")
-
-
-def _distance_power(grid: GridSpec, center, s: float) -> np.ndarray:
-    out = np.zeros((1,) * grid.dim)
-    for ax, coords in enumerate(grid.mesh()):
-        out = out + (coords - center[ax]) ** 2
-    return out if s == 1.0 else out**s
 
 
 def moment(f: SampledFunction, center, s: float, side: str = "time") -> float:
     """Riemann sum of |x - center|^{2s} |f|^2 on the requested side."""
     if s < 0:
         raise ValueError(f"moment exponent s must be >= 0, got {s}")
+    if side not in ("time", "frequency"):
+        raise ValueError(f"side must be 'time' or 'frequency', got {side!r}")
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    g = _side_function(f, side)
+    g = f if side == "time" else fourier_transform(f)
     if center.size != g.grid.dim:
         raise ValueError(f"center has {center.size} components, grid needs {g.grid.dim}")
-    weight = _distance_power(g.grid, center, s)
+    weight = sum((coords - c) ** 2 for coords, c in zip(g.grid.mesh(), center))
+    if s != 1.0:
+        weight = weight**s
     return float(g.grid.cell_volume * np.sum(weight * np.abs(g.values) ** 2))
 
 
@@ -77,124 +45,6 @@ def tail_mass(f: SampledFunction) -> float:
     if total == 0.0:
         return 0.0
     return float(np.sum(np.abs(f.values[mask]) ** 2)) / total
-
-
-def _golden_min(fun, lo: float, hi: float, tol: float):
-    """Golden-section minimum of fun on [lo, hi]; returns (argmin, min)."""
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = fun(d)
-    mid = 0.5 * (lo + hi)
-    return mid, fun(mid)
-
-
-def optimal_center(f: SampledFunction, s: float, side: str = "time"):
-    """Minimize moment(f, a, s) over centers a.
-
-    Coarse scan at grid resolution (plus the centroid as a seed), then
-    golden-section refinement per axis to 1e-4 * spacing.  Returns
-    ``(center, value)`` with value the minimum over everything probed.
-    """
-    if s <= 0:
-        raise ValueError(f"optimal_center needs s > 0, got {s}")
-    g = _side_function(f, side)
-    if g.norm() == 0.0:
-        raise ValueError("optimal_center of the zero function")
-    mass = np.abs(g.values) ** 2 * g.grid.cell_volume
-    total = float(mass.sum())
-    dim = g.grid.dim
-
-    best_val = math.inf
-    best = np.zeros(dim)
-
-    def probe(center):
-        nonlocal best_val, best
-        val = float(np.sum(_distance_power(g.grid, center, s) * mass))
-        if val < best_val:
-            best_val = val
-            best = np.asarray(center, dtype=float).copy()
-        return val
-
-    # coarse scan over grid points, chunked to bound memory
-    axes = [g.grid.axis_points(ax) for ax in range(dim)]
-    if dim == 1:
-        x = axes[0]
-        flat = mass
-        for start in range(0, x.size, 256):
-            cand = x[start : start + 256]
-            vals = ((np.abs(x[None, :] - cand[:, None]) ** 2) ** s * flat[None, :]).sum(axis=1)
-            k = int(np.argmin(vals))
-            if vals[k] < best_val:
-                best_val = float(vals[k])
-                best = np.array([cand[k]])
-    else:
-        # decimate the candidate mesh so the scan stays O(64^2) evaluations;
-        # the refinement bracket below widens by the same stride
-        stride = max(1, axes[0].size // 64, axes[1].size // 64)
-        for c0 in axes[0][::stride]:
-            diff0 = (axes[0] - c0) ** 2
-            for c1 in axes[1][::stride]:
-                dist = diff0[:, None] + (axes[1][None, :] - c1) ** 2
-                val = float(np.sum((dist if s == 1.0 else dist**s) * mass))
-                if val < best_val:
-                    best_val = val
-                    best = np.array([c0, c1])
-
-    # centroid seed (exact optimum for s = 1)
-    centroid = np.array(
-        [float(np.sum(np.broadcast_to(c, g.grid.shape) * mass)) / total for c in g.grid.mesh()]
-    )
-    probe(centroid)
-
-    # per-axis golden-section refinement around the incumbent
-    stride = 1 if dim == 1 else max(1, axes[0].size // 64, axes[1].size // 64)
-    for sweep in range(1 if dim == 1 else 3):
-        for ax in range(dim):
-            step = g.grid.step[ax]
-
-            def line(t, ax=ax):
-                cand = best.copy()
-                cand[ax] = t
-                return probe(cand)
-
-            _golden_min(line, best[ax] - stride * step, best[ax] + stride * step, 1e-4 * step)
-
-    return tuple(best), best_val
-
-
-def localization_report(f: SampledFunction, s: float) -> LocalizationReport:
-    """Optimal-center moments on both sides plus the tail-mass diagnostic."""
-    a, tm = optimal_center(f, s, "time")
-    b, fm = optimal_center(f, s, "frequency")
-    fhat = fourier_transform(f)
-    warn = tail_mass(f) > TAIL_MASS_THRESHOLD or tail_mass(fhat) > TAIL_MASS_THRESHOLD
-    if warn:
-        warnings.warn("function mass reaches the box boundary; moments may be truncated", stacklevel=2)
-    return LocalizationReport(
-        s=s,
-        time_moment=tm,
-        freq_moment=fm,
-        center=PhasePoint(a, b),
-        total=tm + fm,
-        tail_warning=warn,
-    )
-
-
-def weighted_l2_norm(f: SampledFunction, s: float) -> float:
-    """The L2_s norm (int |f|^2 (1+|x|)^{2s} dx)^{1/2} on the grid."""
-    if s < 0:
-        raise ValueError(f"weight exponent s must be >= 0, got {s}")
-    w = (1.0 + np.sqrt(f.grid.radius_squared())) ** (2.0 * s)
-    return math.sqrt(f.grid.cell_volume * float(np.sum(w * np.abs(f.values) ** 2)))
 
 
 def modulation_norm(f: SampledFunction, s: float) -> float:

@@ -1,4 +1,4 @@
-"""Restriction operators L = P1 P2 P1, prolate systems, and phase-space cutoffs.
+"""Restriction operators L = P1 P2 P1, their spectra, and phase-space cutoffs.
 
 Sets are centred at the origin.  Set membership follows the half-open
 convention: a d=1 interval of halfwidth rho is [-rho, rho), which makes
@@ -15,7 +15,6 @@ operators, not approximations.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -130,81 +129,9 @@ class RestrictionOperator:
         return self._eigs
 
 
-@dataclass
-class OperatorSpectrum:
-    """Full eigenvalue profile plus the leading eigenfunctions."""
-
-    eigenvalues: np.ndarray
-    eigenfunctions: list[SampledFunction]
-    trace: float
-
-    def __post_init__(self):
-        lam = self.eigenvalues
-        if (np.diff(lam) > 0).any():
-            raise ValueError("eigenvalues must be descending")
-        if lam.min() < -1e-10 or lam.max() > 1 + 1e-10:
-            raise ValueError(f"eigenvalues outside [0, 1] band: [{lam.min()}, {lam.max()}]")
-        if abs(self.trace - lam.sum()) > 1e-8:
-            raise ValueError("trace must equal the eigenvalue sum")
-
-
-def spectrum(op: RestrictionOperator, k: int) -> OperatorSpectrum:
-    """Top-k eigenpairs (L2-normalized) over the full eigenvalue profile.
-
-    Eigenfunctions are the section's eigenvectors, zero-padded off T; for
-    k > |T| the rest are unit samples off T, which the operator annihilates.
-    """
-    import scipy.linalg  # imported here: it costs every CLI start ~0.27 s and only this needs it
-
-    if op.grid.dim != 1:
-        raise ValueError("dense assembly is one-dimensional")
-    n = op.grid.n[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    lam = op.eigenvalues()
-    size = op._support.size
-    top = min(k, size)
-    vecs = np.zeros((n, k), dtype=complex)
-    if top:
-        _, sec = scipy.linalg.eigh(op._section(), subset_by_index=(size - top, size - 1))
-        vecs[op._support, :top] = sec[:, ::-1]
-    off = np.flatnonzero(op._mt == 0)[: k - top]
-    vecs[off, top + np.arange(off.size)] = 1.0
-    scale = 1.0 / math.sqrt(op.grid.cell_volume)
-    funcs = [SampledFunction(op.grid, vecs[:, j] * scale) for j in range(k)]
-    return OperatorSpectrum(lam, funcs, float(lam.sum()))
-
-
 def plunge_count(op: RestrictionOperator) -> int:
     """Number of eigenvalues above 1/2, the Landau-type area count."""
     return int((op.eigenvalues() > 0.5).sum())
-
-
-def prolate_count(R: float, eps: float, delta: float, grid: GridSpec) -> int:
-    """Eigenvalues >= 1 - eps^2 of the [-(R - R^delta), R - R^delta]^2 cutoff."""
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    rho = R - R**delta
-    if rho <= 0:
-        raise ValueError(f"R - R^delta = {rho} is not positive")
-    op = RestrictionOperator(RestrictionSpec(grid, rho, rho))
-    return int((op.eigenvalues() >= 1 - eps**2).sum())
-
-
-def tensor_prolate_system(sigma: tuple[int, int], center: PhasePoint, base: OperatorSpectrum) -> SampledFunction:
-    """pi(center) applied to a prolate tensor product on the doubled grid."""
-    base_grid = base.eigenfunctions[0].grid
-    if base_grid.dim != 1:
-        raise ValueError("base spectrum must be one-dimensional")
-    if center.dim != 2 or len(sigma) != 2:
-        raise ValueError("tensor prolates are two-dimensional")
-    if any(not 0 <= s < len(base.eigenfunctions) for s in sigma):
-        raise ValueError(f"indices {sigma} outside the {len(base.eigenfunctions)} computed eigenfunctions")
-    first, second = (base.eigenfunctions[s].values for s in sigma)
-    origin = SampledFunction(GridSpec(2, base_grid.n[0], base_grid.step[0]), np.multiply.outer(first, second))
-    return tf_shift(origin, center)
 
 
 def cutoff_extent(grid: GridSpec) -> float:

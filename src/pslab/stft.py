@@ -217,31 +217,3 @@ def bargmann_transform(f: SampledFunction, z_grid: ComplexGrid) -> np.ndarray:
     # a real matrix times a complex one is a real product over the (re, im) float pairs
     return prefactor * (growth.T @ rhs.view(np.float64)).view(np.complex128)
 
-
-def cauchy_riemann_residual(values: np.ndarray, step: float) -> float:
-    """Relative size of the discrete dbar derivative of a complex field.
-
-    Fourth-order central differences along both axes; returns
-    ``||dbar F|| / ||d F||`` over the interior.  Small values certify that the
-    field is (a sampling of) an analytic function.
-    """
-    if values.shape[0] < 5 or values.shape[1] < 5:
-        raise ValueError("need at least 5 points per axis for the stencil")
-
-    def diff4(a, axis):
-        s = [slice(2, -2)] * a.ndim
-        up1 = np.roll(a, -1, axis)
-        dn1 = np.roll(a, 1, axis)
-        up2 = np.roll(a, -2, axis)
-        dn2 = np.roll(a, 2, axis)
-        out = (-up2 + 8 * up1 - 8 * dn1 + dn2) / (12 * step)
-        return out[tuple(s)]
-
-    dx = diff4(values, 0)
-    dy = diff4(values, 1)
-    dbar = 0.5 * (dx + 1j * dy)
-    dz = 0.5 * (dx - 1j * dy)
-    denom = float(np.linalg.norm(dz))
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(dbar)) / denom

@@ -12,6 +12,7 @@ from pslab.cli import main
 from pslab.config import EXPERIMENTS, ConfigError, load_config
 from pslab.experiments import (
     _central_row,
+    _eigh_bytes,
     _gabor_central_member,
     _gabor_central_row,
     _lattice_synthesis,
@@ -29,6 +30,12 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 DEFAULT = CONFIG_DIR / "default.cfg"
 GRID = GridSpec(1, 256, 1 / 16)
+
+
+def run_python(code):
+    """Stdout of ``code`` run in a fresh interpreter that imports pslab from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
 def read_rows(path):
@@ -195,6 +202,23 @@ class TestGaborCentralMember:
         expected = moment(full, 0.0, 1.0, side="frequency")
         assert moment(phi, 0.0, 1.0, side="frequency") == pytest.approx(expected, rel=1e-8)
 
+    @pytest.mark.parametrize("alpha, beta, T", [(1.0, 1.0, 40), (1.0, 0.5, 20)], ids=["block", "full"])
+    def test_peak_memory_within_the_budget_estimate(self, alpha, beta, T):
+        # peak RSS growth of one central row in a fresh process; a small call
+        # first loads LAPACK and its thread buffers
+        code = (
+            "import resource, sys\n"
+            "from pslab.experiments import _gabor_central_row\n"
+            f"_gabor_central_row({alpha}, {beta}, 2)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            f"_gabor_central_row({alpha}, {beta}, {T})\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print((after - before) * (1 if sys.platform == 'darwin' else 1024))\n"
+        )
+        members = (2 * T + 1) ** 2
+        order = members // 4 + 1 if alpha == beta else members
+        assert int(run_python(code)) <= _eigh_bytes(order)
+
     @pytest.mark.parametrize("alpha, T", [(1.0, 4), (1.0, 8), (0.5, 5), (0.5, 8)])
     def test_cap_drops_the_same_directions_on_both_paths(self, alpha, T):
         _, dropped = _gabor_central_row(alpha, alpha, T)
@@ -309,10 +333,10 @@ class TestCli:
 
         monkeypatch.setattr("pslab.experiments.gaussian_atom_gram", refuse)
         monkeypatch.setattr("pslab.experiments.rotation_blocks", refuse)
-        # T = 80 is 25921 atoms: 2.5 GiB for the eigendecomposition of the
-        # square lattice's rotation block 0, of order 6481
+        # T = 69, the first window past the budget, is 19321 atoms: 2.09 GiB for
+        # the eigendecomposition of the square lattice's rotation block 0, of order 4831
         stub = tmp_path / "bl.cfg"
-        stub.write_text("[balian-low]\ngrid_n = 65536\ngrid_dx = 0.00390625\nwindows = 8 80\n")
+        stub.write_text("[balian-low]\ngrid_n = 65536\ngrid_dx = 0.00390625\nwindows = 8 69\n")
         out = tmp_path / "out"
         assert main(["balian-low", "--config", str(stub), "--out", str(out)]) == 2
         assert "memory budget" in capsys.readouterr().err
@@ -321,8 +345,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "spacings, allowed",
         [
-            ("alpha = 1\nbeta = 1\n", 75),  # rotation block 0 of order (2T + 1)^2 // 4 + 1
-            ("alpha = 1\nbeta = 0.5\n", 37),  # the whole Gram of order (2T + 1)^2
+            ("alpha = 1\nbeta = 1\n", 68),  # rotation block 0 of order (2T + 1)^2 // 4 + 1
+            ("alpha = 1\nbeta = 0.5\n", 33),  # the whole Gram of order (2T + 1)^2
         ],
         ids=["square", "oblong"],
     )
@@ -508,8 +532,16 @@ class TestCli:
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg costs every CLI start ~0.27 s; only operators.spectrum needs it
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, pslab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    # scipy.linalg costs every CLI start ~0.27 s and no pslab module needs it, so
+    # importing all of them, not only pslab.cli, must leave it unloaded
+    code = (
+        "import importlib, pkgutil, sys, pslab\n"
+        "names = sorted(m.name for m in pkgutil.iter_modules(pslab.__path__))\n"
+        "for name in names:\n"
+        "    importlib.import_module('pslab.' + name)\n"
+        "print(names)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+    )
+    imported, linalg = run_python(code).splitlines()
+    assert "'cli'" in imported and "'operators'" in imported
+    assert linalg == "[]"

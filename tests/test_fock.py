@@ -283,6 +283,19 @@ class TestLatticeSweep:
         assert rows[3].lower < 0.1
         assert rows[4].condition > 1e6
 
+    def test_roundoff_lower_bound_reads_zero(self):
+        # W = 12, alpha = 0.9 (553 points): the smallest eigenvalue is roundoff
+        # below the floor M eps upper; at W = 6 it sits above its floor and stays
+        points = FockPointSet.from_lattice(0.9, 12.0)
+        lower, upper = sampling_bounds(points)
+        assert abs(lower) <= len(points) * np.finfo(float).eps * upper
+        (row,) = lattice_sweep([0.9], 12.0)
+        assert (row.lower, row.upper, row.condition) == (0.0, upper, math.inf)
+        small = FockPointSet.from_lattice(0.9, 6.0)
+        lower, upper = sampling_bounds(small)
+        assert lower > len(small) * np.finfo(float).eps * upper
+        assert lattice_sweep([0.9], 6.0)[0].lower == lower
+
     def test_bounds_ordered(self, rows):
         for r in rows:
             assert r.upper >= r.lower

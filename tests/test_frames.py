@@ -19,7 +19,6 @@ from pslab.frames import (
     frame_bounds,
     gramian,
     localization_fit,
-    offdiagonal_tail,
 )
 from pslab.grid import (
     GridMismatchError,
@@ -255,19 +254,6 @@ class TestLocalizationFit:
         assert fit.constant == GRAM_FLOOR
         assert len(fit.bins) >= 4
 
-    def test_gaussian_decay_outruns_any_window(self):
-        # A width-2 Gaussian family keeps its bin maxima above the fit floor
-        # out to distance 8, where superpolynomial decay steepens the fit.
-        grid = GridSpec(1, 512, 1 / 16)
-        x = grid.axis_points(0)
-        wide = SampledFunction(grid, (0.5**0.25 * np.exp(-np.pi * x**2 / 4)).astype(complex))
-        centers = [PhasePoint(float(k), 0.0) for k in range(-8, 9)]
-        sys = FunctionSystem([tf_shift(wide, c) for c in centers], centers)
-        G = gramian(sys)
-        near = localization_fit(G, centers, max_distance=4.0)
-        far = localization_fit(G, centers, max_distance=8.0)
-        assert far.exponent > near.exponent + 1.0
-
     def test_too_few_members_rejected(self):
         centers = [PhasePoint(float(k), 0.0) for k in range(7)]
         with pytest.raises(ValueError, match="at least 8"):
@@ -376,42 +362,6 @@ class TestCommutationLedger:
         sys = FunctionSystem([hermites[0], hermites[0] + hermites[1]], [PhasePoint(0.0, 0.0)] * 2)
         with pytest.raises(ValueError, match="biorthogonal"):
             commutation_ledger(sys, sys)
-
-
-class TestOffdiagonalTail:
-    def test_trivial_regions_are_zero(self, hermite_sys):
-        assert offdiagonal_tail(hermite_sys, hermite_sys, [False] * 12) == 0.0
-        assert offdiagonal_tail(hermite_sys, hermite_sys, [True] * 12) == 0.0
-
-    def test_matches_brute_force_double_sum(self):
-        members = hermite_functions(GRID, 32)
-        sys = FunctionSystem(members, [PhasePoint(0.0, 0.0)] * 32)
-        inside = np.arange(32) < 16
-        value = offdiagonal_tail(sys, sys, inside)
-        hats = [fourier_transform(m) for m in members]
-        xi = hats[0].grid.axis_points(0)
-        c = np.empty((32, 32))
-        d = np.empty((32, 32))
-        for n in range(32):
-            for m in range(32):
-                c[m, n] = abs(inner_product(times_x(members[n]), members[m]))
-                d[m, n] = abs(
-                    inner_product(SampledFunction(hats[n].grid, xi * hats[n].values), hats[m])
-                )
-        brute = sum(
-            c[m, n] * d[n, m] + d[m, n] * c[n, m]
-            for n in range(32)
-            for m in range(32)
-            if inside[n] and not inside[m]
-        )
-        assert value == pytest.approx(brute, abs=1e-10)
-
-    def test_gaussian_lattice_tail_decays(self):
-        sys = gaussian_system(GRID, [(m, k) for m in range(-3, 4) for k in range(-3, 4)])
-        dual = dual_system(sys)
-        radii = np.sqrt((sys.center_array() ** 2).sum(axis=1))
-        tails = [offdiagonal_tail(sys, dual, radii <= R + 1e-9) for R in (3.0, 3.5, 4.0)]
-        assert tails[0] > tails[1] > tails[2]
 
 
 class TestSerialization:

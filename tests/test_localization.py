@@ -1,4 +1,4 @@
-"""Moments, optimal centers, weighted norms, and the sampling inequality."""
+"""Moments, tail mass, weighted phase-space norms, and the sampling inequality."""
 
 import itertools
 import math
@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from pslab.corpus import hermite_functions, random_bandlimited, standard_corpus, two_bump
+from pslab.corpus import random_bandlimited, standard_corpus
+from pslab.frames import FunctionSystem, commutation_ledger
 from pslab.geometry import PhasePointSet, lattice_point_set, separation_stat
 from pslab.grid import (
     GridSpec,
     PhasePoint,
-    SampledFunction,
     fourier_transform,
     gaussian_window,
     snap_to_grid,
@@ -19,14 +19,12 @@ from pslab.grid import (
 )
 from pslab.localization import (
     amalgam_norm,
-    localization_report,
     modulation_norm,
     modulation_weight,
     moment,
-    optimal_center,
     sampled_weighted_sum,
     tail_mass,
-    weighted_l2_norm,
+    weighted_field_norm,
 )
 from pslab.stft import stft
 
@@ -83,117 +81,51 @@ class TestMoment:
         assert wiggle < 1e-3
 
 
-class TestOptimalCenter:
-    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
-    def test_even_function_centers_at_zero(self, gauss, s):
-        center, _ = optimal_center(gauss, s)
-        assert abs(center[0]) <= 1e-4
-
-    def test_s_one_recovers_centroid(self):
-        g = gaussian_window(GRID)
-        f = tf_shift(g, PhasePoint(1.0, 0.0)) + tf_shift(g, PhasePoint(-2.0, 0.0)) * 0.5
-        mass = np.abs(f.values) ** 2
-        centroid = float((GRID.axis_points(0) * mass).sum() / mass.sum())
-        center, _ = optimal_center(f, 1.0)
-        assert center[0] == pytest.approx(centroid, abs=1e-4)
-
-    def test_bimodal_matches_fine_scan(self):
-        f = two_bump(GRID, 3.0)
-        center, value = optimal_center(f, 1.0)
-        assert abs(center[0]) <= 1e-4
-        scan = [moment(f, [a], 1.0) for a in np.arange(-1.0, 1.0, GRID.step[0] / 10)]
-        assert value == pytest.approx(min(scan), abs=1e-4)
-        assert value <= min(scan) + 1e-12
-
-    def test_corpus_agrees_with_fine_scan(self, corpus):
-        for f in corpus:
-            center, value = optimal_center(f, 1.0)
-            mass = np.abs(f.values) ** 2
-            centroid = float((GRID.axis_points(0) * mass).sum() / mass.sum())
-            scan = min(
-                moment(f, [a], 1.0)
-                for a in centroid + np.arange(-1.5, 1.5, GRID.step[0] / 10)
-            )
-            assert value <= scan + 1e-3
-            assert abs(value - scan) <= 1e-3
-
-    def test_zero_function_rejected(self):
-        zero = SampledFunction(GRID, np.zeros(GRID.shape))
-        with pytest.raises(ValueError):
-            optimal_center(zero, 1.0)
-
-    def test_two_dimensional_center(self):
-        grid2 = GridSpec(2, 32, 1 / 4)
-        g2 = gaussian_window(grid2)
-        shifted = tf_shift(g2, PhasePoint((0.5, -0.75), (0.0, 0.0)))
-        center, _ = optimal_center(shifted, 1.0)
-        assert center[0] == pytest.approx(0.5, abs=1e-3)
-        assert center[1] == pytest.approx(-0.75, abs=1e-3)
-
-
-class TestLocalizationReport:
-    def test_gaussian_total(self, gauss):
-        rep = localization_report(gauss, 1.0)
-        assert rep.total == pytest.approx(1 / (2 * math.pi), abs=1e-5)
-        assert rep.center.a[0] == pytest.approx(0.0, abs=1e-3)
-        assert not rep.tail_warning
-
-    def test_phase_space_covariance(self, gauss):
-        rep0 = localization_report(gauss, 1.0)
-        rep = localization_report(tf_shift(gauss, PhasePoint(1.5, -2.0)), 1.0)
-        assert rep.total == pytest.approx(rep0.total, abs=1e-8)
-        assert rep.center.a[0] == pytest.approx(1.5, abs=1e-3)
-        assert rep.center.b[0] == pytest.approx(-2.0, abs=1e-3)
-
-    def test_first_hermite_total(self):
-        h1 = hermite_functions(GRID, 2)[1]
-        rep = localization_report(h1, 1.0)
-        assert rep.total == pytest.approx(3 / (2 * math.pi), abs=1e-4)
-
+class TestTailMass:
     def test_boundary_mass_warns(self, gauss):
+        assert tail_mass(gauss) < 1e-6
         hugging = tf_shift(gauss, PhasePoint(6.0, 0.0))
         assert tail_mass(hugging) > 1e-6
-        with pytest.warns(UserWarning):
-            rep = localization_report(hugging, 1.0)
-        assert rep.tail_warning
-
-    def test_total_consistency_enforced(self):
-        from pslab.localization import LocalizationReport
-
-        with pytest.raises(ValueError):
-            LocalizationReport(s=1.0, time_moment=1.0, freq_moment=1.0, center=PhasePoint(0.0, 0.0), total=3.0)
+        single = FunctionSystem([hugging], [PhasePoint(6.0, 0.0)])
+        with pytest.warns(UserWarning, match="boundary mass"):
+            commutation_ledger(single, single)
 
 
 class TestWeightedNorms:
-    def test_s_zero_is_l2(self, corpus):
-        for f in corpus[:5]:
-            assert weighted_l2_norm(f, 0.0) == pytest.approx(f.norm(), rel=1e-13)
-
     def test_monotone_in_s(self, corpus):
         for f in corpus[:8]:
-            assert weighted_l2_norm(f, 1.0) <= weighted_l2_norm(f, 2.0)
+            assert modulation_norm(f, 1.0) <= modulation_norm(f, 2.0)
 
     def test_gaussian_against_quadrature(self):
-        # the |x| kink limits Riemann-sum accuracy, so compare on a fine grid
-        fine = GridSpec(1, 16384, 1 / 1024)
-        x = np.linspace(-8.0, 8.0, 200001)
-        integrand = (1 + np.abs(x)) ** 2 * np.sqrt(2.0) * np.exp(-2 * np.pi * x**2)
-        oracle = math.sqrt(np.trapezoid(integrand, x))
-        assert weighted_l2_norm(gaussian_window(fine), 1.0) == pytest.approx(oracle, abs=1e-6)
+        # |V_g g(z)|^2 = exp(-pi |z|^2), so the squared norm is the radial
+        # integral of (1 + r)^2 exp(-pi r^2) 2 pi r; the cone kink of r at the
+        # origin limits the Riemann sum to O(h^3), so compare on a finer grid
+        fine = GridSpec(1, 1024, 1 / 32)
+        r = np.linspace(0.0, 8.0, 200001)
+        oracle = math.sqrt(np.trapezoid((1 + r) ** 2 * np.exp(-np.pi * r**2) * 2 * np.pi * r, r))
+        assert modulation_norm(gaussian_window(fine), 1.0) == pytest.approx(oracle, abs=1e-5)
 
-    def test_same_node_sum(self, gauss):
+    def test_same_node_sum(self, corpus, gauss):
+        field = stft(corpus[3], gauss)
         x = GRID.axis_points(0)
-        direct = math.sqrt(GRID.cell_volume * float(np.sum((1 + np.abs(x)) ** 2 * np.abs(gauss.values) ** 2)))
-        assert weighted_l2_norm(gauss, 1.0) == pytest.approx(direct, rel=1e-14)
+        xi = GRID.dual().axis_points(0)
+        r = np.sqrt(x[:, None] ** 2 + xi[None, :] ** 2)
+        direct = math.sqrt(field.cell_measure * float(np.sum((1 + r) ** 2 * np.abs(field.values) ** 2)))
+        assert weighted_field_norm(field, 1.0) == pytest.approx(direct, rel=1e-14)
 
     def test_modulation_s_zero_is_l2(self, corpus):
         for f in corpus[:5]:
             assert modulation_norm(f, 0.0) == pytest.approx(f.norm(), abs=1e-8)
 
     def test_norm_equivalence_bracket(self, corpus):
+        def l2_1(h):
+            # (int |h|^2 (1 + |x|)^2 dx)^{1/2} on the same nodes
+            x = h.grid.axis_points(0)
+            return math.sqrt(h.grid.cell_volume * float(np.sum((1 + np.abs(x)) ** 2 * np.abs(h.values) ** 2)))
+
         ratios = []
         for f in corpus:
-            num = weighted_l2_norm(f, 1.0) + weighted_l2_norm(fourier_transform(f), 1.0)
+            num = l2_1(f) + l2_1(fourier_transform(f))
             ratios.append(num / modulation_norm(f, 1.0))
         assert min(ratios) >= 1.1
         assert max(ratios) <= 1.8

@@ -1,4 +1,4 @@
-"""Restriction operators, prolate counts, phase-space cutoffs, smoothing."""
+"""Restriction operators, their spectra, phase-space cutoffs, smoothing."""
 
 import math
 import warnings
@@ -28,9 +28,6 @@ from pslab.operators import (
     improve_system,
     localization_operator,
     plunge_count,
-    prolate_count,
-    spectrum,
-    tensor_prolate_system,
 )
 from pslab.stft import StftField, adjoint_stft, multiplier_matrix, stft
 
@@ -200,23 +197,6 @@ class TestSpectrum:
         area = 64.0
         assert abs(plunge_count(box_op) - area) <= max(2, 0.05 * area)
 
-    def test_ground_eigenfunction_even_bell(self):
-        # Halfwidths offset by half a sample make both masks exactly
-        # symmetric, and the small area isolates the ground eigenvalue.
-        op = RestrictionOperator(RestrictionSpec(GRID, 0.5 + 1 / 32, 0.5 + 1 / 32))
-        res = spectrum(op, 2)
-        assert res.eigenvalues[0] - res.eigenvalues[1] > 0.5
-        v = res.eigenfunctions[0].values
-        reflected = np.roll(v[::-1], 1)
-        anti = 0.5 * np.linalg.norm(v - reflected) * math.sqrt(GRID.cell_volume)
-        assert anti < 1e-6
-        assert np.argmax(np.abs(v)) == GRID.n[0] // 2
-
-    def test_eigenfunctions_unit_norm(self, box_op):
-        res = spectrum(box_op, 4)
-        for f in res.eigenfunctions:
-            assert f.norm() == pytest.approx(1.0, abs=1e-8)
-
     def test_trace_bracketing(self, box_op):
         lam = box_op.eigenvalues()
         k = 10
@@ -224,108 +204,10 @@ class TestSpectrum:
         high = low + (lam.size - k) * lam[k - 1]
         assert low - 1e-8 <= box_op.trace() <= high + 1e-8
 
-    def test_k_beyond_time_set_pads_with_unit_samples(self):
-        op = RestrictionOperator(RestrictionSpec(GRID, 0.25, 4.0))
-        size = int(op.spec.time_mask().sum())
-        assert size == 8
-        k = size + 3
-        res = spectrum(op, k)
-        values = np.array([f.values for f in res.eigenfunctions])
-        gram = GRID.cell_volume * values.conj() @ values.T
-        assert np.abs(gram - np.eye(k)).max() < 1e-12
-        for lam, f in zip(res.eigenvalues[:k], res.eigenfunctions):
-            assert np.abs(op.apply(f).values - lam * f.values).max() < 1e-10
-        outside = ~op.spec.time_mask()
-        for f in res.eigenfunctions[size:]:
-            assert np.count_nonzero(f.values) == 1
-            assert np.count_nonzero(f.values[outside]) == 1
-        assert np.all(res.eigenvalues[size:k] == 0.0)
-
-    def test_k_out_of_range_rejected(self, box_op):
-        with pytest.raises(ValueError, match="k must be"):
-            spectrum(box_op, 0)
-        with pytest.raises(ValueError, match="k must be"):
-            spectrum(box_op, GRID.n[0] + 1)
-
     def test_two_dimensional_operator_rejected(self):
         op = RestrictionOperator(RestrictionSpec(GridSpec(2, 16, 0.25), 1.0, 1.0))
         with pytest.raises(ValueError, match="one-dimensional"):
-            spectrum(op, 2)
-
-
-class TestProlateCount:
-    def test_count_tracks_area(self):
-        grid = GridSpec(1, 2048, 1 / 32)
-        ratio = prolate_count(4.0, 0.3, 0.5, grid) / 4.0**2
-        assert 0.6 <= ratio <= 1.1
-
-    def test_monotone_in_radius(self):
-        grid = GridSpec(1, 1024, 1 / 32)
-        counts = [prolate_count(R, 0.3, 0.5, grid) for R in (4.0, 6.0, 8.0)]
-        assert counts[0] <= counts[1] <= counts[2]
-
-    def test_monotone_in_eps(self):
-        grid = GridSpec(1, 1024, 1 / 32)
-        counts = [prolate_count(4.0, eps, 0.5, grid) for eps in (0.2, 0.3, 0.5)]
-        assert counts[0] <= counts[1] <= counts[2]
-
-    def test_degenerate_parameters_rejected(self):
-        with pytest.raises(ValueError, match="eps"):
-            prolate_count(4.0, 1.0, 0.5, GRID)
-        with pytest.raises(ValueError, match="delta"):
-            prolate_count(4.0, 0.3, 0.0, GRID)
-        with pytest.raises(ValueError, match="not positive"):
-            prolate_count(1.0, 0.3, 0.5, GRID)
-
-
-@pytest.fixture(scope="module")
-def prolate_base():
-    op = RestrictionOperator(RestrictionSpec(GRID, 2.0, 2.0))
-    return spectrum(op, 4)
-
-
-class TestTensorProlate:
-    def test_ground_tensor_norm(self, prolate_base):
-        psi = tensor_prolate_system((0, 0), PhasePoint((0.0, 0.0), (0.0, 0.0)), prolate_base)
-        assert psi.norm() == pytest.approx(1.0, abs=1e-8)
-
-    def test_distinct_indices_orthogonal(self, prolate_base):
-        center = PhasePoint((1.0, 0.5), (0.5, -1.0))
-        built = {
-            sig: tensor_prolate_system(sig, center, prolate_base)
-            for sig in [(0, 0), (0, 1), (1, 0), (1, 1)]
-        }
-        sigs = list(built)
-        for i, si in enumerate(sigs):
-            for sj in sigs[i + 1 :]:
-                assert abs(inner_product(built[si], built[sj])) < 1e-6
-
-    def test_concentration_on_cube(self, prolate_base):
-        # Per-axis eigenvalues clear 1 - eps^2/2 for eps = 0.3, so the tensor
-        # keeps all but eps^2 of its mass on the cube around its center.
-        eps = 0.3
-        assert prolate_base.eigenvalues[1] >= 1 - eps**2 / 2
-        center = PhasePoint((1.0, 0.5), (0.0, 0.0))
-        psi = tensor_prolate_system((0, 1), center, prolate_base)
-        X, Y = np.meshgrid(psi.grid.axis_points(0), psi.grid.axis_points(1), indexing="ij")
-        outside = (np.abs(X - 1.0) > 2.0) | (np.abs(Y - 0.5) > 2.0)
-        mass = (np.abs(psi.values[outside]) ** 2).sum() * psi.grid.cell_volume
-        assert mass <= eps**2 + 1e-6
-
-    def test_equals_tf_shift_of_origin_tensor(self, prolate_base):
-        # pi(a, b) f = exp(2 pi i b.t) f(t - a), as tf_shift and PhasePoint define it
-        center = PhasePoint((1.0, 0.5), (0.5, -1.0))
-        origin = tensor_prolate_system((0, 1), PhasePoint((0.0, 0.0), (0.0, 0.0)), prolate_base)
-        psi = tensor_prolate_system((0, 1), center, prolate_base)
-        assert np.abs(psi.values - tf_shift(origin, center).values).max() < 1e-12
-
-    def test_off_grid_translation_rejected(self, prolate_base):
-        with pytest.raises(ValueError, match="not a multiple of spacing"):
-            tensor_prolate_system((0, 0), PhasePoint((0.3, 0.0), (0.0, 0.0)), prolate_base)
-
-    def test_index_out_of_range_rejected(self, prolate_base):
-        with pytest.raises(ValueError, match="outside"):
-            tensor_prolate_system((0, 9), PhasePoint((0.0, 0.0), (0.0, 0.0)), prolate_base)
+            op.eigenvalues()
 
 
 class TestLocalizationOperator:
