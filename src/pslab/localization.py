@@ -58,12 +58,19 @@ def modulation_norm(f: SampledFunction, s: float) -> float:
 def modulation_weight(grid: GridSpec, s: float) -> np.ndarray:
     """The weight (1+|(x,xi)|)^{2s} on the phase-space grid of ``grid``.
 
-    Broadcastable to ``grid.shape + grid.shape`` (time axes, then frequency).
+    One float array of shape ``grid.shape + grid.shape`` (time axes, then
+    frequency).
     """
     if s < 0:
         raise ValueError(f"weight exponent s must be >= 0, got {s}")
-    rsq = sum(c * c for c in grid.phase_mesh())
-    return (1.0 + np.sqrt(rsq)) ** (2.0 * s)
+    coords = grid.phase_mesh()
+    # one full-size array, built in place: the coordinates are sparse
+    weight = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)))
+    for c in coords:
+        weight += c * c
+    np.sqrt(weight, out=weight)
+    weight += 1.0
+    return np.power(weight, 2.0 * s, out=weight)
 
 
 def weighted_field_norm(field: StftField, s: float) -> float:

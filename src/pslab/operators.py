@@ -192,8 +192,9 @@ def improve_system(system: FunctionSystem, R: float, sigma: float = 1.0) -> Impr
     by the next call with the same pair.
     """
     grid = system.grid
-    cutoff = _cutoff_matrix(grid, R, gaussian_window(grid))
+    # the weight first, so its float symbol is gone before the cutoff matrix exists
     weight = _weight_matrix(grid, sigma)
+    cutoff = _cutoff_matrix(grid, R, gaussian_window(grid))
     phis = np.empty((len(system), cutoff.shape[0]), dtype=complex)
     centers = []
     for idx, (f, c) in enumerate(zip(system.members, system.centers)):

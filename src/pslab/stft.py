@@ -108,6 +108,12 @@ def adjoint_stft(field: StftField, window: SampledFunction) -> SampledFunction:
     return SampledFunction(g, out * field.cell_measure)
 
 
+# Complex entries in each slab-sized temporary of multiplier_matrix: a slab is
+# a block of time rows or lag columns of about this many entries, 0.5 MiB
+# together with the index arrays and FFT copies that work on it.
+_SLAB_ENTRIES = 1 << 13
+
+
 def multiplier_matrix(window: SampledFunction, symbol) -> np.ndarray:
     """Matrix of the STFT multiplier V_w* diag(symbol) V_w on flattened samples.
 
@@ -116,8 +122,13 @@ def multiplier_matrix(window: SampledFunction, symbol) -> np.ndarray:
     exp(2 pi i l.(k - n/2)/n), entry [t, t - l] is the circular convolution
     over j of P[., l] with K[., l], evaluated at t + n/2 and scaled by
     cell_volume/n^d.  That costs a few FFTs over the phase-space grid instead
-    of one analysis and one synthesis per column; the result is n^d x n^d,
-    the size of one STFT field.
+    of one analysis and one synthesis per column.
+
+    The n^d x n^d result is the only full-size array: K is built in it a few
+    time rows at a time (rolled by n/2, so the convolution at t + n/2 lands
+    on row t), each slab of lag columns is convolved over time and written
+    back in lag layout [t, l], and each row is then flipped and rolled to
+    [t, s].  The workspace is the result plus one slab of ``_SLAB_ENTRIES``.
     """
     _check_window(window)
     g = window.grid
@@ -127,21 +138,33 @@ def multiplier_matrix(window: SampledFunction, symbol) -> np.ndarray:
         symbol = np.broadcast_to(symbol, shape)
     except ValueError:
         raise ValueError(f"symbol shape {np.shape(symbol)} does not broadcast to {shape}") from None
-    time_axes = tuple(range(d))
-    lag_axes = tuple(range(d, 2 * d))
-    # per-axis indices over the (time, lag) grid, and u - l mod n on each axis
-    pos = [np.arange(n).reshape((-1,) + (1,) * (2 * d - ax - 1)) for ax, n in enumerate(g.n)]
-    lag = [np.arange(n).reshape((-1,) + (1,) * (d - ax - 1)) for ax, n in enumerate(g.n)]
-    diff = tuple((p - q) % n for p, q, n in zip(pos, lag, g.n))
-    pairs = window.values.reshape(g.shape + (1,) * d) * np.conj(window.values[diff])
     size = math.prod(g.n)
-    kernel = np.fft.ifftn(symbol, axes=lag_axes) * size
-    kernel *= (-1.0) ** sum(lag)
-    conv = np.fft.fftn(pairs, axes=time_axes) * np.fft.fftn(kernel, axes=time_axes)
-    del pairs, kernel
-    conv = np.fft.ifftn(conv, axes=time_axes)
-    centered = tuple((p + n // 2) % n for p, n in zip(pos, g.n))
-    return conv[centered + diff].reshape(size, size) * (g.cell_volume / size)
+    width = max(1, _SLAB_ENTRIES // size)
+    slabs = [slice(lo, lo + width) for lo in range(0, size, width)]
+    # per-axis index of every flattened time row or lag column
+    flat = np.unravel_index(np.arange(size), g.shape)
+    out = np.empty((size, size), dtype=np.complex128)
+    for rows in slabs:
+        shifted = tuple((i[rows] + n // 2) % n for i, n in zip(flat, g.n))
+        out[rows] = np.fft.ifftn(symbol[shifted], axes=tuple(range(1, d + 1))).reshape(-1, size)
+    # K is n^d ifftn(symbol) times (-1)^l and the sum is scaled by cell_volume/n^d: P carries the rest
+    scale = (-1.0) ** sum(flat) * g.cell_volume
+    time_axes = tuple(range(d))
+    lag_layout = out.reshape(g.shape + (size,))
+    pos = [np.arange(n).reshape((-1,) + (1,) * (d - ax)) for ax, n in enumerate(g.n)]
+    for cols in slabs:
+        pairs = np.conj(window.values[tuple((p - l[cols]) % n for p, l, n in zip(pos, flat, g.n))])
+        pairs *= window.values[..., None]
+        pairs *= scale[cols]
+        conv = np.fft.fftn(pairs, axes=time_axes)
+        del pairs
+        conv *= np.fft.fftn(lag_layout[..., cols], axes=time_axes)
+        lag_layout[..., cols] = np.fft.ifftn(conv, axes=time_axes)
+    # row t holds entry [t, s] in lag column t - s; gather it back to column s
+    for rows in slabs:
+        lag = np.ravel_multi_index(tuple((t[rows, None] - t) % n for t, n in zip(flat, g.n)), g.shape)
+        out[rows] = np.take_along_axis(out[rows], lag, axis=1)
+    return out
 
 
 @dataclass(frozen=True)

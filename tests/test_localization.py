@@ -149,6 +149,18 @@ class TestModulationWeight:
         weight = np.broadcast_to(modulation_weight(GRID_2D, s), ref.shape)
         np.testing.assert_allclose(weight, ref, rtol=1e-14)
 
+    @pytest.mark.parametrize("grid", [GRID, GRID_2D], ids=["1d", "2d"])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0])
+    def test_matches_closed_form(self, grid, s):
+        # (1 + sqrt(x^2 + xi^2))^(2s) from the axis samples, one full-size array
+        axes = [g.axis_points(ax) for g in (grid, grid.dual()) for ax in range(grid.dim)]
+        rsq = sum(c * c for c in np.meshgrid(*axes, indexing="ij"))
+        weight = modulation_weight(grid, s)
+        assert weight.shape == grid.shape + grid.shape
+        np.testing.assert_allclose(weight, (1 + np.sqrt(rsq)) ** (2 * s), rtol=1e-15)
+        if s == 0.0:
+            assert np.all(weight == 1.0)
+
 
 class TestAmalgamNorm:
     def test_coarse_grid_rejected(self, gauss):

@@ -15,6 +15,7 @@ from pslab.stft import (
     stft,
 )
 
+from test_cli import run_python
 from test_grid import random_function
 
 
@@ -174,10 +175,18 @@ def multiplier_by_definition(window, symbol, f):
     return adjoint_stft(StftField(f.grid, symbol * stft(f, window).values), window)
 
 
+def ragged_slabs(mp, size):
+    """Make multiplier_matrix cut its ``size`` rows and lags into three slabs, the last one short."""
+    width = size // 3 + 1
+    assert -(-size // width) >= 3 and size % width
+    mp.setattr("pslab.stft._SLAB_ENTRIES", size * width)
+
+
 @pytest.mark.parametrize("kind", ["mask", "weight"])
-def test_multiplier_matrix_matches_definition(kind):
+def test_multiplier_matrix_matches_definition(kind, monkeypatch):
     # oracle: every column of the 64 x 64 matrix against analysis + synthesis
     g = GridSpec(1, 64, 1 / 8)
+    ragged_slabs(monkeypatch, 64)
     w = gaussian_window(g)
     rng = np.random.default_rng(64)
     symbol = rng.random((64, 64)) < 0.4 if kind == "mask" else 1.0 + 10.0 * rng.random((64, 64))
@@ -187,8 +196,9 @@ def test_multiplier_matrix_matches_definition(kind):
 
 
 @pytest.mark.parametrize("kind", ["mask", "weight"])
-def test_multiplier_matrix_2d_matches_definition(kind):
+def test_multiplier_matrix_2d_matches_definition(kind, monkeypatch):
     g = GridSpec(2, 16, 1 / 4)
+    ragged_slabs(monkeypatch, 256)
     w = gaussian_window(g)
     rng = np.random.default_rng(16)
     shape = g.shape + g.shape
@@ -199,6 +209,26 @@ def test_multiplier_matrix_2d_matches_definition(kind):
         f = random_function(g, seed=seed)
         ref = multiplier_by_definition(w, symbol, f).values.ravel()
         assert np.abs(A @ f.values.ravel() - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def test_multiplier_matrix_peak_memory_is_the_result_and_a_slab():
+    # peak RSS growth of one 1024 x 1024 weight matrix (16 MiB) in a fresh
+    # process; a small call first loads the FFT code and its buffers
+    code = (
+        "import resource, sys\n"
+        "from pslab import GridSpec, gaussian_window\n"
+        "from pslab.localization import modulation_weight\n"
+        "from pslab.stft import multiplier_matrix\n"
+        "small = GridSpec(1, 64, 1 / 8)\n"
+        "multiplier_matrix(gaussian_window(small), modulation_weight(small, 1.0))\n"
+        "g = GridSpec(1, 1024, 1 / 32)\n"
+        "window, weight = gaussian_window(g), modulation_weight(g, 1.0)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "multiplier_matrix(window, weight)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print((after - before) * (1 if sys.platform == 'darwin' else 1024))\n"
+    )
+    assert int(run_python(code)) <= 1.5 * 1024 * 1024 * 16
 
 
 def test_multiplier_matrix_rejects_bad_symbol(setup):
@@ -216,7 +246,9 @@ def test_multiplier_hermitian_with_mask_spectrum_in_unit_band(seed, dim, n):
     w = random_function(g, seed=seed)
     w = w * (1.0 / w.norm())
     mask = rng.random(g.shape + g.shape) < rng.random()
-    A = multiplier_matrix(w, mask)
+    with pytest.MonkeyPatch.context() as mp:
+        ragged_slabs(mp, n**dim)
+        A = multiplier_matrix(w, mask)
     assert np.abs(A - A.conj().T).max() < 1e-14
     lam = np.linalg.eigvalsh(A)
     assert lam.min() >= -1e-12
