@@ -1,4 +1,8 @@
-"""Batch experiments behind the CLI: each builds one CSV from one config."""
+"""Batch experiments behind the CLI: each builds one CSV from one config.
+
+Each runner imports the library modules it calls inside its own body, so a
+CLI process loads only what its one experiment needs.
+"""
 
 from __future__ import annotations
 
@@ -7,33 +11,12 @@ import re
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._csvio import _write_csv
 from .config import ExperimentConfig
-from .corpus import hermite_functions, two_bump
-from .fock import _lattice_reach, gaussian_atom_gram, lattice_sweep, rotation_blocks
-from .frames import (
-    FunctionSystem,
-    _inverse_sqrt_weights,
-    commutation_ledger,
-    dual_system,
-    frame_bounds,
-    gramian,
-    localization_fit,
-)
-from .geometry import PhasePointSet, density_trend, scan_bins
 from .grid import GridSpec, PhasePoint, SampledFunction, gaussian_window, snap_to_grid, tf_shift
-from .localization import moment
-from .operators import (
-    DENSE_LIMIT,
-    RestrictionOperator,
-    RestrictionSpec,
-    cutoff_extent,
-    improve_system,
-    plunge_count,
-)
+from .operators import DENSE_LIMIT, RestrictionOperator, RestrictionSpec, plunge_count
 
 # Bytes a dense Gram eigendecomposition or a density scan may take (the
 # balian-low and density pre-flight checks).
@@ -52,6 +35,9 @@ def corpus(recipe: str, grid: GridSpec, seed: int = 0) -> FunctionSystem:
     Recipes: hermite-onb(M), gabor-gaussian(alpha, beta[, window]),
     jittered-gabor(alpha, beta, jitter[, window]), two-bump[(separation)].
     """
+    from .corpus import hermite_functions, two_bump
+    from .fock import _lattice_reach
+    from .frames import FunctionSystem
     match = _RECIPE.match(recipe.strip())
     if not match:
         raise ValueError(f"unparseable recipe {recipe!r}")
@@ -104,6 +90,7 @@ def _central_row(G: np.ndarray, central: int) -> tuple[np.ndarray, int]:
     Gramian whose weakest retained directions are edge artifacts, and dropping
     them perturbs the central member at the same order as the cap.
     """
+    from .frames import _inverse_sqrt_weights
     w, U = np.linalg.eigh(G)
     (scale,), dropped = _inverse_sqrt_weights([w], cap=1e-10)
     return (U[central, :] * scale) @ np.conj(U).T, dropped
@@ -116,6 +103,7 @@ def _tight_central_member(system: FunctionSystem) -> SampledFunction:
     only materializes the member whose center is closest to the origin.  It is
     the sampled twin of :func:`_gabor_central_member`.
     """
+    from .frames import gramian
     central = int(np.argmin([sum(v * v for v in c.a + c.b) for c in system.centers]))
     row, _ = _central_row(gramian(system), central)
     values = np.conj(row) @ system.member_matrix()
@@ -132,6 +120,8 @@ def _gabor_central_row(alpha: float, beta: float, T: int) -> tuple[np.ndarray, i
     :func:`~pslab.fock.rotation_blocks`, so only that block of order
     T(T + 1) + 1 is decomposed; the other three give their spectra to the cap.
     """
+    from .fock import gaussian_atom_gram, rotation_blocks
+    from .frames import _inverse_sqrt_weights
     k = np.arange(-T, T + 1)
     if alpha != beta:
         G = gaussian_atom_gram(np.repeat(alpha * k, k.size), np.tile(beta * k, k.size))
@@ -197,6 +187,7 @@ def _check_budget(cfg: ExperimentConfig, need: int, subject: str, task: str) -> 
 
 
 def _run_balian_low(cfg: ExperimentConfig) -> Table:
+    from .localization import moment
     grid = cfg.grid()
     if grid.dim != 1:
         raise cfg.error("runs on one-dimensional grids")
@@ -281,6 +272,7 @@ def _run_plunge_count(cfg: ExperimentConfig) -> Table:
 
 
 def _run_density(cfg: ExperimentConfig) -> Table:
+    from .geometry import PhasePointSet, density_trend, scan_bins
     points_path = cfg.resolve_path("points_csv")
     radii = cfg.get_floats("radii")
     window = cfg.get_float("window", 0.0) or None
@@ -306,6 +298,8 @@ def _run_density(cfg: ExperimentConfig) -> Table:
 
 
 def _run_improve(cfg: ExperimentConfig) -> Table:
+    from .frames import frame_bounds
+    from .operators import cutoff_extent, improve_system
     grid = cfg.grid()
     size = math.prod(grid.n)
     if size > DENSE_LIMIT:
@@ -335,6 +329,7 @@ def _run_improve(cfg: ExperimentConfig) -> Table:
 
 
 def _run_dual_decay(cfg: ExperimentConfig) -> Table:
+    from .frames import dual_system, gramian, localization_fit
     grid = cfg.grid()
     try:
         system = corpus(cfg.get_str("recipe"), grid, cfg.seed)
@@ -351,6 +346,8 @@ def _run_dual_decay(cfg: ExperimentConfig) -> Table:
 
 
 def _run_uncertainty_sum(cfg: ExperimentConfig) -> Table:
+    from .corpus import hermite_functions
+    from .frames import FunctionSystem, commutation_ledger
     grid = cfg.grid()
     count = cfg.get_int("count", 64)
     if count < 2:
@@ -370,6 +367,7 @@ def _run_uncertainty_sum(cfg: ExperimentConfig) -> Table:
 
 
 def _run_fock_sweep(cfg: ExperimentConfig) -> Table:
+    from .fock import _lattice_reach, lattice_sweep
     alphas = cfg.get_floats("alphas")
     window = cfg.get_float("window", 6.0)
     if any(a <= 0 for a in alphas) or window <= 0:
@@ -406,7 +404,7 @@ def run(cfg: ExperimentConfig, out_dir) -> Path:
         f"experiment {cfg.experiment}",
         f"config sha256 {cfg.sha256}",
         f"seed {cfg.seed}",
-        f"pslab {__version__} numpy {np.__version__} scipy {scipy.__version__}",
+        f"pslab {__version__} numpy {np.__version__}",
     ]
     _write_csv(path, header, rows, provenance + notes)
     return path

@@ -126,10 +126,7 @@ def gaussian_atom_gram(a, b) -> np.ndarray:
 
 
 def fock_gram(point_set: FockPointSet) -> FockGram:
-    """Closed-form Gram (k_lam, k_mu) = exp(pi mu~ lam - pi(|lam|^2+|mu|^2)/2).
-
-    Built as D G D* from :func:`gaussian_atom_gram` at a = Re lam, b = -Im lam.
-    """
+    """Closed-form Gram of the normalized kernels at the points: :func:`_kernel_block` (lam, lam)."""
     if len(point_set) < 1:
         raise ValueError("need at least one point")
     lam = point_set.as_array()
@@ -138,10 +135,7 @@ def fock_gram(point_set: FockPointSet) -> FockGram:
         closest = dist[~np.eye(len(point_set), dtype=bool)].min()
         if closest < 1e-12:
             raise ValueError("duplicate points make the kernel Gram singular")
-    a, b = lam.real, -lam.imag
-    phase = np.exp(1j * np.pi * a * b)
-    G = phase[:, None] * gaussian_atom_gram(a, b) * np.conj(phase)[None, :]
-    G = 0.5 * (G + np.conj(G).T)
+    G = _kernel_block(lam, lam)
     eigs = np.linalg.eigvalsh(G)
     return FockGram(G, float(eigs[0]), float(eigs[-1]))
 
@@ -151,7 +145,11 @@ _SLAB_ROWS = 128
 
 
 def _kernel_block(r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """K[m, n] = (k_{t_n}, k_{r_m}), the entries of :func:`fock_gram` between two point arrays."""
+    """K[m, n] = (k_{t_n}, k_{r_m}) = exp(pi r_m conj(t_n) - pi(|r_m|^2 + |t_n|^2)/2).
+
+    The phase is antisymmetric in (r, t) term by term, so K(lam, lam) is
+    exactly Hermitian with an exactly unit diagonal.
+    """
     dist2 = np.abs(np.subtract.outer(r, t)) ** 2
     phase = np.multiply.outer(r.imag, t.real) - np.multiply.outer(r.real, t.imag)
     return np.exp(-0.5 * np.pi * dist2 + 1j * np.pi * phase)

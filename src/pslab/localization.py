@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from .geometry import PhasePointSet
 from .grid import GridSpec, SampledFunction, fourier_transform, gaussian_window
 from .stft import StftField, stft
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import FunctionSystem
 from .grid import (
     GridMismatchError,
     GridSpec,
@@ -31,8 +30,6 @@ from .grid import (
     snap_to_grid,
     tf_shift,
 )
-from .localization import modulation_weight
-from .stft import multiplier_matrix
 
 DENSE_LIMIT = 4096
 
@@ -141,6 +138,7 @@ def cutoff_extent(grid: GridSpec) -> float:
 
 def _cutoff_matrix(grid: GridSpec, R: float, window: SampledFunction) -> np.ndarray:
     """Matrix of A_R = V* 1_Q V, Q the phase-space cube [-R, R]^{2d}."""
+    from .stft import multiplier_matrix
     if window.grid != grid:
         raise GridMismatchError(f"grids differ: {grid} vs {window.grid}")
     extent = cutoff_extent(grid)
@@ -167,6 +165,8 @@ def _weight_matrix(grid: GridSpec, sigma: float) -> np.ndarray:
     ``improve`` runs one radius at a time with the same grid and sigma, so one
     entry spares a rebuild per radius and holds only the matrix a call needs.
     """
+    from .localization import modulation_weight
+    from .stft import multiplier_matrix
     weight = multiplier_matrix(gaussian_window(grid), modulation_weight(grid, sigma))
     weight.setflags(write=False)
     return weight
@@ -191,6 +191,7 @@ def improve_system(system: FunctionSystem, R: float, sigma: float = 1.0) -> Impr
     is assembled once per call, the weight once per (grid, sigma) and reused
     by the next call with the same pair.
     """
+    from .frames import FunctionSystem
     grid = system.grid
     # the weight first, so its float symbol is gone before the cutoff matrix exists
     weight = _weight_matrix(grid, sigma)

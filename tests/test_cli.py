@@ -331,8 +331,8 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise AssertionError("Gram built before the memory check")
 
-        monkeypatch.setattr("pslab.experiments.gaussian_atom_gram", refuse)
-        monkeypatch.setattr("pslab.experiments.rotation_blocks", refuse)
+        monkeypatch.setattr("pslab.fock.gaussian_atom_gram", refuse)
+        monkeypatch.setattr("pslab.fock.rotation_blocks", refuse)
         # T = 69, the first window past the budget, is 19321 atoms: 2.09 GiB for
         # the eigendecomposition of the square lattice's rotation block 0, of order 4831
         stub = tmp_path / "bl.cfg"
@@ -386,7 +386,7 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise AssertionError("density scanned before the memory check")
 
-        monkeypatch.setattr("pslab.experiments.density_trend", refuse)
+        monkeypatch.setattr("pslab.geometry.density_trend", refuse)
         # r = 0.01 on the W = 32 lattice is 25600^2 bins: about 20 GiB for the scan
         stub = tmp_path / "dens.cfg"
         points = CONFIG_DIR / "points_unit_lattice.csv"
@@ -532,16 +532,43 @@ class TestCli:
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg costs every CLI start ~0.27 s and no pslab module needs it, so
-    # importing all of them, not only pslab.cli, must leave it unloaded
+    # pslab depends on numpy alone, so importing every pslab module, not only
+    # pslab.cli, must leave every scipy module unloaded
     code = (
         "import importlib, pkgutil, sys, pslab\n"
         "names = sorted(m.name for m in pkgutil.iter_modules(pslab.__path__))\n"
         "for name in names:\n"
         "    importlib.import_module('pslab.' + name)\n"
         "print(names)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    imported, linalg = run_python(code).splitlines()
+    imported, loaded = run_python(code).splitlines()
     assert "'cli'" in imported and "'operators'" in imported
-    assert linalg == "[]"
+    assert loaded == "[]"
+
+
+def test_each_experiment_loads_only_its_modules(tmp_path):
+    # each runner imports the modules it calls, so a CLI process pays only for its own
+    # experiment; every run loads the parser, the config, the shared runner helpers and
+    # the restriction operators those import at module level
+    core = {
+        "pslab", "pslab._csvio", "pslab.cli", "pslab.config",
+        "pslab.experiments", "pslab.grid", "pslab.operators",
+    }
+    loaded = {}
+    for experiment in EXPERIMENTS:
+        code = (
+            "import sys\n"
+            "from pslab.cli import main\n"
+            f"assert main([{experiment!r}, '--config', {str(DEFAULT)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in ('pslab', 'scipy'))))\n"
+        )
+        loaded[experiment] = set(run_python(code).splitlines()[-1].split())
+    assert loaded["trace-check"] == loaded["plunge-count"] == core
+    assert loaded["fock-sweep"] == core | {"pslab.fock"}
+    assert loaded["density"] == core | {"pslab.geometry"}
+    for experiment, modules in loaded.items():
+        assert core <= modules
+        assert not any(m.split(".")[0] == "scipy" for m in modules), experiment
+        if experiment != "density":
+            assert "pslab.geometry" not in modules, experiment

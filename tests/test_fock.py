@@ -137,9 +137,9 @@ class TestFockGram:
     def test_gram_is_hermitian_psd(self):
         lam = [complex(a, b) for a, b in quarter_lattice_points(5, 9, 2.0)]
         G = fock_gram(FockPointSet(lam, 2.0))
-        np.testing.assert_allclose(G.matrix, np.conj(G.matrix).T, atol=1e-15)
+        np.testing.assert_array_equal(G.matrix, np.conj(G.matrix).T)
         assert G.lower > 0
-        assert np.abs(np.diagonal(G.matrix) - 1.0).max() < 1e-12
+        np.testing.assert_array_equal(np.diagonal(G.matrix), 1.0)
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

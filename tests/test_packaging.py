@@ -27,7 +27,7 @@ def test_dependencies_match_imports():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in project["dependencies"]}
     third_party = imported_top_level(ROOT / "src" / "pslab") - set(sys.stdlib_module_names) - {"pslab"}
-    assert declared == third_party == {"numpy", "scipy"}
+    assert declared == third_party == {"numpy"}
 
 
 def test_readme_quick_start_runs():
