@@ -16,11 +16,12 @@ from . import __version__
 from ._csvio import _write_csv
 from .config import ExperimentConfig
 from .grid import GridSpec, PhasePoint, SampledFunction, gaussian_window, snap_to_grid, tf_shift
-from .operators import DENSE_LIMIT, RestrictionOperator, RestrictionSpec, plunge_count
+from .operators import RestrictionOperator, RestrictionSpec, plunge_count
 
-# Bytes a dense Gram eigendecomposition or a density scan may take (the
-# balian-low and density pre-flight checks).
+# Bytes the largest dense step of any experiment may take: every runner checks
+# its estimate against this one budget before it allocates.
 GRAM_BYTES_LIMIT = 2**31
+COMPLEX_BYTES = np.dtype(complex).itemsize
 
 # What a runner returns: the CSV header, its data rows, and comment lines
 # that follow the provenance block.
@@ -174,7 +175,7 @@ def _eigh_bytes(order: int) -> int:
     :func:`_gabor_central_row` is 5.1 of them on the block path (alpha = beta
     = 1, T = 40) and 5.6 on the full path (alpha = 1, beta = 1/2, T = 20).
     """
-    return 6 * order**2 * np.dtype(complex).itemsize
+    return 6 * order**2 * COMPLEX_BYTES
 
 
 def _check_budget(cfg: ExperimentConfig, need: int, subject: str, task: str) -> None:
@@ -184,6 +185,18 @@ def _check_budget(cfg: ExperimentConfig, need: int, subject: str, task: str) -> 
             f"{subject} needs {need / 2**20:.0f} MiB to {task}, "
             f"over the memory budget of {GRAM_BYTES_LIMIT / 2**20:.0f} MiB"
         )
+
+
+def _budgeted_corpus(cfg: ExperimentConfig, grid: GridSpec, squares: int, products: int, task: str) -> FunctionSystem:
+    """The recipe's M members of N samples, refused past the budget at squares M^2 + products M N entries."""
+    try:
+        system = corpus(cfg.get_str("recipe"), grid, cfg.seed)
+    except ValueError as exc:
+        raise cfg.error(str(exc)) from None
+    M = len(system)
+    need = M * (squares * M + products * math.prod(grid.n)) * COMPLEX_BYTES
+    _check_budget(cfg, need, f"recipe of {M} members", task)
+    return system
 
 
 def _run_balian_low(cfg: ExperimentConfig) -> Table:
@@ -260,10 +273,11 @@ def _run_plunge_count(cfg: ExperimentConfig) -> Table:
         specs = [RestrictionSpec(grid, R / 2, R / 2) for R in radii]
     except ValueError as exc:
         raise cfg.error(str(exc)) from None
-    for spec in specs:
+    # the |T| x |T| section and eigvalsh's copy: peak RSS growth 2.07 and 2.04
+    # sections at |T| = 1024 and 2048, budgeted as three
+    for R, spec in zip(radii, specs):
         size = int(np.count_nonzero(spec.time_mask()))
-        if size > DENSE_LIMIT:
-            raise cfg.error(f"time set of {size} samples exceeds the dense limit {DENSE_LIMIT}")
+        _check_budget(cfg, 3 * size**2 * COMPLEX_BYTES, f"radius {R!r}", f"eigensolve its {size}-sample section")
     rows = []
     for R, spec in zip(radii, specs):
         count = plunge_count(RestrictionOperator(spec))
@@ -301,22 +315,20 @@ def _run_improve(cfg: ExperimentConfig) -> Table:
     from .frames import frame_bounds
     from .operators import cutoff_extent, improve_system
     grid = cfg.grid()
+    # improve_system's weight and one cutoff: peak RSS growth 2.32 and 2.17 n^d x n^d
+    # matrices at n^d = 1024 (2-D, 3 radii) and 2048 (1-D, 4 radii), budgeted as three
     size = math.prod(grid.n)
-    if size > DENSE_LIMIT:
-        raise cfg.error(f"grid of {size} samples exceeds the dense limit {DENSE_LIMIT}")
+    _check_budget(cfg, 3 * size**2 * COMPLEX_BYTES, f"grid of {size} samples", "hold the weight and one cutoff")
     radii = cfg.get_floats("radii")
     sigma = cfg.get_float("sigma", 1.0)
     extent = cutoff_extent(grid)
     if any(not 0 < R <= extent for R in radii):
         raise cfg.error(f"radii must lie in (0, {extent}]")
-    try:
-        system = corpus(cfg.get_str("recipe"), grid, cfg.seed)
-    except ValueError as exc:
-        raise cfg.error(str(exc)) from None
+    # frame_bounds: peak RSS growth 3.2 M^2 at M = 3721, N = 512, 7.9 M^2 at M = 625, N = 2048
+    system = _budgeted_corpus(cfg, grid, 4, 3, "bound its Gram")
     source = frame_bounds(system)
     rows = []
-    for R in radii:
-        result = improve_system(system, R, sigma)
+    for R, result in zip(radii, improve_system(system, radii, sigma)):
         bounds = frame_bounds(result.system)
         rows.append(
             f"{R!r},{float(result.modulation_errors.mean())!r},{bounds.lower!r},{bounds.upper!r}"
@@ -331,10 +343,9 @@ def _run_improve(cfg: ExperimentConfig) -> Table:
 def _run_dual_decay(cfg: ExperimentConfig) -> Table:
     from .frames import dual_system, gramian, localization_fit
     grid = cfg.grid()
-    try:
-        system = corpus(cfg.get_str("recipe"), grid, cfg.seed)
-    except ValueError as exc:
-        raise cfg.error(str(exc)) from None
+    # two Grams, cond, solve and the fits' distances: peak RSS growth 10.0 M^2 at
+    # M = 1089 and 14.0 M^2 at M = 625, N = 2048 both
+    system = _budgeted_corpus(cfg, grid, 6, 4, "fit its Gram and dual")
     primal = localization_fit(gramian(system), system.centers)
     dual = dual_system(system)
     shadow = localization_fit(gramian(dual), dual.centers)
@@ -352,6 +363,10 @@ def _run_uncertainty_sum(cfg: ExperimentConfig) -> Table:
     count = cfg.get_int("count", 64)
     if count < 2:
         raise cfg.error("count must be at least 2")
+    # the ledger's M x M arrays and copies of the members and their transforms: peak
+    # RSS growth 16.8 M^2 at M = 512 and 30.0 M^2 at M = 256, N = 1024 both
+    need = count * (4 * count + 9 * math.prod(grid.n)) * COMPLEX_BYTES
+    _check_budget(cfg, need, f"count {count}", "build the commutation ledger")
     try:
         members = hermite_functions(grid, count)
     except ValueError as exc:

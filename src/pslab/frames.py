@@ -258,10 +258,11 @@ def commutation_ledger(sys: FunctionSystem, dual: FunctionSystem) -> Commutation
     defect = np.abs(biorth - np.eye(len(sys))).max()
     if defect > 1e-6:
         raise ValueError(f"pair is not biorthogonal: max deviation {defect:.3e}")
-    if any(tail_mass(m) > TAIL_MASS_THRESHOLD for m in sys.members):
-        warnings.warn("members carry boundary mass; moment coefficients may be truncated", stacklevel=2)
+    hats = [fourier_transform(m) for m in sys.members]
+    if any(max(tail_mass(m), tail_mass(h)) > TAIL_MASS_THRESHOLD for m, h in zip(sys.members, hats)):
+        warnings.warn("members carry boundary mass in time or frequency; moments may be truncated", stacklevel=2)
     # c and d via spectral derivatives, and the norm of x_j f_n minus its reconstruction from c
-    Vh = np.stack([fourier_transform(m).values.ravel() for m in sys.members])
+    Vh = np.stack([h.values.ravel() for h in hats])
     Vdh = np.stack([fourier_transform(m).values.ravel() for m in dual.members])
     M, d = len(sys), grid.dim
     c = np.empty((M, M, d), dtype=complex)

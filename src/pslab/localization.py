@@ -2,9 +2,8 @@
 
 Moments use the true (non-wrapped) distance on the centered box.  A function
 whose mass reaches the box boundary would have its moments silently capped by
-the truncation; :func:`tail_mass` measures the relative mass outside the
-central half of the box, and callers warn when it exceeds
-``TAIL_MASS_THRESHOLD``.
+the truncation; :func:`tail_mass` measures the relative mass near the box
+edge, and callers warn when it exceeds ``TAIL_MASS_THRESHOLD``.
 """
 
 from __future__ import annotations
@@ -36,10 +35,10 @@ def moment(f: SampledFunction, center, s: float, side: str = "time") -> float:
 
 
 def tail_mass(f: SampledFunction) -> float:
-    """Relative mass outside the central box |x_i| <= L_i/4."""
+    """Relative mass beyond 3/4 of the half-extent, |x_i| > 3 L_i/8 on some axis."""
     mask = np.zeros(f.grid.shape, dtype=bool)
     for ax, coords in enumerate(f.grid.mesh()):
-        mask |= np.broadcast_to(np.abs(coords) > f.grid.half_extent(ax) / 2, f.grid.shape)
+        mask |= np.broadcast_to(np.abs(coords) > 0.75 * f.grid.half_extent(ax), f.grid.shape)
     total = float(np.sum(np.abs(f.values) ** 2))
     if total == 0.0:
         return 0.0

@@ -14,9 +14,9 @@ operators, not approximations.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .grid import (
     snap_to_grid,
     tf_shift,
 )
-
-DENSE_LIMIT = 4096
 
 
 def _ball_mask(grid: GridSpec, halfwidth: float) -> np.ndarray:
@@ -80,7 +78,6 @@ class RestrictionOperator:
         self._mt = spec.time_mask().astype(float)
         self._mf = spec.freq_mask().astype(float)
         self._support = np.flatnonzero(self._mt)
-        self._sec: np.ndarray | None = None
         self._eigs: np.ndarray | None = None
 
     @property
@@ -102,15 +99,10 @@ class RestrictionOperator:
         The frequency cut is the circulant with kernel c = ifft(ifftshift(mf)),
         so the operator is that circulant compressed to T and zero elsewhere.
         """
-        if self._sec is None:
-            if self.grid.dim != 1:
-                raise ValueError("dense assembly is one-dimensional")
-            size = self._support.size
-            if size > DENSE_LIMIT:
-                raise ValueError(f"dense assembly capped at |T|={DENSE_LIMIT}, time set has {size}")
-            c = np.fft.ifft(np.fft.ifftshift(self._mf))
-            self._sec = c[np.subtract.outer(self._support, self._support) % self.grid.n[0]]
-        return self._sec
+        if self.grid.dim != 1:
+            raise ValueError("dense assembly is one-dimensional")
+        c = np.fft.ifft(np.fft.ifftshift(self._mf))
+        return c[np.subtract.outer(self._support, self._support) % self.grid.n[0]]
 
     def trace(self) -> float:
         """|T| |Omega| / N^d: every diagonal entry of the section is c[0] = mean(mf)."""
@@ -158,20 +150,6 @@ def localization_operator(f: SampledFunction, R: float, window: SampledFunction 
     return SampledFunction(f.grid, out.reshape(f.grid.shape))
 
 
-@functools.lru_cache(maxsize=1)
-def _weight_matrix(grid: GridSpec, sigma: float) -> np.ndarray:
-    """Read-only STFT-multiplier matrix of the sigma-weighted modulation norm.
-
-    ``improve`` runs one radius at a time with the same grid and sigma, so one
-    entry spares a rebuild per radius and holds only the matrix a call needs.
-    """
-    from .localization import modulation_weight
-    from .stft import multiplier_matrix
-    weight = multiplier_matrix(gaussian_window(grid), modulation_weight(grid, sigma))
-    weight.setflags(write=False)
-    return weight
-
-
 @dataclass
 class ImproveResult:
     """Outcome of smoothing a system through the phase-space cutoff."""
@@ -180,23 +158,25 @@ class ImproveResult:
     modulation_errors: np.ndarray
 
 
-def improve_system(system: FunctionSystem, R: float, sigma: float = 1.0) -> ImproveResult:
-    """De-shift members to the origin, apply A_R, re-shift.
+def improve_system(system: FunctionSystem, radii: Sequence[float], sigma: float = 1.0) -> list[ImproveResult]:
+    """De-shift members to the origin, apply A_R for each radius R, re-shift.
 
-    Members are carried to phi_n = pi(a_n, b_n)^{-1} f_n, smoothed to
+    Members are carried once to phi_n = pi(a_n, b_n)^{-1} f_n, smoothed to
     psi_n = A_R phi_n, and returned as h_n = pi(a_n, b_n) psi_n under the
-    original centers.  ``modulation_errors[n]`` is ||phi_n - psi_n|| in the
-    sigma-weighted modulation norm.  A_R and the modulation weight are
-    STFT-multiplier matrices applied to all members by matrix products; A_R
-    is assembled once per call, the weight once per (grid, sigma) and reused
-    by the next call with the same pair.
+    original centers, one result per radius in order.
+    ``modulation_errors[n]`` is ||phi_n - psi_n|| in the sigma-weighted
+    modulation norm.  A_R and the modulation weight are STFT-multiplier
+    matrices applied to all members by matrix products; the weight is built
+    once per call, and one A_R is held at a time.
     """
     from .frames import FunctionSystem
+    from .localization import modulation_weight
+    from .stft import multiplier_matrix
     grid = system.grid
-    # the weight first, so its float symbol is gone before the cutoff matrix exists
-    weight = _weight_matrix(grid, sigma)
-    cutoff = _cutoff_matrix(grid, R, gaussian_window(grid))
-    phis = np.empty((len(system), cutoff.shape[0]), dtype=complex)
+    window = gaussian_window(grid)
+    # the weight first, so its float symbol is gone before a cutoff matrix exists
+    weight = multiplier_matrix(window, modulation_weight(grid, sigma))
+    phis = np.empty((len(system), weight.shape[0]), dtype=complex)
     centers = []
     for idx, (f, c) in enumerate(zip(system.members, system.centers)):
         snapped = snap_to_grid(grid, c)
@@ -206,10 +186,14 @@ def improve_system(system: FunctionSystem, R: float, sigma: float = 1.0) -> Impr
         ab = sum(ai * bi for ai, bi in zip(snapped.a, snapped.b))
         back = PhasePoint(tuple(-v for v in snapped.a), tuple(-v for v in snapped.b))
         phis[idx] = (tf_shift(f, back) * np.exp(-2j * np.pi * ab)).values.ravel()
-    psis = phis @ cutoff.T
-    residual = phis - psis
-    # squared M2_sigma norm of each residual row: cell_volume * Re(h* M_W h)
-    quad = np.einsum("mt,mt->m", np.conj(residual), residual @ weight.T).real
-    errors = np.sqrt(grid.cell_volume * quad)
-    improved = [tf_shift(SampledFunction(grid, psi.reshape(grid.shape)), c) for psi, c in zip(psis, centers)]
-    return ImproveResult(FunctionSystem(improved, centers), errors)
+    results = []
+    for R in radii:
+        psis = phis @ _cutoff_matrix(grid, R, window).T  # the cutoff is freed here
+        residual = phis - psis
+        # squared M2_sigma norm of each residual row: cell_volume * Re(h* M_W h)
+        quad = np.einsum("mt,mt->m", np.conj(residual), residual @ weight.T).real
+        errors = np.sqrt(grid.cell_volume * quad)
+        improved = [tf_shift(SampledFunction(grid, psi.reshape(grid.shape)), c) for psi, c in zip(psis, centers)]
+        results.append(ImproveResult(FunctionSystem(improved, centers), errors))
+        del psis, residual  # before the next cutoff is built
+    return results

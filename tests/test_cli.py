@@ -11,6 +11,7 @@ import pytest
 from pslab.cli import main
 from pslab.config import EXPERIMENTS, ConfigError, load_config
 from pslab.experiments import (
+    COMPLEX_BYTES,
     _central_row,
     _eigh_bytes,
     _gabor_central_member,
@@ -36,6 +37,30 @@ def run_python(code):
     """Stdout of ``code`` run in a fresh interpreter that imports pslab from this checkout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def peak_rss_growth(setup, step):
+    """Peak RSS growth in bytes of ``step`` in a fresh interpreter, after ``setup`` has run.
+
+    The setup runs the step once at a small size, which loads LAPACK and the
+    FFT and their thread buffers.  On Linux the peak is the process's own
+    VmHWM, because ru_maxrss there starts at the RSS of the process that
+    spawned it, here the test runner's; macOS reports ru_maxrss in bytes.
+    """
+    code = (
+        "import resource\n"
+        "def peak():\n"
+        "    try:\n"
+        "        with open('/proc/self/status') as status:\n"
+        "            return next(int(line.split()[1]) * 1024 for line in status if line.startswith('VmHWM:'))\n"
+        "    except OSError:\n"
+        "        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"{setup}\n"
+        "before = peak()\n"
+        f"{step}\n"
+        "print(peak() - before)\n"
+    )
+    return int(run_python(code))
 
 
 def read_rows(path):
@@ -204,20 +229,12 @@ class TestGaborCentralMember:
 
     @pytest.mark.parametrize("alpha, beta, T", [(1.0, 1.0, 40), (1.0, 0.5, 20)], ids=["block", "full"])
     def test_peak_memory_within_the_budget_estimate(self, alpha, beta, T):
-        # peak RSS growth of one central row in a fresh process; a small call
-        # first loads LAPACK and its thread buffers
-        code = (
-            "import resource, sys\n"
-            "from pslab.experiments import _gabor_central_row\n"
-            f"_gabor_central_row({alpha}, {beta}, 2)\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            f"_gabor_central_row({alpha}, {beta}, {T})\n"
-            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "print((after - before) * (1 if sys.platform == 'darwin' else 1024))\n"
-        )
+        # peak RSS growth of one central row
+        setup = f"from pslab.experiments import _gabor_central_row\n_gabor_central_row({alpha}, {beta}, 2)"
+        growth = peak_rss_growth(setup, f"_gabor_central_row({alpha}, {beta}, {T})")
         members = (2 * T + 1) ** 2
         order = members // 4 + 1 if alpha == beta else members
-        assert int(run_python(code)) <= _eigh_bytes(order)
+        assert growth <= _eigh_bytes(order)
 
     @pytest.mark.parametrize("alpha, T", [(1.0, 4), (1.0, 8), (0.5, 5), (0.5, 8)])
     def test_cap_drops_the_same_directions_on_both_paths(self, alpha, T):
@@ -225,6 +242,35 @@ class TestGaborCentralMember:
         assert dropped == self.full_gram_row(alpha, T)[1]
         # the redundant control is rank deficient; the critical lattice is a Riesz basis
         assert (dropped > 0) == (alpha == 0.5)
+
+
+class TestDenseEstimates:
+    """Each runner's byte estimate covers its measured peak RSS growth, within a factor 2."""
+
+    def test_plunge_count_section_eigensolve(self):
+        # |T| = 2048: halfwidth 16 at dx = 1/64
+        setup = (
+            "from pslab.grid import GridSpec\n"
+            "from pslab.operators import RestrictionOperator, RestrictionSpec, plunge_count\n"
+            "plunge_count(RestrictionOperator(RestrictionSpec(GridSpec(1, 256, 1 / 8), 4.0, 4.0)))\n"
+            "spec = RestrictionSpec(GridSpec(1, 4096, 1 / 64), 16.0, 16.0)"
+        )
+        growth = peak_rss_growth(setup, "plunge_count(RestrictionOperator(spec))")
+        estimate = 3 * 2048**2 * COMPLEX_BYTES
+        assert estimate / 2 <= growth <= estimate
+
+    def test_improve_weight_and_cutoffs(self):
+        # n^d = 2048 in 1-D, four radii: the weight is held while each cutoff is built
+        setup = (
+            "from pslab.experiments import corpus\n"
+            "from pslab.grid import GridSpec\n"
+            "from pslab.operators import improve_system\n"
+            "improve_system(corpus('two-bump', GridSpec(1, 64, 1 / 4)), [2.0])\n"
+            "system = corpus('jittered-gabor(1, 1, 0.125, 2)', GridSpec(1, 2048, 1 / 32))"
+        )
+        growth = peak_rss_growth(setup, "improve_system(system, [2.0, 4.0, 6.0, 8.0])")
+        estimate = 3 * 2048**2 * COMPLEX_BYTES
+        assert estimate / 2 <= growth <= estimate
 
 
 class TestCli:
@@ -422,7 +468,6 @@ class TestCli:
         interior = [row[1] for row in rows[:8]]
         assert max(interior) < 0.05
 
-    @pytest.mark.filterwarnings("ignore:.*boundary mass")
     @pytest.mark.parametrize("count", [64, 32])
     def test_uncertainty_sum_matches_closed_form(self, tmp_path, count):
         # x h_n = sqrt((n+1)/4pi) h_{n+1} + sqrt(n/4pi) h_{n-1} and the Fourier
@@ -441,20 +486,42 @@ class TestCli:
         np.testing.assert_allclose(rows[:, 2], defect, rtol=0, atol=5e-13)
 
     @pytest.mark.parametrize("experiment, sets", [("plunge-count", "radii = 2 40\n")])
-    def test_oversized_time_set_exits_2(self, tmp_path, capsys, experiment, sets):
-        # halfwidth 20 at dx = 1/128 is a 5120-sample time set, past DENSE_LIMIT
+    def test_oversized_time_set_exits_2(self, tmp_path, monkeypatch, capsys, experiment, sets):
+        def refuse(*args, **kwargs):
+            raise AssertionError("operator built before the memory check")
+
+        monkeypatch.setattr("pslab.experiments.RestrictionOperator", refuse)
+        # halfwidth 20 at dx = 1/256 is a 10240-sample time set: three |T| x |T|
+        # complex matrices take 4.7 GiB, and the budget admits |T| <= 6688
         stub = tmp_path / "big.cfg"
-        stub.write_text(f"[{experiment}]\ngrid_n = 8192\ngrid_dx = 0.0078125\n{sets}")
+        stub.write_text(f"[{experiment}]\ngrid_n = 16384\ngrid_dx = 0.00390625\n{sets}")
         out = tmp_path / "out"
         assert main([experiment, "--config", str(stub), "--out", str(out)]) == 2
-        assert "dense limit" in capsys.readouterr().err
+        assert "memory budget" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    def test_plunge_count_budget_follows_the_section(self, tmp_path, monkeypatch):
+        class Admitted(Exception):
+            pass
+
+        def admit(*args, **kwargs):
+            raise Admitted
+
+        monkeypatch.setattr("pslab.experiments.RestrictionOperator", admit)
+        # radius R at dx = 1/256 is a time set of 256 R samples: 6688 at R = 26.125 is
+        # the largest the budget admits, 6720 at R = 26.25 is refused
+        stub = tmp_path / "pc.cfg"
+        for R, admitted in ((26.125, True), (26.25, False)):
+            stub.write_text(f"[plunge-count]\ngrid_n = 16384\ngrid_dx = 0.00390625\nradii = {R}\n")
+            cfg = load_config(stub, "plunge-count")
+            with pytest.raises(Admitted if admitted else ConfigError):
+                run(cfg, tmp_path / "out")
+
     def test_trace_check_oversized_time_set_runs(self, tmp_path):
-        # the 5120-sample time set that plunge-count refuses: the trace is a count ratio
-        grid = GridSpec(1, 8192, 0.0078125)
+        # a 10240-sample time set, which plunge-count refuses: the trace is a count ratio
+        grid = GridSpec(1, 16384, 0.00390625)
         stub = tmp_path / "big.cfg"
-        stub.write_text("[trace-check]\ngrid_n = 8192\ngrid_dx = 0.0078125\npairs = 1,1 20,1\n")
+        stub.write_text("[trace-check]\ngrid_n = 16384\ngrid_dx = 0.00390625\npairs = 1,1 20,1\n")
         assert main(["trace-check", "--config", str(stub), "--out", str(tmp_path)]) == 0
         rows = read_rows(tmp_path / "trace_check.csv")
         assert [row[:2] for row in rows] == [[1.0, 1.0], [20.0, 1.0]]
@@ -474,7 +541,58 @@ class TestCli:
         stub.write_text(f"[improve]\n{grid}recipe = jittered-gabor(1, 1, 0.125, 2)\nradii = 2\n")
         out = tmp_path / "out"
         assert main(["improve", "--config", str(stub), "--out", str(out)]) == 2
-        assert "dense limit" in capsys.readouterr().err
+        assert "memory budget" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "grid", ["grid_n = 4096\ngrid_dx = 0.03125\n", "grid_dim = 2\ngrid_n = 64\ngrid_dx = 0.125\n"]
+    )
+    def test_improve_admits_4096_samples(self, tmp_path, monkeypatch, grid):
+        class Admitted(Exception):
+            pass
+
+        def admit(*args, **kwargs):
+            raise Admitted
+
+        monkeypatch.setattr("pslab.experiments.corpus", admit)
+        stub = tmp_path / "imp.cfg"
+        stub.write_text(f"[improve]\n{grid}recipe = jittered-gabor(1, 1, 0.125, 2)\nradii = 2\n")
+        with pytest.raises(Admitted):
+            run(load_config(stub, "improve"), tmp_path / "out")
+
+    # pitch 0.15 in a window of 6 is 81^2 = 6561 members on a 512-sample grid
+    @pytest.mark.parametrize(
+        "experiment, body, patched",
+        [
+            (
+                "dual-decay",
+                "grid_n = 512\ngrid_dx = 0.0625\nrecipe = jittered-gabor(0.15, 0.15, 0, 6)\n",
+                ["pslab.frames.gramian", "pslab.frames.dual_system"],
+            ),
+            (
+                "improve",
+                "grid_n = 512\ngrid_dx = 0.0625\nrecipe = jittered-gabor(0.15, 0.15, 0, 6)\nradii = 2\n",
+                ["pslab.frames.frame_bounds", "pslab.operators.improve_system"],
+            ),
+            (
+                "uncertainty-sum",
+                "grid_n = 256\ngrid_dx = 0.0625\ncount = 8192\n",
+                ["pslab.frames.commutation_ledger", "pslab.corpus.hermite_functions"],
+            ),
+        ],
+        ids=["dual-decay", "improve", "uncertainty-sum"],
+    )
+    def test_oversized_system_exits_2_before_its_gram(self, tmp_path, monkeypatch, capsys, experiment, body, patched):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Gram or ledger built before the memory check")
+
+        for name in patched:
+            monkeypatch.setattr(name, refuse)
+        stub = tmp_path / "big.cfg"
+        stub.write_text(f"[{experiment}]\n{body}")
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(stub), "--out", str(out)]) == 2
+        assert "memory budget" in capsys.readouterr().err
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize(
@@ -512,7 +630,7 @@ class TestCli:
         assert not out.exists() or not list(out.iterdir())
 
     def test_trace_check_beyond_dense_grid(self, tmp_path):
-        # N = 8192 is past DENSE_LIMIT; the time sets (64 and 128 samples) are not
+        # trace-check takes no eigensolve, so a large grid costs only O(N)
         grid = GridSpec(1, 8192, 0.03125)
         stub = tmp_path / "tc.cfg"
         stub.write_text("[trace-check]\ngrid_n = 8192\ngrid_dx = 0.03125\npairs = 1,1 2,4\n")

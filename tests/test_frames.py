@@ -1,6 +1,7 @@
 """Gramians, frame bounds, duals, decay fits, and the commutation ledger."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from pslab.grid import (
     snap_to_grid,
     tf_shift,
 )
-from pslab.localization import moment
+from pslab.localization import moment, tail_mass
 
 GRID = GridSpec(1, 256, 1 / 16)
 
@@ -331,11 +332,28 @@ class TestCommutationLedger:
     def test_hermite_truncation_profile(self):
         members = hermite_functions(GRID, 64)
         sys = FunctionSystem(members, [PhasePoint(0.0, 0.0)] * 64)
-        with pytest.warns(UserWarning, match="boundary mass"):
+        # every member has under 2e-25 of its mass beyond 3/4 of either half-extent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             ledger = commutation_ledger(sys, sys)
         res = ledger.per_n_identity_residual
         assert res[:17].mean() < 0.05
         assert res[-1] > 10.0
+
+    def test_truncated_box_warns(self):
+        # half the box: h_31 has 0.16 of its mass beyond 3, 3/4 of the time half-extent 4
+        grid = GridSpec(1, 128, 1 / 16)
+        sys = FunctionSystem(hermite_functions(grid, 32), [PhasePoint(0.0, 0.0)] * 32)
+        with pytest.warns(UserWarning, match="boundary mass"):
+            commutation_ledger(sys, sys)
+
+    def test_frequency_edge_mass_warns(self):
+        # modulated to xi = 6 on a frequency half-extent of 8; the time side is clean
+        f = tf_shift(gaussian_window(GRID), PhasePoint(0.0, 6.0))
+        assert tail_mass(f) < 1e-20
+        single = FunctionSystem([f], [PhasePoint(0.0, 6.0)])
+        with pytest.warns(UserWarning, match="boundary mass"):
+            commutation_ledger(single, single)
 
     def test_truncation_defect_matches_recurrence(self, hermites):
         sys = FunctionSystem(hermites[:6], [PhasePoint(0.0, 0.0)] * 6)

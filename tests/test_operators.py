@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pslab import operators
 from pslab.corpus import random_bandlimited
 from pslab.frames import FunctionSystem, frame_bounds
 from pslab.grid import (
@@ -20,16 +19,15 @@ from pslab.grid import (
     snap_to_grid,
     tf_shift,
 )
-from pslab.localization import modulation_norm, modulation_weight
+from pslab.localization import modulation_norm
 from pslab.operators import (
-    DENSE_LIMIT,
     RestrictionOperator,
     RestrictionSpec,
     improve_system,
     localization_operator,
     plunge_count,
 )
-from pslab.stft import StftField, adjoint_stft, multiplier_matrix, stft
+from pslab.stft import StftField, adjoint_stft, stft
 
 GRID = GridSpec(1, 256, 1 / 16)
 TRACE_GRID = GridSpec(1, 1024, 1 / 32)
@@ -164,13 +162,6 @@ class TestRestrictionOperator:
         # the definition: the diagonal sum of the |T| x |T| section
         assert abs(op.trace() - np.trace(op._section()).real) < 1e-12
 
-    def test_dense_assembly_capped(self):
-        # halfwidth 40 at dx = 1/64 is a 5120-sample time set, past DENSE_LIMIT
-        big = GridSpec(1, 2 * DENSE_LIMIT, 1 / 64)
-        op = RestrictionOperator(RestrictionSpec(big, 40.0, 4.0))
-        with pytest.raises(ValueError, match="capped"):
-            op.eigenvalues()
-
 
 class TestTrace:
     def test_square_box_trace(self):
@@ -276,7 +267,7 @@ class TestImproveSystem:
         system = FunctionSystem(members, centers)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            result = improve_system(system, R, sigma)
+            (result,) = improve_system(system, [R], sigma)
             members_ref, errors_ref = improve_by_loop(system, R, sigma, gauss)
         for h, ref in zip(result.system.members, members_ref):
             assert np.abs(h.values - ref.values).max() < 1e-12
@@ -294,7 +285,7 @@ class TestImproveSystem:
         system = FunctionSystem(members, centers)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            result = improve_system(system, R, sigma)
+            (result,) = improve_system(system, [R], sigma)
             members_ref, errors_ref = improve_by_loop(system, R, sigma, gauss2)
         for h, ref in zip(result.system.members, members_ref):
             assert np.abs(h.values - ref.values).max() < 1e-12
@@ -304,22 +295,33 @@ class TestImproveSystem:
         # sigma 1, 2, 1 on one grid: each call must use its own sigma's weight
         members = [tf_shift(gauss, PhasePoint(0.5, -0.25)) + random_bandlimited(GRID, 3) * 0.1]
         system = FunctionSystem(members, [PhasePoint(0.5, -0.25)])
+        errors = [improve_system(system, [3.0], sigma)[0].modulation_errors for sigma in (1.0, 2.0, 1.0)]
+        assert not np.array_equal(errors[0], errors[1])
+        np.testing.assert_array_equal(errors[2], errors[0])
 
-        def direct(grid, sigma):
-            return multiplier_matrix(gaussian_window(grid), modulation_weight(grid, sigma))
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(operators, "_weight_matrix", direct)
-            want = {sigma: improve_system(system, 3.0, sigma).modulation_errors for sigma in (1.0, 2.0)}
-        assert not np.array_equal(want[1.0], want[2.0])
-        for sigma in (1.0, 2.0, 1.0):
-            np.testing.assert_array_equal(improve_system(system, 3.0, sigma).modulation_errors, want[sigma])
-        assert not operators._weight_matrix(GRID, 1.0).flags.writeable
+    def test_one_call_for_all_radii_matches_one_call_per_radius(self, gauss):
+        rng = np.random.default_rng(7)
+        centers = [PhasePoint(float(a), float(b)) for a, b in rng.uniform(-2, 2, size=(3, 2))]
+        members = [
+            tf_shift(gauss, snap_to_grid(GRID, c)) + random_bandlimited(GRID, i) * 0.1
+            for i, c in enumerate(centers)
+        ]
+        system = FunctionSystem(members, centers)
+        radii = [2.0, 3.5, 5.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            together = improve_system(system, radii, 1.5)
+            apart = [improve_system(system, [R], 1.5)[0] for R in radii]
+        assert len(together) == len(radii)
+        for one, ref in zip(together, apart):
+            np.testing.assert_array_equal(one.modulation_errors, ref.modulation_errors)
+            for h, g in zip(one.system.members, ref.system.members):
+                np.testing.assert_array_equal(h.values, g.values)
 
     def test_gaussian_system_fixed_point(self, gauss):
         points = [PhasePoint(a, b) for a, b in [(0.0, 0.0), (1.0, -2.0), (-1.5, 0.5)]]
         sys = FunctionSystem([tf_shift(gauss, p) for p in points], points)
-        result = improve_system(sys, 6.0)
+        (result,) = improve_system(sys, [6.0])
         worst = max((f - h).norm() for f, h in zip(sys.members, result.system.members))
         assert worst < 1e-6
         assert result.modulation_errors.max() < 1e-6
@@ -328,7 +330,7 @@ class TestImproveSystem:
         centers = [PhasePoint(0.3, 0.0)]
         sys = FunctionSystem([tf_shift(gauss, PhasePoint(0.3125, 0.0))], centers)
         with pytest.warns(UserWarning, match="snapped"):
-            result = improve_system(sys, 6.0)
+            (result,) = improve_system(sys, [6.0])
         assert result.system.centers[0].a[0] == pytest.approx(0.3125)
 
     def test_error_slope_tracks_phase_space_decay(self, gauss):
@@ -341,7 +343,7 @@ class TestImproveSystem:
         phi = adjoint_stft(StftField(GRID, ((1.0 + rad) ** -5.0).astype(complex)), gauss)
         sys = FunctionSystem([phi], [PhasePoint(0.0, 0.0)])
         radii = [2.0, 3.0, 4.0, 5.0, 6.0]
-        errs = [improve_system(sys, R, sigma=2.0).modulation_errors[0] for R in radii]
+        errs = [result.modulation_errors[0] for result in improve_system(sys, radii, sigma=2.0)]
         slope = np.polyfit(np.log1p(radii), np.log(errs), 1)[0]
         assert slope <= 2 - 4 + 0.3
 
@@ -354,13 +356,13 @@ class TestImproveSystem:
         ]
         sys = FunctionSystem([tf_shift(gauss, p) for p in points], points)
         before = frame_bounds(sys)
-        after = frame_bounds(improve_system(sys, 6.0).system)
+        after = frame_bounds(improve_system(sys, [6.0])[0].system)
         assert abs(after.lower - before.lower) <= 0.1 * before.lower
         assert abs(after.upper - before.upper) <= 0.1 * before.upper
 
     def test_improved_members_keep_gaussian_decay(self, gauss):
         sys = FunctionSystem([gauss], [PhasePoint(0.0, 0.0)])
-        h = improve_system(sys, 4.0).system.members[0]
+        h = improve_system(sys, [4.0])[0].system.members[0]
         x = GRID.axis_points(0)
         keep = (np.abs(h.values) > 1e-10) & (np.abs(x) <= 4)
         alpha = np.polyfit(x[keep] ** 2, np.log(np.abs(h.values[keep])), 1)[0]
