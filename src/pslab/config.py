@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,9 +56,12 @@ class ExperimentConfig:
     def get_float(self, key: str, default: float | None = None) -> float:
         raw = self.get_str(key, None if default is None else repr(default))
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise self.error(f"{key} = {raw!r} is not a number") from None
+        if not math.isfinite(value):
+            raise self.error(f"{key} = {raw!r} is not finite")
+        return value
 
     def get_floats(self, key: str, default: str | None = None) -> list[float]:
         raw = self.get_str(key, default)
@@ -67,6 +71,8 @@ class ExperimentConfig:
             raise self.error(f"{key} = {raw!r} is not a number list") from None
         if not values:
             raise self.error(f"{key} must list at least one number")
+        if not all(math.isfinite(v) for v in values):
+            raise self.error(f"{key} = {raw!r} is not finite")
         return values
 
     def grid(self) -> GridSpec:

@@ -83,36 +83,8 @@ def corpus(recipe: str, grid: GridSpec, seed: int = 0) -> FunctionSystem:
 _WRAP_MARGIN = math.sqrt(-math.log(np.finfo(float).eps) / math.pi)
 
 
-def _central_row(G: np.ndarray, central: int) -> tuple[np.ndarray, int]:
-    """Row ``central`` of G^{-1/2} with directions below 1e-10 * w_max capped, and how many were capped.
-
-    Where canonical_tight refuses a badly conditioned span, this caps the
-    pseudo-inverse instead: a redundant lattice truncates to a rank-deficient
-    Gramian whose weakest retained directions are edge artifacts, and dropping
-    them perturbs the central member at the same order as the cap.
-    """
-    from .frames import _inverse_sqrt_weights
-    w, U = np.linalg.eigh(G)
-    (scale,), dropped = _inverse_sqrt_weights([w], cap=1e-10)
-    return (U[central, :] * scale) @ np.conj(U).T, dropped
-
-
-def _tight_central_member(system: FunctionSystem) -> SampledFunction:
-    """Central member of the orthonormalized system, from the sampled Gramian.
-
-    Matches canonical_tight member-for-member on well-conditioned systems but
-    only materializes the member whose center is closest to the origin.  It is
-    the sampled twin of :func:`_gabor_central_member`.
-    """
-    from .frames import gramian
-    central = int(np.argmin([sum(v * v for v in c.a + c.b) for c in system.centers]))
-    row, _ = _central_row(gramian(system), central)
-    values = np.conj(row) @ system.member_matrix()
-    return SampledFunction(system.grid, values.reshape(system.grid.shape))
-
-
 def _gabor_central_row(alpha: float, beta: float, T: int) -> tuple[np.ndarray, int]:
-    """:func:`_central_row` of the closed-form Gram of pi(alpha m, beta n) g, |m|, |n| <= T, m-major.
+    """Central row of the capped G^{-1/2} of pi(alpha m, beta n) g, |m|, |n| <= T, m-major, and the capped count.
 
     On a square lattice (alpha == beta) the Gram is G = D* K D, K the kernel
     Gram at lam = alpha (m - i n) and D = diag(e^{i pi a b}), and the lattice
@@ -122,17 +94,17 @@ def _gabor_central_row(alpha: float, beta: float, T: int) -> tuple[np.ndarray, i
     T(T + 1) + 1 is decomposed; the other three give their spectra to the cap.
     """
     from .fock import gaussian_atom_gram, rotation_blocks
-    from .frames import _inverse_sqrt_weights
+    from .frames import _inverse_sqrt_rows, _inverse_sqrt_weights
     k = np.arange(-T, T + 1)
     if alpha != beta:
         G = gaussian_atom_gram(np.repeat(alpha * k, k.size), np.tile(beta * k, k.size))
-        return _central_row(G, k.size**2 // 2)
+        return _inverse_sqrt_rows(G, k.size**2 // 2, capped=True)
     # one point per orbit: m >= 1, n <= 0, m-major, so Re lam > 0 and Im lam >= 0
     m, n = np.divmod(np.arange(T * (T + 1)), T + 1)
     blocks = rotation_blocks(alpha * ((m + 1) + 1j * (T - n)), origin=True)
     spectra = [np.linalg.eigvalsh(blocks.pop()) for _ in range(3)]  # popped, so each is freed
     w, U = np.linalg.eigh(blocks.pop())
-    (scale, *_), dropped = _inverse_sqrt_weights([w, *spectra], cap=1e-10)
+    (scale, *_), dropped = _inverse_sqrt_weights([w, *spectra], capped=True)
     coeffs = U @ (scale * np.conj(U[0]))  # B_0^{-1/2} on the origin's basis vector
     # K^{-1/2} e_0 is constant on orbits: coeffs[0] at the origin, coeffs[s] / 2 on
     # the orbit of rep s.  On the (m, n) index square lam -> i lam is a rot90.
@@ -171,7 +143,7 @@ def _eigh_bytes(order: int) -> int:
     Six complex matrices of the order: the Gram (on the block path, blocks
     B_0..B_3 together), numpy's copy of the input, the eigenvectors, the
     divide-and-conquer complex and real workspaces, and conj(U).T in
-    :func:`_central_row`.  Measured peak RSS growth of
+    :func:`~pslab.frames._inverse_sqrt_rows`.  Measured peak RSS growth of
     :func:`_gabor_central_row` is 5.1 of them on the block path (alpha = beta
     = 1, T = 40) and 5.6 on the full path (alpha = 1, beta = 1/2, T = 20).
     """
@@ -206,6 +178,8 @@ def _run_balian_low(cfg: ExperimentConfig) -> Table:
         raise cfg.error("runs on one-dimensional grids")
     alpha = cfg.get_float("alpha", 1.0)
     beta = cfg.get_float("beta", 1.0)
+    if alpha <= 0 or beta <= 0:
+        raise cfg.error(f"spacings ({alpha}, {beta}) must be positive")
     windows = cfg.get_floats("windows")
     if any(not w.is_integer() or w <= 0 for w in windows) or any(b <= a for a, b in zip(windows, windows[1:])):
         raise cfg.error("windows must be increasing positive integers")
@@ -244,8 +218,8 @@ def _run_trace_check(cfg: ExperimentConfig) -> Table:
             ht, hf = (float(v) for v in token.split(","))
         except ValueError:
             raise cfg.error(f"bad pair {token!r}, expected time,freq") from None
-        if ht <= 0 or hf <= 0:
-            raise cfg.error(f"bad pair {token!r}, halfwidths must be positive")
+        if not (0 < ht < math.inf and 0 < hf < math.inf):
+            raise cfg.error(f"bad pair {token!r}, halfwidths must be positive and finite")
         pairs.append((ht, hf))
     try:
         specs = [RestrictionSpec(grid, ht, hf) for ht, hf in pairs]
@@ -324,6 +298,8 @@ def _run_improve(cfg: ExperimentConfig) -> Table:
     extent = cutoff_extent(grid)
     if any(not 0 < R <= extent for R in radii):
         raise cfg.error(f"radii must lie in (0, {extent}]")
+    if sigma < 0:
+        raise cfg.error(f"sigma = {sigma!r} must be nonnegative")
     # frame_bounds: peak RSS growth 3.2 M^2 at M = 3721, N = 512, 7.9 M^2 at M = 625, N = 2048
     system = _budgeted_corpus(cfg, grid, 4, 3, "bound its Gram")
     source = frame_bounds(system)
@@ -343,7 +319,7 @@ def _run_improve(cfg: ExperimentConfig) -> Table:
 def _run_dual_decay(cfg: ExperimentConfig) -> Table:
     from .frames import dual_system, gramian, localization_fit
     grid = cfg.grid()
-    # two Grams, cond, solve and the fits' distances: peak RSS growth 10.0 M^2 at
+    # two Grams, eigvalsh, solve and the fits' distances: peak RSS growth 10.0 M^2 at
     # M = 1089 and 14.0 M^2 at M = 625, N = 2048 both
     system = _budgeted_corpus(cfg, grid, 6, 4, "fit its Gram and dual")
     primal = localization_fit(gramian(system), system.centers)

@@ -20,6 +20,9 @@ from .grid import GridMismatchError, GridSpec, PhasePoint, SampledFunction, four
 from .localization import TAIL_MASS_THRESHOLD, tail_mass
 
 GRAM_FLOOR = 1e-12
+# Gramian condition number at which a dual or tight system is refused, or
+# below which capped orthonormalizations drop directions
+CONDITION_LIMIT = 1e10
 
 
 @dataclass
@@ -126,56 +129,58 @@ def frame_bounds(sys: FunctionSystem) -> FrameBounds:
     return FrameBounds(float(kept[0]), float(kept[-1]), kept.size < eigs.size)
 
 
-def _solve_coefficients(sys: FunctionSystem):
-    G = gramian(sys)
-    cond = np.linalg.cond(G)
-    if cond >= 1e10:
-        raise ValueError(f"Gramian condition number {cond:.3e} exceeds 1e10; no stable dual")
-    return G, cond
+def _refuse_ill_conditioned(w_max: float, w_min: float, task: str) -> None:
+    """Refuse a Gramian whose extreme eigenvalues give a condition number of CONDITION_LIMIT or more."""
+    cond = w_max / w_min if w_min > 0 else math.inf
+    if cond >= CONDITION_LIMIT:
+        raise ValueError(f"Gramian condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; no stable {task}")
 
 
 def dual_system(sys: FunctionSystem) -> FunctionSystem:
     """Biorthogonal system: (f_n, g_m) = delta_{nm} to machine precision."""
-    G, _ = _solve_coefficients(sys)
+    G = gramian(sys)
+    w = np.linalg.eigvalsh(G)
+    _refuse_ill_conditioned(w[-1], w[0], "dual")
     Vd = np.linalg.solve(np.conj(G), sys.member_matrix())
     members = [SampledFunction(sys.grid, row.reshape(sys.grid.shape)) for row in Vd]
     return FunctionSystem(members, list(sys.centers))
 
 
-def _inverse_sqrt_weights(spectra: Sequence[np.ndarray], cap: float | None = None) -> tuple[list[np.ndarray], int]:
+def _inverse_sqrt_weights(spectra: Sequence[np.ndarray], capped: bool = False) -> tuple[list[np.ndarray], int]:
     """Weights w**-0.5 of the kept eigenvalues (0 for the dropped) and the number dropped.
 
     ``spectra`` are the ascending spectra of the diagonal blocks of one
     Gramian, or of the whole Gramian as a single block; M is their total
     size and w_max their largest eigenvalue.  Eigenvalues up to
-    w_max * M * eps span the numerical null space and get weight 0.  Without a
-    cap, a span condition number of 1e10 or more is refused; with one, the
-    directions below cap * w_max are dropped instead.
+    w_max * M * eps span the numerical null space and get weight 0.  A span
+    whose condition number reaches CONDITION_LIMIT is refused, or if
+    ``capped`` the directions below w_max / CONDITION_LIMIT are dropped instead.
     """
     w_max = max(w[-1] for w in spectra if w.size)
     tol = w_max * sum(w.size for w in spectra) * np.finfo(float).eps
-    floor = tol if cap is None else max(tol, w_max * cap)
+    floor = max(tol, w_max / CONDITION_LIMIT) if capped else tol
     kept = [w > floor for w in spectra]
     if not any(k.any() for k in kept):
         raise ValueError("Gramian is numerically zero; nothing to orthonormalize")
-    if cap is None:
-        cond = w_max / min(w[k].min() for w, k in zip(spectra, kept) if k.any())
-        if cond >= 1e10:
-            raise ValueError(f"Gramian condition number {cond:.3e} on the span exceeds 1e10; no stable tight system")
+    if not capped:
+        _refuse_ill_conditioned(w_max, min(w[k].min() for w, k in zip(spectra, kept) if k.any()), "tight system")
     scales = [np.zeros_like(w) for w in spectra]
     for scale, w, k in zip(scales, spectra, kept):
         scale[k] = w[k] ** -0.5
     return scales, sum(int(np.count_nonzero(~k)) for k in kept)
 
 
-def _inverse_sqrt_factors(G: np.ndarray, cap: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors U and weights s with (U * s) @ U^H the pseudo-inverse G^{-1/2}.
+def _inverse_sqrt_rows(G: np.ndarray, rows=slice(None), capped: bool = False) -> tuple[np.ndarray, int]:
+    """Rows ``rows`` of the pseudo-inverse G^{-1/2}, all by default, and the number of directions dropped.
 
-    The weights follow the rule of :func:`_inverse_sqrt_weights`.
+    The eigenvalue weights follow :func:`_inverse_sqrt_weights`.  A redundant
+    lattice truncates to a rank-deficient Gramian whose weakest retained
+    directions are edge artifacts; capping drops them and perturbs the rows at
+    the order of the cap.
     """
     w, U = np.linalg.eigh(G)
-    (scale,), _ = _inverse_sqrt_weights([w], cap)
-    return U, scale
+    (scale,), dropped = _inverse_sqrt_weights([w], capped)
+    return (U[rows] * scale) @ np.conj(U).T, dropped
 
 
 def canonical_tight(sys: FunctionSystem) -> FunctionSystem:
@@ -185,8 +190,7 @@ def canonical_tight(sys: FunctionSystem) -> FunctionSystem:
     square root, so the output Gramian is the orthogonal projection onto the
     span rather than the identity; its span-restricted bounds are still (1, 1).
     """
-    U, scale = _inverse_sqrt_factors(gramian(sys))
-    inv_sqrt = (U * scale) @ np.conj(U).T
+    inv_sqrt, _ = _inverse_sqrt_rows(gramian(sys))
     Vt = np.conj(inv_sqrt) @ sys.member_matrix()
     members = [SampledFunction(sys.grid, row.reshape(sys.grid.shape)) for row in Vt]
     return FunctionSystem(members, list(sys.centers))
@@ -231,18 +235,6 @@ def localization_fit(G: np.ndarray, centers: Sequence[PhasePoint]) -> DecayFit:
     return DecayFit(float(-slope), float(np.exp(intercept)), r2, bins)
 
 
-def dual_localization_check(sys: FunctionSystem, s_threshold: float) -> tuple[DecayFit, DecayFit]:
-    """Fit the Gram and its inverse; the primal must clear the threshold."""
-    G, _ = _solve_coefficients(sys)
-    primal = localization_fit(G, sys.centers)
-    if primal.exponent <= s_threshold:
-        raise ValueError(
-            f"primal decay exponent {primal.exponent:.2f} does not exceed threshold {s_threshold}"
-        )
-    dual = localization_fit(np.linalg.inv(G), sys.centers)
-    return primal, dual
-
-
 def commutation_ledger(sys: FunctionSystem, dual: FunctionSystem) -> CommutationLedger:
     """Multiplication and derivative coefficients plus the identity residual.
 
@@ -253,7 +245,9 @@ def commutation_ledger(sys: FunctionSystem, dual: FunctionSystem) -> Commutation
     if sys.grid != dual.grid or len(sys) != len(dual):
         raise GridMismatchError("system and dual must match in grid and size")
     grid, dual_grid = sys.grid, sys.grid.dual()
-    V, Vd = sys.member_matrix(), dual.member_matrix()
+    # a self-dual pair (an orthonormal system) shares its stacked members and transforms
+    V = sys.member_matrix()
+    Vd = V if dual is sys else dual.member_matrix()
     biorth = grid.cell_volume * (V @ np.conj(Vd).T)
     defect = np.abs(biorth - np.eye(len(sys))).max()
     if defect > 1e-6:
@@ -263,7 +257,8 @@ def commutation_ledger(sys: FunctionSystem, dual: FunctionSystem) -> Commutation
         warnings.warn("members carry boundary mass in time or frequency; moments may be truncated", stacklevel=2)
     # c and d via spectral derivatives, and the norm of x_j f_n minus its reconstruction from c
     Vh = np.stack([h.values.ravel() for h in hats])
-    Vdh = np.stack([fourier_transform(m).values.ravel() for m in dual.members])
+    del hats
+    Vdh = Vh if dual is sys else np.stack([fourier_transform(m).values.ravel() for m in dual.members])
     M, d = len(sys), grid.dim
     c = np.empty((M, M, d), dtype=complex)
     dcoef = np.empty((M, M, d), dtype=complex)

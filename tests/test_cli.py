@@ -12,17 +12,15 @@ from pslab.cli import main
 from pslab.config import EXPERIMENTS, ConfigError, load_config
 from pslab.experiments import (
     COMPLEX_BYTES,
-    _central_row,
     _eigh_bytes,
     _gabor_central_member,
     _gabor_central_row,
     _lattice_synthesis,
-    _tight_central_member,
     corpus,
     run,
 )
 from pslab.fock import gaussian_atom_gram
-from pslab.frames import FunctionSystem, canonical_tight, gramian
+from pslab.frames import FunctionSystem, _inverse_sqrt_rows, canonical_tight, gramian
 from pslab.grid import GridSpec, PhasePoint, gaussian_window, tf_shift
 from pslab.localization import moment
 from pslab.operators import RestrictionSpec
@@ -163,27 +161,14 @@ class TestCorpus:
             corpus("gabor-gaussian(1", GRID)
 
 
-class TestTightCentralMember:
-    def test_matches_full_orthonormalization(self):
-        grid = GridSpec(1, 512, 1 / 16)
-        g = gaussian_window(grid)
-        centers = [PhasePoint((float(m),), (float(n),)) for m in range(-2, 3) for n in range(-2, 3)]
-        from pslab.frames import FunctionSystem
-
-        system = FunctionSystem([tf_shift(g, c) for c in centers], centers)
-        phi = _tight_central_member(system)
-        tight = canonical_tight(system)
-        central = next(i for i, c in enumerate(centers) if c.a == (0.0,) and c.b == (0.0,))
-        assert np.abs(phi.values - tight.members[central].values).max() < 1e-10
-
-
 class TestGaborCentralMember:
     @staticmethod
     def sampled_path(grid, alpha, beta, T):
-        """tf_shift members, their sampled Gramian, and one row of its G^{-1/2}."""
+        """The central member of canonical_tight on tf_shift members: the sampled-Gram oracle."""
         g = gaussian_window(grid)
         centers = [PhasePoint((alpha * m,), (beta * n,)) for m in range(-T, T + 1) for n in range(-T, T + 1)]
-        return _tight_central_member(FunctionSystem([tf_shift(g, c) for c in centers], centers))
+        tight = canonical_tight(FunctionSystem([tf_shift(g, c) for c in centers], centers))
+        return tight.members[len(centers) // 2]
 
     @pytest.mark.parametrize("alpha, beta, T", [(1.0, 1.0, 4), (0.5, 2.0, 2), (1.5, 0.75, 4)])
     def test_matches_sampled_path(self, alpha, beta, T):
@@ -192,24 +177,12 @@ class TestGaborCentralMember:
         phi = _gabor_central_member(grid, alpha, beta, T)
         assert np.abs(phi.values - sampled.values).max() < 1e-12 * np.abs(sampled.values).max()
 
-    def test_capped_redundant_lattice_matches_sampled_path(self):
-        # At alpha = beta = 1/2 the Gram is numerically rank deficient and the cap
-        # keeps directions down to 1e-10 w_max, which roundoff-level differences
-        # between the two Grams perturb at about 1e-5 of themselves; the members
-        # agree to about 1e-6 and their moments to about 1e-7.
-        grid = GridSpec(1, 1024, 1 / 32)
-        sampled = self.sampled_path(grid, 0.5, 0.5, 5)
-        phi = _gabor_central_member(grid, 0.5, 0.5, 5)
-        assert np.abs(phi.values - sampled.values).max() < 1e-5 * np.abs(sampled.values).max()
-        expected = moment(sampled, 0.0, 1.0, side="frequency")
-        assert moment(phi, 0.0, 1.0, side="frequency") == pytest.approx(expected, rel=1e-6)
-
     @staticmethod
     def full_gram_row(alpha, T):
         """The oracle: the central row of G^{-1/2} from eigh of the whole closed-form Gram."""
         k = np.arange(-T, T + 1)
         G = gaussian_atom_gram(np.repeat(alpha * k, k.size), np.tile(alpha * k, k.size))
-        return _central_row(G, k.size**2 // 2)
+        return _inverse_sqrt_rows(G, k.size**2 // 2, capped=True)
 
     @pytest.mark.parametrize("T", [1, 4, 8])
     def test_block_path_matches_full_gram_on_critical_lattice(self, T):
@@ -604,8 +577,33 @@ class TestCli:
             ("trace-check", "grid_n = 1024\ngrid_dx = 0.03125\npairs = 1,1 0,2\n", "halfwidths must be positive"),
             # count / R**2 at R = 0
             ("plunge-count", "grid_n = 1024\ngrid_dx = 0.03125\nradii = 0\n", "radii must be positive"),
+            # non-finite numbers would otherwise become NaN rows or fail mid-computation
+            ("trace-check", "grid_n = 1024\ngrid_dx = 0.03125\npairs = nan,1\n", "positive and finite"),
+            ("plunge-count", "grid_n = 1024\ngrid_dx = 0.03125\nradii = nan\n", "is not finite"),
+            ("improve", "grid_n = 512\ngrid_dx = 0.0625\nrecipe = two-bump\nradii = 2\nsigma = nan\n", "is not finite"),
+            ("balian-low", "grid_n = 2048\ngrid_dx = 0.03125\nalpha = nan\nwindows = 2\n", "is not finite"),
+            ("fock-sweep", "alphas = nan\n", "is not finite"),
+            ("fock-sweep", "alphas = 1\nwindow = inf\n", "is not finite"),
+            # the weight exponent, checked before the corpus and its frame bounds
+            ("improve", "grid_n = 512\ngrid_dx = 0.0625\nrecipe = two-bump\nradii = 2\nsigma = -1\n", "nonnegative"),
+            # a zero spacing stacks copies of one atom; a negative one slips past the wrap check
+            ("balian-low", "grid_n = 2048\ngrid_dx = 0.03125\nalpha = 0\nbeta = 0\nwindows = 2\n", "must be positive"),
+            ("balian-low", "grid_n = 2048\ngrid_dx = 0.03125\nalpha = -40\nwindows = 2\n", "must be positive"),
         ],
-        ids=["improve", "trace-check", "plunge-count"],
+        ids=[
+            "improve",
+            "trace-check",
+            "plunge-count",
+            "trace-check-nan",
+            "plunge-count-nan",
+            "improve-nan-sigma",
+            "balian-low-nan",
+            "fock-sweep-nan",
+            "fock-sweep-inf-window",
+            "improve-negative-sigma",
+            "balian-low-zero",
+            "balian-low-negative",
+        ],
     )
     def test_degenerate_radii_exit_2_before_computing(self, tmp_path, monkeypatch, capsys, experiment, body, message):
         def refuse(*args, **kwargs):
@@ -613,6 +611,8 @@ class TestCli:
 
         monkeypatch.setattr("pslab.experiments.corpus", refuse)
         monkeypatch.setattr("pslab.experiments.RestrictionOperator", refuse)
+        monkeypatch.setattr("pslab.experiments._gabor_central_member", refuse)
+        monkeypatch.setattr("pslab.fock.lattice_sweep", refuse)
         stub = tmp_path / "stub.cfg"
         stub.write_text(f"[{experiment}]\n{body}")
         out = tmp_path / "out"

@@ -12,10 +12,9 @@ from pslab.frames import (
     GRAM_FLOOR,
     CommutationLedger,
     FunctionSystem,
-    _inverse_sqrt_factors,
+    _inverse_sqrt_weights,
     canonical_tight,
     commutation_ledger,
-    dual_localization_check,
     dual_system,
     frame_bounds,
     gramian,
@@ -210,10 +209,23 @@ class TestCanonicalTight:
         sys = FunctionSystem([h0, h0 + h1 * 1e-6], [PhasePoint(0.0, 0.0)] * 2)
         with pytest.raises(ValueError, match="condition"):
             canonical_tight(sys)
-        U, scale = _inverse_sqrt_factors(np.diag([1.0, 0.5, 1e-12]), cap=1e-10)
+        spectrum = np.array([1e-12, 0.5, 1.0])
+        (scale,), dropped = _inverse_sqrt_weights([spectrum], capped=True)
         np.testing.assert_allclose(scale, [0.0, 2**0.5, 1.0], rtol=1e-15)
+        assert dropped == 1
         with pytest.raises(ValueError, match="condition"):
-            _inverse_sqrt_factors(np.diag([1.0, 0.5, 1e-12]))
+            _inverse_sqrt_weights([spectrum])
+
+    @pytest.mark.parametrize("scale, accepted", [(1e-4, True), (1e-5, False)], ids=["cond-4e8", "cond-4e10"])
+    def test_dual_and_tight_share_one_condition_limit(self, hermites, scale, accepted):
+        h0, h1 = hermites[:2]
+        sys = FunctionSystem([h0, h0 + h1 * scale], [PhasePoint(0.0, 0.0)] * 2)
+        for build in (dual_system, canonical_tight):
+            if accepted:
+                assert len(build(sys)) == 2
+            else:
+                with pytest.raises(ValueError, match="condition"):
+                    build(sys)
 
     def test_critical_lattice_spoils_frequency_moment(self):
         # Orthonormalizing the critical-density Gabor family pushes frequency
@@ -279,7 +291,8 @@ class TestDualLocalizationCheck:
     def test_orthogonal_family_hits_both_sentinels(self):
         grid = GridSpec(1, 512, 1 / 16)
         sys = gaussian_system(grid, [(4.5 * m, 4.5 * k) for m in (-1, 0, 1) for k in (-1, 0, 1)])
-        primal, dual = dual_localization_check(sys, 6.0)
+        primal = localization_fit(gramian(sys), sys.centers)
+        dual = localization_fit(gramian(dual_system(sys)), sys.centers)
         assert math.isinf(primal.exponent)
         assert math.isinf(dual.exponent)
 
@@ -295,7 +308,8 @@ class TestDualLocalizationCheck:
                     continue
                 points.append(snap_to_grid(GRID, PhasePoint(a, b)))
         sys = FunctionSystem([tf_shift(gaussian_window(GRID), p) for p in points], points)
-        primal, dual = dual_localization_check(sys, 6.0)
+        primal = localization_fit(gramian(sys), sys.centers)
+        dual = localization_fit(gramian(dual_system(sys)), sys.centers)
         assert primal.exponent > 6.0
         assert dual.exponent >= 4.0
 
@@ -304,15 +318,6 @@ class TestDualLocalizationCheck:
         G = synthetic_gram(centers, 5.0)
         inverse_fit = localization_fit(np.linalg.inv(G), centers)
         assert inverse_fit.exponent >= 4.5
-
-    def test_threshold_rejection(self):
-        grid = GridSpec(1, 512, 1 / 16)
-        x = grid.axis_points(0)
-        wide = SampledFunction(grid, (0.5**0.25 * np.exp(-np.pi * x**2 / 4)).astype(complex))
-        centers = [PhasePoint(float(k), 0.0) for k in range(-8, 9)]
-        sys = FunctionSystem([tf_shift(wide, c) for c in centers], centers)
-        with pytest.raises(ValueError, match="threshold"):
-            dual_localization_check(sys, 50.0)
 
 
 class TestCommutationLedger:
@@ -375,6 +380,14 @@ class TestCommutationLedger:
                 gm_hat = fourier_transform(dual.members[m])
                 direct_d = inner_product(SampledFunction(fn_hat.grid, xi * fn_hat.values), gm_hat)
                 assert abs(ledger.dcoef[m, n, 0] - direct_d) < 1e-10
+
+    def test_self_dual_pair_matches_a_copied_dual(self, hermites):
+        # the shared stack and transforms of commutation_ledger(sys, sys) change no bit
+        sys = FunctionSystem(hermites[:8], [PhasePoint(0.0, 0.0)] * 8)
+        shared = commutation_ledger(sys, sys)
+        copied = commutation_ledger(sys, FunctionSystem(list(sys.members), list(sys.centers)))
+        for name in ("c", "dcoef", "per_n_identity_residual", "truncation_defect"):
+            np.testing.assert_array_equal(getattr(shared, name), getattr(copied, name))
 
     def test_non_biorthogonal_rejected(self, hermites):
         sys = FunctionSystem([hermites[0], hermites[0] + hermites[1]], [PhasePoint(0.0, 0.0)] * 2)
