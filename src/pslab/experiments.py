@@ -289,10 +289,10 @@ def _run_improve(cfg: ExperimentConfig) -> Table:
     from .frames import frame_bounds
     from .operators import cutoff_extent, improve_system
     grid = cfg.grid()
-    # improve_system's weight and one cutoff: peak RSS growth 2.32 and 2.17 n^d x n^d
-    # matrices at n^d = 1024 (2-D, 3 radii) and 2048 (1-D, 4 radii), budgeted as three
+    # improve_system's weight, the one n^d x n^d matrix it holds: peak RSS growth 1.60 and
+    # 1.64 n^d x n^d matrices at n^d = 1024 (2-D, 2 radii) and 2048 (1-D, 4 radii), budgeted as two
     size = math.prod(grid.n)
-    _check_budget(cfg, 3 * size**2 * COMPLEX_BYTES, f"grid of {size} samples", "hold the weight and one cutoff")
+    _check_budget(cfg, 2 * size**2 * COMPLEX_BYTES, f"grid of {size} samples", "hold the modulation weight")
     radii = cfg.get_floats("radii")
     sigma = cfg.get_float("sigma", 1.0)
     extent = cutoff_extent(grid)

@@ -7,9 +7,9 @@ only operator application is offered there, dense spectra stay
 one-dimensional.
 
 Spectra come from the |T| x |T| Toeplitz section of the restriction operator
-(the periodic discrete-prolate matrix), and the phase-space cutoff A_R is an
-assembled STFT-multiplier matrix; both are exact rewrites of the FFT-defined
-operators, not approximations.
+(the periodic discrete-prolate matrix), and the phase-space cutoff A_R is
+applied axis by axis through its 1-D STFT-multiplier factors; both are exact
+rewrites of the FFT-defined operators, not approximations.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .grid import (
-    GridMismatchError,
     GridSpec,
     PhasePoint,
     SampledFunction,
@@ -128,26 +127,28 @@ def cutoff_extent(grid: GridSpec) -> float:
     return min(g.half_extent(ax) for g in (grid, grid.dual()) for ax in range(grid.dim))
 
 
-def _cutoff_matrix(grid: GridSpec, R: float, window: SampledFunction) -> np.ndarray:
-    """Matrix of A_R = V* 1_Q V, Q the phase-space cube [-R, R]^{2d}."""
+def _apply_cutoff(values: np.ndarray, grid: GridSpec, R: float) -> np.ndarray:
+    """A_R = V* 1_Q V on the trailing grid axes of ``values``, Q = [-R, R]^{2d}.
+
+    The cube and the Gaussian window factor over the axes, so A_R is the
+    Kronecker product of the 1-D cutoffs on GridSpec(1, n, dx), one per axis.
+    """
     from .stft import multiplier_matrix
-    if window.grid != grid:
-        raise GridMismatchError(f"grids differ: {grid} vs {window.grid}")
     extent = cutoff_extent(grid)
     if not 0 < R <= extent:
         raise ValueError(f"R={R} outside (0, {extent}] for this phase-space grid")
-    mask = True
-    for coords in grid.phase_mesh():
-        mask = mask & (np.abs(coords) <= R)
-    return multiplier_matrix(window, mask)
+    for ax in range(grid.dim):
+        line = GridSpec(1, grid.n[ax], grid.step[ax])
+        keep = [np.abs(g.axis_points()) <= R for g in (line, line.dual())]
+        factor = multiplier_matrix(gaussian_window(line), keep[0][:, None] & keep[1])
+        # factor @ acts along axis -2, the first axis of a 2-D grid; @ factor.T along the last
+        values = values @ factor.T if ax == grid.dim - 1 else factor @ values
+    return values
 
 
-def localization_operator(f: SampledFunction, R: float, window: SampledFunction | None = None) -> SampledFunction:
-    """A_R f: keep the STFT on the phase-space cube [-R, R]^{2d}, resynthesize."""
-    if window is None:
-        window = gaussian_window(f.grid)
-    out = _cutoff_matrix(f.grid, R, window) @ f.values.ravel()
-    return SampledFunction(f.grid, out.reshape(f.grid.shape))
+def localization_operator(f: SampledFunction, R: float) -> SampledFunction:
+    """A_R f: keep the Gaussian-window STFT on the phase-space cube [-R, R]^{2d}, resynthesize."""
+    return SampledFunction(f.grid, _apply_cutoff(f.values, f.grid, R))
 
 
 @dataclass
@@ -165,18 +166,17 @@ def improve_system(system: FunctionSystem, radii: Sequence[float], sigma: float 
     psi_n = A_R phi_n, and returned as h_n = pi(a_n, b_n) psi_n under the
     original centers, one result per radius in order.
     ``modulation_errors[n]`` is ||phi_n - psi_n|| in the sigma-weighted
-    modulation norm.  A_R and the modulation weight are STFT-multiplier
-    matrices applied to all members by matrix products; the weight is built
-    once per call, and one A_R is held at a time.
+    modulation norm.  Every radius is smoothed first; then the weight, an
+    STFT-multiplier matrix and the only n^d x n^d one, is built once and
+    applied to all residuals by matrix products.
     """
+    if sigma < 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
     from .frames import FunctionSystem
     from .localization import modulation_weight
     from .stft import multiplier_matrix
     grid = system.grid
-    window = gaussian_window(grid)
-    # the weight first, so its float symbol is gone before a cutoff matrix exists
-    weight = multiplier_matrix(window, modulation_weight(grid, sigma))
-    phis = np.empty((len(system), weight.shape[0]), dtype=complex)
+    phis = np.empty((len(system),) + grid.shape, dtype=complex)
     centers = []
     for idx, (f, c) in enumerate(zip(system.members, system.centers)):
         snapped = snap_to_grid(grid, c)
@@ -185,15 +185,14 @@ def improve_system(system: FunctionSystem, radii: Sequence[float], sigma: float 
         centers.append(snapped)
         ab = sum(ai * bi for ai, bi in zip(snapped.a, snapped.b))
         back = PhasePoint(tuple(-v for v in snapped.a), tuple(-v for v in snapped.b))
-        phis[idx] = (tf_shift(f, back) * np.exp(-2j * np.pi * ab)).values.ravel()
+        phis[idx] = (tf_shift(f, back) * np.exp(-2j * np.pi * ab)).values
+    smoothed = [_apply_cutoff(phis, grid, R) for R in radii]
+    weight = multiplier_matrix(gaussian_window(grid), modulation_weight(grid, sigma))
     results = []
-    for R in radii:
-        psis = phis @ _cutoff_matrix(grid, R, window).T  # the cutoff is freed here
-        residual = phis - psis
+    for psis in smoothed:
+        residual = (phis - psis).reshape(len(system), -1)
         # squared M2_sigma norm of each residual row: cell_volume * Re(h* M_W h)
         quad = np.einsum("mt,mt->m", np.conj(residual), residual @ weight.T).real
-        errors = np.sqrt(grid.cell_volume * quad)
-        improved = [tf_shift(SampledFunction(grid, psi.reshape(grid.shape)), c) for psi, c in zip(psis, centers)]
-        results.append(ImproveResult(FunctionSystem(improved, centers), errors))
-        del psis, residual  # before the next cutoff is built
+        improved = [tf_shift(SampledFunction(grid, psi), c) for psi, c in zip(psis, centers)]
+        results.append(ImproveResult(FunctionSystem(improved, centers), np.sqrt(grid.cell_volume * quad)))
     return results

@@ -23,15 +23,19 @@ from pslab.localization import modulation_norm
 from pslab.operators import (
     RestrictionOperator,
     RestrictionSpec,
+    _apply_cutoff,
+    cutoff_extent,
     improve_system,
     localization_operator,
     plunge_count,
 )
-from pslab.stft import StftField, adjoint_stft, stft
+from pslab.stft import StftField, adjoint_stft, multiplier_matrix, stft
 
 GRID = GridSpec(1, 256, 1 / 16)
 TRACE_GRID = GridSpec(1, 1024, 1 / 32)
 GRID_2D = GridSpec(2, 16, 1 / 4)
+# unequal axes, so a factor applied along the wrong axis shows
+RECT_2D = GridSpec(2, (16, 8), (1 / 4, 1 / 2))
 
 
 def cutoff_by_definition(f, R, window):
@@ -46,6 +50,14 @@ def cutoff_by_definition(f, R, window):
         pts = dual.axis_points(ax)
         mask &= (np.abs(pts) <= R).reshape((-1,) + (1,) * (f.grid.dim - ax - 1))
     return adjoint_stft(StftField(field.grid, np.where(mask, field.values, 0.0)), window)
+
+
+def cube_multiplier(grid, R):
+    """The dense n^d x n^d matrix of A_R: the d-generic multiplier of the cube mask."""
+    mask = True
+    for coords in grid.phase_mesh():
+        mask = mask & (np.abs(coords) <= R)
+    return multiplier_matrix(gaussian_window(grid), mask)
 
 
 def improve_by_loop(system, R, sigma, window):
@@ -204,23 +216,23 @@ class TestSpectrum:
 class TestLocalizationOperator:
     def test_full_cover_is_identity(self, gauss):
         f = random_bandlimited(GRID, 4)
-        out = localization_operator(f, 8.0, gauss)
+        out = localization_operator(f, 8.0)
         assert np.abs(out.values - f.values).max() < 1e-8
 
     def test_gaussian_tail_bound(self, gauss):
-        err = (gauss - localization_operator(gauss, 3.0, gauss)).norm()
+        err = (gauss - localization_operator(gauss, 3.0)).norm()
         assert err < math.exp(-math.pi * 9 / 2) * 10
 
     def test_quadratic_form_bounded(self, gauss):
         for seed in range(3):
             f = random_bandlimited(GRID, seed)
-            q = inner_product(localization_operator(f, 4.0, gauss), f).real
+            q = inner_product(localization_operator(f, 4.0), f).real
             assert -1e-8 <= q <= f.norm() ** 2 + 1e-8
 
     def test_power_iteration_stays_in_band(self, gauss):
         f = random_bandlimited(GRID, 5)
         for _ in range(20):
-            nxt = localization_operator(f, 4.0, gauss)
+            nxt = localization_operator(f, 4.0)
             rayleigh = inner_product(nxt, f).real / f.norm() ** 2
             assert -1e-8 <= rayleigh <= 1 + 1e-8
             if nxt.norm() < 1e-200:
@@ -229,8 +241,8 @@ class TestLocalizationOperator:
 
     def test_self_adjoint(self, gauss):
         f, h = random_bandlimited(GRID, 6), random_bandlimited(GRID, 7)
-        lhs = inner_product(localization_operator(f, 4.0, gauss), h)
-        rhs = inner_product(f, localization_operator(h, 4.0, gauss))
+        lhs = inner_product(localization_operator(f, 4.0), h)
+        rhs = inner_product(f, localization_operator(h, 4.0))
         assert abs(lhs - rhs) < 1e-10
 
     @pytest.mark.parametrize("R", [1.0, 2.5, 4.0, 8.0])
@@ -238,7 +250,7 @@ class TestLocalizationOperator:
         for seed in range(2):
             f = random_bandlimited(GRID, seed)
             ref = cutoff_by_definition(f, R, gauss).values
-            assert np.abs(localization_operator(f, R, gauss).values - ref).max() < 1e-12
+            assert np.abs(localization_operator(f, R).values - ref).max() < 1e-12
 
     @pytest.mark.parametrize("R", [0.75, 1.5, 2.0])
     def test_matches_definition_2d(self, R):
@@ -246,13 +258,36 @@ class TestLocalizationOperator:
         for seed in range(2):
             f = random_bandlimited(GRID_2D, seed)
             ref = cutoff_by_definition(f, R, gauss2).values
-            assert np.abs(localization_operator(f, R, gauss2).values - ref).max() < 1e-12
+            assert np.abs(localization_operator(f, R).values - ref).max() < 1e-12
+
+    # R = cutoff_extent: the cube's frequency edge holds the grid point -n/2 but not +n/2
+    @pytest.mark.parametrize(
+        "grid, R",
+        [
+            (GRID_2D, 0.75),
+            (GRID_2D, 1.25),
+            (GRID_2D, cutoff_extent(GRID_2D)),
+            (RECT_2D, 0.6),
+            (RECT_2D, cutoff_extent(RECT_2D)),
+        ],
+    )
+    def test_factored_cutoff_matches_dense_and_kron_2d(self, grid, R):
+        dense = cube_multiplier(grid, R)
+        for seed in range(2):
+            f = random_bandlimited(grid, seed)
+            out = _apply_cutoff(f.values, grid, R)
+            assert np.abs(out.ravel() - dense @ f.values.ravel()).max() < 1e-13
+        factors = [cube_multiplier(GridSpec(1, n, dx), R) for n, dx in zip(grid.n, grid.step)]
+        size = math.prod(grid.n)
+        # row m of the helper applied to the unit vectors is A_R e_m, column m of A_R
+        columns = _apply_cutoff(np.eye(size).reshape((size,) + grid.shape), grid, R).reshape(size, size)
+        assert np.abs(columns.T - np.kron(*factors)).max() < 1e-13
 
     def test_radius_validation(self, gauss):
         with pytest.raises(ValueError, match="outside"):
-            localization_operator(gauss, 0.0, gauss)
+            localization_operator(gauss, 0.0)
         with pytest.raises(ValueError, match="outside"):
-            localization_operator(gauss, 8.5, gauss)
+            localization_operator(gauss, 8.5)
 
 
 class TestImproveSystem:
@@ -290,6 +325,15 @@ class TestImproveSystem:
         for h, ref in zip(result.system.members, members_ref):
             assert np.abs(h.values - ref.values).max() < 1e-12
         np.testing.assert_allclose(result.modulation_errors, errors_ref, rtol=1e-9, atol=1e-13)
+
+    def test_negative_sigma_refused_before_any_multiplier(self, gauss, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("multiplier matrix built before sigma was checked")
+
+        monkeypatch.setattr("pslab.stft.multiplier_matrix", refuse)
+        system = FunctionSystem([gauss], [PhasePoint(0.0, 0.0)])
+        with pytest.raises(ValueError, match="sigma"):
+            improve_system(system, [3.0], -1.0)
 
     def test_weight_follows_sigma(self, gauss):
         # sigma 1, 2, 1 on one grid: each call must use its own sigma's weight
