@@ -317,14 +317,13 @@ def _run_improve(cfg: ExperimentConfig) -> Table:
 
 
 def _run_dual_decay(cfg: ExperimentConfig) -> Table:
-    from .frames import dual_system, gramian, localization_fit
+    from .frames import dual_gram, gramian, localization_fit
     grid = cfg.grid()
-    # two Grams, eigvalsh, solve and the fits' distances: peak RSS growth 10.0 M^2 at
-    # M = 1089 and 14.0 M^2 at M = 625, N = 2048 both
-    system = _budgeted_corpus(cfg, grid, 6, 4, "fit its Gram and dual")
-    primal = localization_fit(gramian(system), system.centers)
-    dual = dual_system(system)
-    shadow = localization_fit(gramian(dual), dual.centers)
+    # gramian's member stack, then G beside G^-1: peak RSS growth 7.8 and 10.9 M^2 at M, N = 625, 2048 and 841, 4096
+    system = _budgeted_corpus(cfg, grid, 4, 2, "fit its Gram and dual")
+    G = gramian(system)
+    primal = localization_fit(G, system.centers)
+    shadow = localization_fit(dual_gram(G), system.centers)
     rows = [
         f"primal,{primal.exponent!r},{primal.constant!r},{primal.r2!r}",
         f"dual,{shadow.exponent!r},{shadow.constant!r},{shadow.r2!r}",

@@ -1,10 +1,10 @@
 """Finite function systems: Gramians, duals, tight versions, decay fits.
 
-Index conventions follow G[m, n] = (f_n, f_m).  Coefficient matrices that
-reconstruct functions (duals, tight systems) act with the transposed inverse,
-which for a Hermitian Gramian is its entrywise conjugate; written naively the
-formulas only hold for real Gramians, and the biorthogonality and tight-Gram
-postconditions here are exact for complex systems too.
+Index conventions follow G[m, n] = (f_n, f_m).  A Riesz sequence's dual has
+Gramian G^{-1}, which :func:`dual_gram` returns, refused at CONDITION_LIMIT.
+Coefficient matrices that reconstruct functions (duals, tight systems) act
+with the transposed inverse, for a Hermitian Gramian its entrywise conjugate,
+so the biorthogonality and tight-Gram postconditions hold for complex systems.
 """
 
 from __future__ import annotations
@@ -136,12 +136,16 @@ def _refuse_ill_conditioned(w_max: float, w_min: float, task: str) -> None:
         raise ValueError(f"Gramian condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; no stable {task}")
 
 
-def dual_system(sys: FunctionSystem) -> FunctionSystem:
-    """Biorthogonal system: (f_n, g_m) = delta_{nm} to machine precision."""
-    G = gramian(sys)
+def dual_gram(G: np.ndarray) -> np.ndarray:
+    """G^{-1}, the Gramian of the biorthogonal dual of a system with Gramian G; refused at CONDITION_LIMIT."""
     w = np.linalg.eigvalsh(G)
     _refuse_ill_conditioned(w[-1], w[0], "dual")
-    Vd = np.linalg.solve(np.conj(G), sys.member_matrix())
+    return np.linalg.inv(G)
+
+
+def dual_system(sys: FunctionSystem) -> FunctionSystem:
+    """Biorthogonal system, coefficients conj(G^{-1}): (f_n, g_m) = delta_{nm} to machine precision."""
+    Vd = np.conj(dual_gram(gramian(sys))) @ sys.member_matrix()
     members = [SampledFunction(sys.grid, row.reshape(sys.grid.shape)) for row in Vd]
     return FunctionSystem(members, list(sys.centers))
 

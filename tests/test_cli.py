@@ -257,6 +257,22 @@ class TestDenseEstimates:
         estimate = 2 * 1024**2 * COMPLEX_BYTES
         assert estimate / 2 <= growth <= estimate
 
+    def test_dual_decay_gram_and_inverse(self):
+        # M = 625 on N = 2048: gramian's member stack, then G beside G^-1 (measured 7.8 M^2)
+        setup = (
+            "from pslab.config import load_config\n"
+            "from pslab.experiments import _run_dual_decay, corpus\n"
+            "from pslab.frames import dual_gram, gramian, localization_fit\n"
+            "from pslab.grid import GridSpec\n"
+            f"_run_dual_decay(load_config({str(DEFAULT)!r}, 'dual-decay'))\n"
+            "system = corpus('jittered-gabor(1, 1, 0.1, 12)', GridSpec(1, 2048, 1 / 64))\n"
+            "assert len(system) == 625"
+        )
+        step = "G = gramian(system)\nlocalization_fit(G, system.centers)\nlocalization_fit(dual_gram(G), system.centers)"
+        growth = peak_rss_growth(setup, step)
+        estimate = 625 * (4 * 625 + 2 * 2048) * COMPLEX_BYTES
+        assert estimate / 2 <= growth <= estimate
+
 
 class TestCli:
     def test_density_on_bundled_lattice(self, tmp_path):
@@ -302,6 +318,21 @@ class TestCli:
         assert main(["dual-decay", "--config", str(stub), "--out", str(out)]) == 1
         assert not list(out.iterdir())
         assert "failed" in capsys.readouterr().err
+
+    def test_dual_decay_fits_one_gram_and_its_inverse(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(system):
+            built.append(len(system))
+            return gramian(system)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dual-decay synthesized the dual system")
+
+        monkeypatch.setattr("pslab.frames.gramian", counted)
+        monkeypatch.setattr("pslab.frames.dual_system", refuse)
+        assert main(["dual-decay", "--config", str(DEFAULT), "--out", str(tmp_path)]) == 0
+        assert built == [81]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
@@ -558,7 +589,7 @@ class TestCli:
             (
                 "dual-decay",
                 "grid_n = 512\ngrid_dx = 0.0625\nrecipe = jittered-gabor(0.15, 0.15, 0, 6)\n",
-                ["pslab.frames.gramian", "pslab.frames.dual_system"],
+                ["pslab.frames.gramian", "pslab.frames.dual_gram"],
             ),
             (
                 "improve",

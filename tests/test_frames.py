@@ -15,6 +15,7 @@ from pslab.frames import (
     _inverse_sqrt_weights,
     canonical_tight,
     commutation_ledger,
+    dual_gram,
     dual_system,
     frame_bounds,
     gramian,
@@ -159,7 +160,8 @@ class TestDualSystem:
         assert np.abs(dual.members[0].values - (h0 - h1).values).max() < 1e-10
         assert np.abs(dual.members[1].values - h1.values).max() < 1e-10
 
-    def test_biorthogonality_jittered_fifty(self):
+    @staticmethod
+    def jittered_fifty():
         rng = np.random.default_rng(11)
         step = math.sqrt(2)
         points = [
@@ -169,8 +171,23 @@ class TestDualSystem:
         ]
         sys = FunctionSystem([tf_shift(gaussian_window(GRID), p) for p in points], points)
         assert len(sys) == 50
+        return sys
+
+    def test_biorthogonality_jittered_fifty(self):
+        sys = self.jittered_fifty()
         dual = dual_system(sys)
         assert np.abs(biorth_matrix(sys, dual) - np.eye(50)).max() < 1e-8
+
+    def test_dual_gram_matches_the_synthesized_dual(self):
+        sys = self.jittered_fifty()
+        synthesized = gramian(dual_system(sys))
+        assert np.abs(dual_gram(gramian(sys)) - synthesized).max() < 1e-10 * np.abs(synthesized).max()
+
+    def test_coefficients_match_the_lu_solve(self):
+        sys = self.jittered_fifty()
+        G, V = gramian(sys), sys.member_matrix()
+        solved = np.linalg.solve(np.conj(G), V)
+        assert np.abs(dual_system(sys).member_matrix() - solved).max() < 1e-10 * np.abs(solved).max()
 
     def test_dual_of_dual_returns_original(self):
         sys = gaussian_system(GRID, [(m, k) for m in (-1, 0, 1) for k in (-1, 0, 1)])
@@ -182,6 +199,8 @@ class TestDualSystem:
         sys = FunctionSystem([hermites[0], hermites[0]], [PhasePoint(0.0, 0.0)] * 2)
         with pytest.raises(ValueError, match="condition"):
             dual_system(sys)
+        with pytest.raises(ValueError, match="no stable dual"):
+            dual_gram(gramian(sys))
 
 
 class TestCanonicalTight:
@@ -220,7 +239,7 @@ class TestCanonicalTight:
     def test_dual_and_tight_share_one_condition_limit(self, hermites, scale, accepted):
         h0, h1 = hermites[:2]
         sys = FunctionSystem([h0, h0 + h1 * scale], [PhasePoint(0.0, 0.0)] * 2)
-        for build in (dual_system, canonical_tight):
+        for build in (dual_system, canonical_tight, lambda s: dual_gram(gramian(s))):
             if accepted:
                 assert len(build(sys)) == 2
             else:
