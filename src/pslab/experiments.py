@@ -263,7 +263,10 @@ def _run_density(cfg: ExperimentConfig) -> Table:
     from .geometry import PhasePointSet, density_trend, scan_bins
     points_path = cfg.resolve_path("points_csv")
     radii = cfg.get_floats("radii")
-    window = cfg.get_float("window", 0.0) or None
+    # an absent window is derived from the data
+    window = cfg.get_float("window") if "window" in cfg.params else None
+    if window is not None and window <= 0:
+        raise cfg.error(f"window = {window!r} must be positive")
     try:
         lam = PhasePointSet.load_csv(points_path, window=window)
     except (OSError, ValueError) as exc:
@@ -317,10 +320,12 @@ def _run_improve(cfg: ExperimentConfig) -> Table:
 
 
 def _run_dual_decay(cfg: ExperimentConfig) -> Table:
-    from .frames import dual_gram, gramian, localization_fit
+    from .frames import DECAY_FIT_MEMBERS, dual_gram, gramian, localization_fit
     grid = cfg.grid()
     # gramian's member stack, then G beside G^-1: peak RSS growth 7.8 and 10.9 M^2 at M, N = 625, 2048 and 841, 4096
     system = _budgeted_corpus(cfg, grid, 4, 2, "fit its Gram and dual")
+    if len(system) < DECAY_FIT_MEMBERS:
+        raise cfg.error(f"recipe gives {len(system)} members; a decay fit needs at least {DECAY_FIT_MEMBERS}")
     G = gramian(system)
     primal = localization_fit(G, system.centers)
     shadow = localization_fit(dual_gram(G), system.centers)

@@ -1,6 +1,6 @@
 """Normalized reproducing-kernel Grams on finite windows of the Fock plane.
 
-Points are complex numbers z = x + iy; the normalized kernel at z has unit
+Points are complex arrays of z = x + iy; the normalized kernel at z has unit
 norm, so Gram entries live in the closed unit disk and their moduli depend
 only on pairwise distances.  Index conventions match the function-system
 Gramian: G[m, n] pairs member n against member m.
@@ -9,7 +9,6 @@ Gramian: G[m, n] pairs member n against member m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -26,65 +25,16 @@ def _lattice_reach(window: float, pitch: float) -> int:
     return nearest if abs(ratio - nearest) <= 1e-9 * ratio else math.floor(ratio)
 
 
-@dataclass(frozen=True)
-class FockPointSet:
-    """Finitely many complex points inside the disk of radius ``window``."""
-
-    points: tuple[complex, ...]
-    window: float
-
-    def __init__(self, points, window):
-        points = tuple(complex(p) for p in points)
-        window = float(window)
-        if not (window > 0 and math.isfinite(window)):
-            raise ValueError(f"window radius must be positive and finite, got {window}")
-        for p in points:
-            if not (math.isfinite(p.real) and math.isfinite(p.imag)):
-                raise ValueError("points must be finite")
-            if abs(p) > window + 1e-12:
-                raise ValueError(f"point {p} lies outside the window disk of radius {window}")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "window", window)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.points, dtype=complex)
-
-    @classmethod
-    def from_lattice(cls, alpha: float, window: float) -> "FockPointSet":
-        """The square lattice alpha*(Z + iZ) clipped to the window disk."""
-        if alpha <= 0:
-            raise ValueError(f"lattice pitch must be positive, got {alpha}")
-        reach = _lattice_reach(window, alpha)
-        pts = [
-            alpha * (m + 1j * k)
-            for m in range(-reach, reach + 1)
-            for k in range(-reach, reach + 1)
-            if abs(alpha * (m + 1j * k)) <= window + 1e-12
-        ]
-        return cls(pts, window)
-
-
-@dataclass
-class FockGram:
-    """Hermitian Gram of normalized kernels with its extreme eigenvalues."""
-
-    matrix: np.ndarray
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        diag = np.diagonal(self.matrix)
-        if np.abs(diag - 1.0).max() > 1e-12:
-            raise ValueError("normalized kernels must have unit diagonal")
-        if np.abs(self.matrix).max() > 1 + 1e-12:
-            raise ValueError("kernel Gram entries cannot exceed modulus 1")
-        if self.lower < -1e-10:
-            raise ValueError(f"Gram is not positive semidefinite: min eigenvalue {self.lower}")
-        if self.lower > self.upper:
-            raise ValueError("bounds out of order")
+def lattice_points(alpha: float, window: float) -> np.ndarray:
+    """The square lattice alpha (Z + iZ) clipped to the disk |z| <= window, m-major: alpha (m + ik)."""
+    if alpha <= 0:
+        raise ValueError(f"lattice pitch must be positive, got {alpha}")
+    if not (window > 0 and math.isfinite(window)):
+        raise ValueError(f"window radius must be positive and finite, got {window}")
+    reach = _lattice_reach(window, alpha)
+    k = alpha * np.arange(-reach, reach + 1)
+    lam = np.add.outer(k, 1j * k).ravel()
+    return lam[np.abs(lam) <= window + 1e-12]
 
 
 class SweepRow(NamedTuple):
@@ -125,19 +75,18 @@ def gaussian_atom_gram(a, b) -> np.ndarray:
     return G
 
 
-def fock_gram(point_set: FockPointSet) -> FockGram:
-    """Closed-form Gram of the normalized kernels at the points: :func:`_kernel_block` (lam, lam)."""
-    if len(point_set) < 1:
+def fock_gram(lam) -> np.ndarray:
+    """Closed-form Gram of the normalized kernels at distinct finite points: :func:`_kernel_block` (lam, lam)."""
+    lam = np.asarray(lam, dtype=complex)
+    if lam.size < 1:
         raise ValueError("need at least one point")
-    lam = point_set.as_array()
-    dist = np.abs(lam[:, None] - lam[None, :])
-    if len(point_set) > 1:
-        closest = dist[~np.eye(len(point_set), dtype=bool)].min()
-        if closest < 1e-12:
-            raise ValueError("duplicate points make the kernel Gram singular")
-    G = _kernel_block(lam, lam)
-    eigs = np.linalg.eigvalsh(G)
-    return FockGram(G, float(eigs[0]), float(eigs[-1]))
+    if not np.isfinite(lam).all():
+        raise ValueError("points must be finite")
+    dist = np.abs(np.subtract.outer(lam, lam))
+    np.fill_diagonal(dist, np.inf)
+    if dist.min() < 1e-12:
+        raise ValueError("duplicate points make the kernel Gram singular")
+    return _kernel_block(lam, lam)
 
 
 # Rows of the orbit terms evaluated at a time by rotation_blocks.
@@ -207,19 +156,17 @@ def _rotation_orbits(lam: np.ndarray) -> tuple[np.ndarray, bool] | None:
     return reps, origin
 
 
-def sampling_bounds(point_set: FockPointSet) -> tuple[float, float]:
-    """Riesz-sequence bounds of the normalized kernel family.
+def sampling_bounds(lam) -> tuple[float, float]:
+    """Riesz-sequence bounds of the normalized kernel family at the points ``lam``.
 
     A set invariant under z -> iz (every square lattice from
-    :meth:`FockPointSet.from_lattice`) takes the extreme eigenvalues of the
-    four blocks of :func:`rotation_blocks`; any other set those of
-    :func:`fock_gram`.
+    :func:`lattice_points`) takes the extreme eigenvalues of the four blocks
+    of :func:`rotation_blocks`; any other set those of :func:`fock_gram`.
     """
-    orbits = _rotation_orbits(point_set.as_array()) if len(point_set) else None
-    if orbits is None:
-        gram = fock_gram(point_set)
-        return gram.lower, gram.upper
-    spectrum = np.concatenate([np.linalg.eigvalsh(block) for block in rotation_blocks(*orbits)])
+    lam = np.asarray(lam, dtype=complex)
+    orbits = _rotation_orbits(lam) if lam.size else None
+    blocks = [fock_gram(lam)] if orbits is None else rotation_blocks(*orbits)
+    spectrum = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
     return float(spectrum.min()), float(spectrum.max())
 
 
@@ -232,7 +179,7 @@ def lattice_sweep(alpha_values: Sequence[float], window: float) -> list[SweepRow
     """
     rows = []
     for alpha in alpha_values:
-        points = FockPointSet.from_lattice(alpha, window)
+        points = lattice_points(alpha, window)
         lower, upper = sampling_bounds(points)
         if lower <= len(points) * np.finfo(float).eps * upper:
             lower = 0.0

@@ -23,6 +23,8 @@ GRAM_FLOOR = 1e-12
 # Gramian condition number at which a dual or tight system is refused, or
 # below which capped orthonormalizations drop directions
 CONDITION_LIMIT = 1e10
+# Fewest members whose Gram localization_fit fits a decay law to
+DECAY_FIT_MEMBERS = 8
 
 
 @dataclass
@@ -208,8 +210,8 @@ def localization_fit(G: np.ndarray, centers: Sequence[PhasePoint]) -> DecayFit:
     outruns measurement and the exponent is the +inf sentinel.
     """
     M = len(centers)
-    if M < 8:
-        raise ValueError(f"need at least 8 members to fit decay, got {M}")
+    if M < DECAY_FIT_MEMBERS:
+        raise ValueError(f"need at least {DECAY_FIT_MEMBERS} members to fit decay, got {M}")
     if G.shape != (M, M):
         raise ValueError(f"Gram shape {G.shape} does not match {M} centers")
     pts = np.stack([c.as_vector() for c in centers])

@@ -17,7 +17,7 @@ from pslab.cli import main
 from pslab.config import load_config
 from pslab.corpus import hermite_functions, standard_corpus
 from pslab.experiments import run
-from pslab.fock import FockPointSet, fock_gram, sampling_bounds
+from pslab.fock import fock_gram, lattice_points, sampling_bounds
 from pslab.frames import (
     FunctionSystem,
     commutation_ledger,
@@ -199,13 +199,13 @@ def test_08_critical_moment_growth(tmp_path):
 def test_09_kernel_lattice_bounds():
     lower = {}
     for W in (4.0, 8.0, 16.0):
-        lower[W], _ = sampling_bounds(FockPointSet.from_lattice(1.0, W))
+        lower[W], _ = sampling_bounds(lattice_points(1.0, W))
     # Quadratic Zak zero at (1/2, 1/2) => A(W) ~ c/(W+k)^2, so A(2W)/A(W) tends to 1/4 from above.
     assert 0.25 < lower[16.0] / lower[8.0] < lower[8.0] / lower[4.0] < 0.30
 
     wide = {}
     for W in (4.0, 6.0, 8.0):
-        wide[W], _ = sampling_bounds(FockPointSet.from_lattice(1.2, W))
+        wide[W], _ = sampling_bounds(lattice_points(1.2, W))
     drift = max(abs(wide[W] - wide[4.0]) / wide[4.0] for W in (6.0, 8.0))
     assert drift < 0.20
 
@@ -223,8 +223,8 @@ def test_09_kernel_lattice_bounds():
         [tf_shift(g, PhasePoint([a], [b])) for a, b in pts],
         [PhasePoint([a], [b]) for a, b in pts],
     )
-    kernel_gram = fock_gram(FockPointSet([complex(a, -b) for a, b in pts], 2.0))
-    deviation = np.abs(np.abs(kernel_gram.matrix) - np.abs(gramian(system))).max()
+    kernel_gram = fock_gram([complex(a, -b) for a, b in pts])
+    deviation = np.abs(np.abs(kernel_gram) - np.abs(gramian(system))).max()
     assert deviation < 0.05
 
 

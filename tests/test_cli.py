@@ -28,6 +28,7 @@ from pslab.operators import RestrictionSpec
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 DEFAULT = CONFIG_DIR / "default.cfg"
+POINTS = CONFIG_DIR / "points_unit_lattice.csv"
 GRID = GridSpec(1, 256, 1 / 16)
 
 
@@ -334,6 +335,28 @@ class TestCli:
         assert main(["dual-decay", "--config", str(DEFAULT), "--out", str(tmp_path)]) == 0
         assert built == [81]
 
+    @pytest.mark.parametrize("recipe", ["two-bump", "hermite-onb(4)"])
+    def test_dual_decay_refuses_too_few_members_before_its_gram(self, tmp_path, monkeypatch, capsys, recipe):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Gram built before the member count check")
+
+        monkeypatch.setattr("pslab.frames.gramian", refuse)
+        stub = tmp_path / "few.cfg"
+        stub.write_text(f"[dual-decay]\ngrid_n = 512\ngrid_dx = 0.0625\nrecipe = {recipe}\n")
+        out = tmp_path / "out"
+        assert main(["dual-decay", "--config", str(stub), "--out", str(out)]) == 2
+        assert "a decay fit needs at least 8" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    def test_dual_decay_centres_at_origin_exit_1(self, tmp_path, capsys):
+        # eight members pass the count, but every distance is 0: the fit has no bins
+        stub = tmp_path / "origin.cfg"
+        stub.write_text("[dual-decay]\ngrid_n = 512\ngrid_dx = 0.0625\nrecipe = hermite-onb(8)\n")
+        out = tmp_path / "out"
+        assert main(["dual-decay", "--config", str(stub), "--out", str(out)]) == 1
+        assert "distance bins" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_rerun_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         for out in (first, second):
@@ -435,7 +458,7 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise AssertionError("lattice built before the memory check")
 
-        monkeypatch.setattr("pslab.fock.FockPointSet.from_lattice", refuse)
+        monkeypatch.setattr("pslab.fock.lattice_points", refuse)
         # pitch 1/4 in a window of 100 is up to 801^2 points: blocks of order 160401
         stub = tmp_path / "fs.cfg"
         stub.write_text("[fock-sweep]\nalphas = 2 0.25\nwindow = 100\n")
@@ -638,6 +661,9 @@ class TestCli:
             # a zero spacing stacks copies of one atom; a negative one slips past the wrap check
             ("balian-low", "grid_n = 2048\ngrid_dx = 0.03125\nalpha = 0\nbeta = 0\nwindows = 2\n", "must be positive"),
             ("balian-low", "grid_n = 2048\ngrid_dx = 0.03125\nalpha = -40\nwindows = 2\n", "must be positive"),
+            # only an absent window is derived from the points; a given one must be positive
+            ("density", f"points_csv = {POINTS}\nwindow = 0\nradii = 4\n", "window = 0.0 must be positive"),
+            ("density", f"points_csv = {POINTS}\nwindow = -1\nradii = 4\n", "window = -1.0 must be positive"),
         ],
         ids=[
             "improve",
@@ -652,6 +678,8 @@ class TestCli:
             "improve-negative-sigma",
             "balian-low-zero",
             "balian-low-negative",
+            "density-zero-window",
+            "density-negative-window",
         ],
     )
     def test_degenerate_radii_exit_2_before_computing(self, tmp_path, monkeypatch, capsys, experiment, body, message):
@@ -662,6 +690,7 @@ class TestCli:
         monkeypatch.setattr("pslab.experiments.RestrictionOperator", refuse)
         monkeypatch.setattr("pslab.experiments._gabor_central_member", refuse)
         monkeypatch.setattr("pslab.fock.lattice_sweep", refuse)
+        monkeypatch.setattr("pslab.geometry.PhasePointSet.load_csv", refuse)
         stub = tmp_path / "stub.cfg"
         stub.write_text(f"[{experiment}]\n{body}")
         out = tmp_path / "out"

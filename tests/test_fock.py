@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from pslab.cli import main
 from pslab.fock import (
-    FockGram,
-    FockPointSet,
     _rotation_orbits,
     fock_gram,
     gaussian_atom_gram,
+    lattice_points,
     lattice_sweep,
     rotation_blocks,
     sampling_bounds,
@@ -34,32 +33,55 @@ def quarter_lattice_points(seed: int, count: int, radius: float):
     return sorted(pts)
 
 
+def lattice_by_loop(alpha, window):
+    """Definitional twin of lattice_points: alpha (m + ik) over a square past the disk, m-major, clipped."""
+    reach = math.ceil(window / alpha) + 1
+    return [
+        alpha * (m + 1j * k)
+        for m in range(-reach, reach + 1)
+        for k in range(-reach, reach + 1)
+        if abs(alpha * (m + 1j * k)) <= window + 1e-12
+    ]
+
+
 class TestPointSet:
+    # (0.1, 0.3): 0.3 / 0.1 is 2.9999999999999996, the outer-ring rounding case;
+    # (3, 2): a pitch past the window leaves the origin alone
+    @pytest.mark.parametrize("alpha, window", [(2.0, 6.0), (1.2, 8.0), (0.1, 0.3), (3.0, 2.0)])
+    def test_lattice_points_match_double_loop(self, alpha, window):
+        lam = lattice_points(alpha, window)
+        assert lam.dtype == complex
+        np.testing.assert_array_equal(lam, lattice_by_loop(alpha, window))
+
     def test_lattice_point_count(self):
-        ps = FockPointSet.from_lattice(2.0, 6.0)
-        assert len(ps) == 29
-        assert 0 in ps.points
-        assert all(abs(p) <= 6.0 + 1e-12 for p in ps.points)
+        lam = lattice_points(2.0, 6.0)
+        assert lam.size == 29
+        assert 0 in lam
+        assert (np.abs(lam) <= 6.0 + 1e-12).all()
 
     def test_lattice_keeps_outer_ring(self):
         # 0.3 / 0.1 rounds to 2.9999999999999996; the ring at radius 0.3 stays
-        assert len(FockPointSet.from_lattice(0.1, 0.3)) == len(FockPointSet.from_lattice(1.0, 3.0)) == 29
+        assert lattice_points(0.1, 0.3).size == lattice_points(1.0, 3.0).size == 29
 
     def test_point_outside_window_rejected(self):
-        with pytest.raises(ValueError, match="outside the window"):
-            FockPointSet([3.0 + 3.0j], 4.0)
+        # 3 + 3i lies in the square of reach 1 but outside the disk of radius 4
+        lam = lattice_points(3.0, 4.0)
+        assert 3.0 in lam and 3.0 + 3.0j not in lam
 
     def test_nonfinite_point_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            FockPointSet([complex(math.nan, 0.0)], 4.0)
+        for lam in ([complex(math.nan, 0.0)], [0.0, complex(0.0, math.inf)], [1.0, 1j, -1.0, -1j, math.nan]):
+            for refused in (fock_gram, sampling_bounds):
+                with pytest.raises(ValueError, match="finite"):
+                    refused(lam)
 
     def test_bad_window_rejected(self):
-        with pytest.raises(ValueError, match="window radius"):
-            FockPointSet([0.0], -1.0)
+        for window in (-1.0, 0.0, math.inf):
+            with pytest.raises(ValueError, match="window radius"):
+                lattice_points(1.0, window)
 
     def test_bad_pitch_rejected(self):
         with pytest.raises(ValueError, match="pitch"):
-            FockPointSet.from_lattice(0.0, 4.0)
+            lattice_points(0.0, 4.0)
 
 
 @st.composite
@@ -93,8 +115,11 @@ class TestGaussianAtomGram:
     def test_is_fock_gram_under_unimodular_similarity(self, atoms):
         _, a, b = atoms
         G = gaussian_atom_gram(a, b)
-        lam = a - 1j * b
-        K = fock_gram(FockPointSet(lam, float(np.abs(lam).max()) + 1.0)).matrix
+        K = fock_gram(a - 1j * b)
+        # normalized kernels: unit diagonal, entries in the closed unit disk, a PSD Gram
+        np.testing.assert_array_equal(np.diagonal(K), 1.0)
+        assert np.abs(K).max() <= 1 + 1e-12
+        assert np.linalg.eigvalsh(K)[0] > -1e-12
         D = np.exp(1j * np.pi * a * b)
         np.testing.assert_allclose(np.conj(D)[:, None] * K * D[None, :], G, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(G, np.conj(G).T)
@@ -114,48 +139,38 @@ class TestGaussianAtomGram:
 
 class TestFockGram:
     def test_single_point(self):
-        G = fock_gram(FockPointSet([0.7 - 0.2j], 2.0))
-        np.testing.assert_allclose(G.matrix, [[1.0]], atol=1e-14)
-        assert G.lower == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(fock_gram([0.7 - 0.2j]), [[1.0]], atol=1e-14)
+        assert sampling_bounds([0.7 - 0.2j]) == pytest.approx((1.0, 1.0), abs=1e-12)
 
     def test_two_point_offdiagonal_closed_form(self):
         lam = [0.3 + 0.4j, 1.1 - 0.9j]
         rho = abs(lam[0] - lam[1])
-        G = fock_gram(FockPointSet(lam, 2.0))
-        assert abs(abs(G.matrix[0, 1]) - math.exp(-math.pi * rho**2 / 2)) < 1e-14
-        assert abs(G.matrix[0, 0] - 1.0) < 1e-14
+        G = fock_gram(lam)
+        assert abs(abs(G[0, 1]) - math.exp(-math.pi * rho**2 / 2)) < 1e-14
+        assert abs(G[0, 0] - 1.0) < 1e-14
 
     def test_moduli_depend_only_on_distances(self):
-        lam = [0.0, 1.0 + 0.5j, -0.75j, 1.5 - 1.5j]
+        lam = np.array([0.0, 1.0 + 0.5j, -0.75j, 1.5 - 1.5j])
         shift = 0.6 - 1.1j
-        G = fock_gram(FockPointSet(lam, 3.0))
-        H = fock_gram(FockPointSet([z + shift for z in lam], 4.0))
-        np.testing.assert_allclose(np.abs(H.matrix), np.abs(G.matrix), atol=1e-12)
-        assert H.lower == pytest.approx(G.lower, abs=1e-9)
-        assert H.upper == pytest.approx(G.upper, abs=1e-9)
+        np.testing.assert_allclose(np.abs(fock_gram(lam + shift)), np.abs(fock_gram(lam)), atol=1e-12)
+        np.testing.assert_allclose(sampling_bounds(lam + shift), sampling_bounds(lam), rtol=0, atol=1e-9)
 
     def test_gram_is_hermitian_psd(self):
         lam = [complex(a, b) for a, b in quarter_lattice_points(5, 9, 2.0)]
-        G = fock_gram(FockPointSet(lam, 2.0))
-        np.testing.assert_array_equal(G.matrix, np.conj(G.matrix).T)
-        assert G.lower > 0
-        np.testing.assert_array_equal(np.diagonal(G.matrix), 1.0)
+        G = fock_gram(lam)
+        np.testing.assert_array_equal(G, np.conj(G).T)
+        assert np.linalg.eigvalsh(G)[0] > 0
+        np.testing.assert_array_equal(np.diagonal(G), 1.0)
 
     def test_duplicate_points_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            fock_gram(FockPointSet([1.0 + 1.0j, 1.0 + 1.0j], 2.0))
+        for refused in (fock_gram, sampling_bounds):
+            with pytest.raises(ValueError, match="duplicate"):
+                refused([1.0 + 1.0j, 1.0 + 1.0j])
 
     def test_empty_set_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            fock_gram(FockPointSet([], 2.0))
-
-    def test_invalid_diagonal_rejected(self):
-        with pytest.raises(ValueError, match="unit diagonal"):
-            FockGram(np.array([[0.5]]), 0.5, 0.5)
-
-    def test_indefinite_matrix_rejected(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            FockGram(np.array([[1.0, 1.0], [1.0, 1.0]]), -0.5, 1.5)
+        for refused in (fock_gram, sampling_bounds):
+            with pytest.raises(ValueError, match="at least one"):
+                refused(np.array([], dtype=complex))
 
 
 class TestBargmannBridge:
@@ -174,13 +189,12 @@ class TestBargmannBridge:
     def test_moduli_match(self, gabor):
         pts, system = gabor
         lam = [complex(a, -b) for a, b in pts]
-        G = fock_gram(FockPointSet(lam, 2.0))
-        err = np.abs(np.abs(G.matrix) - np.abs(gramian(system))).max()
+        err = np.abs(np.abs(fock_gram(lam)) - np.abs(gramian(system))).max()
         assert err < 1e-6
 
     def test_bounds_match(self, gabor):
         pts, system = gabor
-        lower, upper = sampling_bounds(FockPointSet([complex(a, -b) for a, b in pts], 2.0))
+        lower, upper = sampling_bounds([complex(a, -b) for a, b in pts])
         fb = frame_bounds(system)
         assert abs(lower - fb.lower) < 0.05 * fb.lower
         assert abs(upper - fb.upper) < 0.05 * fb.upper
@@ -189,18 +203,18 @@ class TestBargmannBridge:
 class TestSamplingBounds:
     def test_two_far_points_near_orthonormal(self):
         rho = 5.0
-        lower, upper = sampling_bounds(FockPointSet([0.0, rho], 6.0))
+        lower, upper = sampling_bounds([0.0, rho])
         slack = 2 * math.exp(-math.pi * rho**2 / 2)
         assert lower >= 1 - slack
         assert upper <= 1 + slack
 
     def test_subcritical_lattice_bounded_below(self):
-        lowers = [sampling_bounds(FockPointSet.from_lattice(1.2, W))[0] for W in (4, 6, 8)]
+        lowers = [sampling_bounds(lattice_points(1.2, W))[0] for W in (4, 6, 8)]
         assert min(lowers) > 0.7
         assert max(lowers) / min(lowers) < 1.2
 
     def test_critical_lattice_lower_bound_collapses(self):
-        lowers = [sampling_bounds(FockPointSet.from_lattice(1.0, W))[0] for W in (4, 6, 8)]
+        lowers = [sampling_bounds(lattice_points(1.0, W))[0] for W in (4, 6, 8)]
         assert lowers[0] > lowers[1] > lowers[2]
         ratio = lowers[2] / lowers[0]
         assert 0.24 < ratio < 0.30
@@ -213,38 +227,38 @@ class TestRotationBlocks:
 
     @pytest.mark.parametrize("alpha, W", [(1.0, 6.0), (0.9, 8.0)])
     def test_rotation_commutes_with_gram(self, alpha, W):
-        points = FockPointSet.from_lattice(alpha, W)
-        index = {p: i for i, p in enumerate(points.points)}
-        perm = [index[1j * p] for p in points.points]
-        K = fock_gram(points).matrix
+        points = lattice_points(alpha, W).tolist()
+        index = {p: i for i, p in enumerate(points)}
+        perm = [index[1j * p] for p in points]
+        K = fock_gram(points)
         assert np.abs(K[np.ix_(perm, perm)] - K).max() < 1e-14
 
     @pytest.mark.parametrize("alpha, W", LATTICES)
     def test_block_spectra_are_the_gram_spectrum(self, alpha, W):
-        points = FockPointSet.from_lattice(alpha, W)
-        reps, origin = _rotation_orbits(points.as_array())
-        assert origin and 4 * reps.size + 1 == len(points)
+        points = lattice_points(alpha, W)
+        reps, origin = _rotation_orbits(points)
+        assert origin and 4 * reps.size + 1 == points.size
         union = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in rotation_blocks(reps, origin)]))
-        np.testing.assert_allclose(union, np.linalg.eigvalsh(fock_gram(points).matrix), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(union, np.linalg.eigvalsh(fock_gram(points)), rtol=0, atol=1e-12)
 
     def test_lattice_bounds_skip_the_full_gram(self, monkeypatch):
-        points = FockPointSet.from_lattice(1.0, 6.0)
-        expected = fock_gram(points)
+        points = lattice_points(1.0, 6.0)
+        expected = np.linalg.eigvalsh(fock_gram(points))
 
         def refuse(*args, **kwargs):
             raise AssertionError("full Gram built for an invariant set")
 
         monkeypatch.setattr("pslab.fock.fock_gram", refuse)
         lower, upper = sampling_bounds(points)
-        assert lower == pytest.approx(expected.lower, abs=1e-12)
-        assert upper == pytest.approx(expected.upper, abs=1e-12)
+        assert lower == pytest.approx(expected[0], abs=1e-12)
+        assert upper == pytest.approx(expected[-1], abs=1e-12)
 
     @pytest.mark.parametrize(
         "points",
         [
-            FockPointSet([p + 0.1 for p in FockPointSet.from_lattice(1.0, 4.0).points], 5.0),
-            FockPointSet([0.0, 1.0, 1j, -1.0], 2.0),
-            FockPointSet([1.0 + 0.5j, 2.0], 3.0),
+            lattice_points(1.0, 4.0) + 0.1,
+            [0.0, 1.0, 1j, -1.0],
+            [1.0 + 0.5j, 2.0],
         ],
         ids=["shifted-lattice", "missing-rotation", "no-orbit"],
     )
@@ -253,15 +267,15 @@ class TestRotationBlocks:
             raise AssertionError("block path taken for a set that is not invariant")
 
         monkeypatch.setattr("pslab.fock.rotation_blocks", refuse)
-        gram = fock_gram(points)
-        assert sampling_bounds(points) == (gram.lower, gram.upper)
+        spectrum = np.linalg.eigvalsh(fock_gram(points))
+        assert sampling_bounds(points) == (spectrum[0], spectrum[-1])
 
     def test_repeated_orbit_still_refused(self):
         with pytest.raises(ValueError, match="duplicate"):
-            sampling_bounds(FockPointSet([1.0, 1j, -1.0, -1j] * 2, 2.0))
+            sampling_bounds([1.0, 1j, -1.0, -1j] * 2)
 
     def test_origin_alone(self):
-        assert sampling_bounds(FockPointSet([0.0], 1.0)) == (1.0, 1.0)
+        assert sampling_bounds([0.0]) == (1.0, 1.0)
 
 
 class TestLatticeSweep:
@@ -286,14 +300,14 @@ class TestLatticeSweep:
     def test_roundoff_lower_bound_reads_zero(self):
         # W = 12, alpha = 0.9 (553 points): the smallest eigenvalue is roundoff
         # below the floor M eps upper; at W = 6 it sits above its floor and stays
-        points = FockPointSet.from_lattice(0.9, 12.0)
+        points = lattice_points(0.9, 12.0)
         lower, upper = sampling_bounds(points)
-        assert abs(lower) <= len(points) * np.finfo(float).eps * upper
+        assert abs(lower) <= points.size * np.finfo(float).eps * upper
         (row,) = lattice_sweep([0.9], 12.0)
         assert (row.lower, row.upper, row.condition) == (0.0, upper, math.inf)
-        small = FockPointSet.from_lattice(0.9, 6.0)
+        small = lattice_points(0.9, 6.0)
         lower, upper = sampling_bounds(small)
-        assert lower > len(small) * np.finfo(float).eps * upper
+        assert lower > small.size * np.finfo(float).eps * upper
         assert lattice_sweep([0.9], 6.0)[0].lower == lower
 
     def test_bounds_ordered(self, rows):
