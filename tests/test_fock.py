@@ -172,6 +172,23 @@ class TestFockGram:
             with pytest.raises(ValueError, match="at least one"):
                 refused(np.array([], dtype=complex))
 
+    def test_invalid_diagonal_rejected(self):
+        # far from the origin the unnormalized kernel e^{pi |z|^2} overflows;
+        # the normalized Gram keeps an exactly unit diagonal inside the unit disk
+        K = fock_gram([30.0 + 20.0j, -25.5 + 31.0j, 0.1j, 40.0])
+        np.testing.assert_array_equal(np.diagonal(K), 1.0)
+        assert np.isfinite(K).all()
+        assert np.abs(K).max() <= 1 + 1e-12
+
+    def test_indefinite_matrix_rejected(self):
+        # points closer than 1e-12 would give a numerically indefinite Gram and are refused;
+        # a pair 1e-6 apart is kept, and its Gram is PSD with a tiny positive floor
+        for refused in (fock_gram, sampling_bounds):
+            with pytest.raises(ValueError, match="duplicate"):
+                refused([0.5 + 0.5j, 0.5 + 0.5j + 1e-13, -1j])
+        lower, upper = sampling_bounds([0.5 + 0.5j, 0.5 + 0.5j + 1e-6, -1j])
+        assert 0 < lower < 1e-10 and lower <= upper
+
 
 class TestBargmannBridge:
     """Kernel Grams match Gaussian time-frequency Grams on the grid."""
