@@ -30,25 +30,30 @@ Table = tuple[str, list[str], list[str]]
 _RECIPE = re.compile(r"^([a-z-]+)\(([^)]*)\)$|^([a-z-]+)$")
 
 
-def corpus(recipe: str, grid: GridSpec, seed: int = 0) -> FunctionSystem:
-    """Deterministic function system from a recipe string.
+def corpus(recipe: str, grid: GridSpec, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic function system from a recipe string: (M,) + grid.shape members, (M, 2d) centers.
 
-    Recipes: hermite-onb(M), gabor-gaussian(alpha, beta[, window]),
+    Recipes: hermite-onb[(M)], gabor-gaussian(alpha, beta[, window]),
     jittered-gabor(alpha, beta, jitter[, window]), two-bump[(separation)].
+    Lattice atoms come m-major at their snapped points; the others sit at the origin.
     """
     from .corpus import hermite_functions, two_bump
     from .fock import _lattice_reach
-    from .frames import FunctionSystem
     match = _RECIPE.match(recipe.strip())
     if not match:
         raise ValueError(f"unparseable recipe {recipe!r}")
     name = match.group(1) or match.group(3)
     args = [float(tok) for tok in match.group(2).split(",") if tok.strip()] if match.group(2) else []
-    origin = PhasePoint((0.0,) * grid.dim, (0.0,) * grid.dim)
-    if name == "hermite-onb":
-        count = int(args[0]) if args else 16
-        members = hermite_functions(grid, count)
-        return FunctionSystem(members, [origin] * count)
+    if name in ("hermite-onb", "two-bump"):
+        if len(args) > 1:
+            raise ValueError(f"recipe {name} takes at most one argument")
+        if name == "two-bump":
+            functions = [two_bump(grid, args[0] if args else 3.0)]
+        elif args and not args[0].is_integer():
+            raise ValueError(f"recipe hermite-onb takes an integer argument, got {args[0]!r}")
+        else:
+            functions = hermite_functions(grid, int(args[0]) if args else 16)
+        return np.stack([f.values for f in functions]), np.zeros((len(functions), 2 * grid.dim))
     if name in ("gabor-gaussian", "jittered-gabor"):
         jittered = name == "jittered-gabor"
         expected = 3 if jittered else 2
@@ -61,20 +66,18 @@ def corpus(recipe: str, grid: GridSpec, seed: int = 0) -> FunctionSystem:
             raise ValueError(f"bad lattice parameters in recipe {recipe!r}")
         rng = np.random.default_rng(seed)
         g = gaussian_window(grid)
-        members, centers = [], []
         reach_a, reach_b = _lattice_reach(window, alpha), _lattice_reach(window, beta)
-        for m in range(-reach_a, reach_a + 1):
-            for n in range(-reach_b, reach_b + 1):
-                a, b = alpha * m, beta * n
-                if jittered:
-                    a, b = a + rng.uniform(-jitter, jitter), b + rng.uniform(-jitter, jitter)
-                point = snap_to_grid(grid, PhasePoint((a,) * grid.dim, (b,) * grid.dim))
-                centers.append(point)
-                members.append(tf_shift(g, point))
-        return FunctionSystem(members, centers)
-    if name == "two-bump":
-        separation = args[0] if args else 3.0
-        return FunctionSystem([two_bump(grid, separation)], [origin])
+        lattice = [(m, n) for m in range(-reach_a, reach_a + 1) for n in range(-reach_b, reach_b + 1)]
+        members = np.empty((len(lattice),) + grid.shape, dtype=complex)
+        centers = np.empty((len(lattice), 2 * grid.dim))
+        for idx, (m, n) in enumerate(lattice):
+            a, b = alpha * m, beta * n
+            if jittered:
+                a, b = a + rng.uniform(-jitter, jitter), b + rng.uniform(-jitter, jitter)
+            point = snap_to_grid(grid, PhasePoint((a,) * grid.dim, (b,) * grid.dim))
+            members[idx] = tf_shift(g, point).values
+            centers[idx] = point.a + point.b
+        return members, centers
     raise ValueError(f"unknown recipe {name!r}")
 
 
@@ -159,16 +162,18 @@ def _check_budget(cfg: ExperimentConfig, need: int, subject: str, task: str) -> 
         )
 
 
-def _budgeted_corpus(cfg: ExperimentConfig, grid: GridSpec, squares: int, products: int, task: str) -> FunctionSystem:
-    """The recipe's M members of N samples, refused past the budget at squares M^2 + products M N entries."""
+def _budgeted_corpus(
+    cfg: ExperimentConfig, grid: GridSpec, squares: int, products: int, task: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The recipe's M members of N samples and their centers, refused past squares M^2 + products M N entries."""
     try:
-        system = corpus(cfg.get_str("recipe"), grid, cfg.seed)
+        members, centers = corpus(cfg.get_str("recipe"), grid, cfg.seed)
     except ValueError as exc:
         raise cfg.error(str(exc)) from None
-    M = len(system)
+    M = len(members)
     need = M * (squares * M + products * math.prod(grid.n)) * COMPLEX_BYTES
     _check_budget(cfg, need, f"recipe of {M} members", task)
-    return system
+    return members, centers
 
 
 def _run_balian_low(cfg: ExperimentConfig) -> Table:
@@ -303,15 +308,13 @@ def _run_improve(cfg: ExperimentConfig) -> Table:
         raise cfg.error(f"radii must lie in (0, {extent}]")
     if sigma < 0:
         raise cfg.error(f"sigma = {sigma!r} must be nonnegative")
-    # frame_bounds: peak RSS growth 3.2 M^2 at M = 3721, N = 512, 7.9 M^2 at M = 625, N = 2048
-    system = _budgeted_corpus(cfg, grid, 4, 3, "bound its Gram")
-    source = frame_bounds(system)
+    # frame_bounds: peak RSS growth 3.0 M^2 at M = 3721, N = 512, 4.5 M^2 at M = 625, N = 2048
+    members, centers = _budgeted_corpus(cfg, grid, 4, 3, "bound its Gram")
+    source = frame_bounds(members, grid)
     rows = []
-    for R, result in zip(radii, improve_system(system, radii, sigma)):
-        bounds = frame_bounds(result.system)
-        rows.append(
-            f"{R!r},{float(result.modulation_errors.mean())!r},{bounds.lower!r},{bounds.upper!r}"
-        )
+    for R, (improved, errors) in zip(radii, improve_system(members, centers, grid, radii, sigma)):
+        bounds = frame_bounds(improved, grid)
+        rows.append(f"{R!r},{float(errors.mean())!r},{bounds.lower!r},{bounds.upper!r}")
     notes = [
         f"source bounds lower {source.lower!r} upper {source.upper!r}",
         f"modulation weight sigma {sigma!r}",
@@ -322,13 +325,14 @@ def _run_improve(cfg: ExperimentConfig) -> Table:
 def _run_dual_decay(cfg: ExperimentConfig) -> Table:
     from .frames import DECAY_FIT_MEMBERS, dual_gram, gramian, localization_fit
     grid = cfg.grid()
-    # gramian's member stack, then G beside G^-1: peak RSS growth 7.8 and 10.9 M^2 at M, N = 625, 2048 and 841, 4096
-    system = _budgeted_corpus(cfg, grid, 4, 2, "fit its Gram and dual")
-    if len(system) < DECAY_FIT_MEMBERS:
-        raise cfg.error(f"recipe gives {len(system)} members; a decay fit needs at least {DECAY_FIT_MEMBERS}")
-    G = gramian(system)
-    primal = localization_fit(G, system.centers)
-    shadow = localization_fit(dual_gram(G), system.centers)
+    # gramian's conjugated members, then G beside G^-1: peak RSS growth 4.6 and 6.1 M^2
+    # at M, N = 625, 2048 and 841, 4096
+    members, centers = _budgeted_corpus(cfg, grid, 4, 1, "fit its Gram and dual")
+    if len(members) < DECAY_FIT_MEMBERS:
+        raise cfg.error(f"recipe gives {len(members)} members; a decay fit needs at least {DECAY_FIT_MEMBERS}")
+    G = gramian(members, grid)
+    primal = localization_fit(G, centers)
+    shadow = localization_fit(dual_gram(G), centers)
     rows = [
         f"primal,{primal.exponent!r},{primal.constant!r},{primal.r2!r}",
         f"dual,{shadow.exponent!r},{shadow.constant!r},{shadow.r2!r}",
@@ -338,21 +342,20 @@ def _run_dual_decay(cfg: ExperimentConfig) -> Table:
 
 def _run_uncertainty_sum(cfg: ExperimentConfig) -> Table:
     from .corpus import hermite_functions
-    from .frames import FunctionSystem, commutation_ledger
+    from .frames import commutation_ledger
     grid = cfg.grid()
     count = cfg.get_int("count", 64)
     if count < 2:
         raise cfg.error("count must be at least 2")
-    # the ledger's M x M arrays and copies of the members and their transforms: peak
-    # RSS growth 16.8 M^2 at M = 512 and 30.0 M^2 at M = 256, N = 1024 both
+    # the ledger's M x M arrays, the member stack and its transforms: peak RSS
+    # growth 12.6 M^2 at M = 512 and 21.2 M^2 at M = 256, N = 1024 both
     need = count * (4 * count + 9 * math.prod(grid.n)) * COMPLEX_BYTES
     _check_budget(cfg, need, f"count {count}", "build the commutation ledger")
     try:
-        members = hermite_functions(grid, count)
+        members = np.stack([h.values for h in hermite_functions(grid, count)])
     except ValueError as exc:
         raise cfg.error(str(exc)) from None
-    system = FunctionSystem(members, [PhasePoint((0.0,), (0.0,))] * count)
-    ledger = commutation_ledger(system, system)
+    ledger = commutation_ledger(members, members, grid)
     worst = ledger.truncation_defect.max(axis=1)
     rows = [
         f"{n},{float(res)!r},{float(dft)!r}"

@@ -1,5 +1,7 @@
 """Finite function systems: Gramians, duals, tight versions, decay fits.
 
+A system of M functions is a complex ``(M,) + grid.shape`` stack passed beside
+its grid; phase-space centers, where used, are an (M, 2d) array of rows (a, b).
 Index conventions follow G[m, n] = (f_n, f_m).  A Riesz sequence's dual has
 Gramian G^{-1}, which :func:`dual_gram` returns, refused at CONDITION_LIMIT.
 Coefficient matrices that reconstruct functions (duals, tight systems) act
@@ -16,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import GridMismatchError, GridSpec, PhasePoint, SampledFunction, fourier_transform
+from .grid import GridMismatchError, GridSpec, _centered_fft
 from .localization import TAIL_MASS_THRESHOLD, tail_mass
 
 GRAM_FLOOR = 1e-12
@@ -27,36 +29,13 @@ CONDITION_LIMIT = 1e10
 DECAY_FIT_MEMBERS = 8
 
 
-@dataclass
-class FunctionSystem:
-    """Sampled functions with phase-space center labels on a common grid."""
-
-    members: list[SampledFunction]
-    centers: list[PhasePoint]
-
-    def __post_init__(self):
-        if len(self.members) < 1:
-            raise ValueError("a system needs at least one member")
-        if len(self.members) != len(self.centers):
-            raise ValueError(f"{len(self.members)} members vs {len(self.centers)} centers")
-        grid = self.members[0].grid
-        for m in self.members[1:]:
-            if m.grid != grid:
-                raise GridMismatchError("system members live on different grids")
-        for c in self.centers:
-            if c.dim != grid.dim:
-                raise ValueError(f"center dim {c.dim} does not match grid dim {grid.dim}")
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.members[0].grid
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def member_matrix(self) -> np.ndarray:
-        """Members as rows, samples flattened."""
-        return np.stack([m.values.ravel() for m in self.members])
+def _stack_size(members: np.ndarray, grid: GridSpec) -> int:
+    """The member count M of an ``(M,) + grid.shape`` stack; any other shape, or M = 0, is refused."""
+    if members.shape[1:] != grid.shape:
+        raise GridMismatchError(f"member stack of shape {members.shape} does not hold samples of grid {grid.shape}")
+    if len(members) == 0:
+        raise ValueError("a system needs at least one member")
+    return len(members)
 
 
 class FrameBounds(NamedTuple):
@@ -108,23 +87,22 @@ class CommutationLedger:
             raise ValueError("truncation defects must be nonnegative")
 
 
-def gramian(sys: FunctionSystem) -> np.ndarray:
+def gramian(members: np.ndarray, grid: GridSpec) -> np.ndarray:
     """G[m, n] = (f_n, f_m), Hermitian PSD up to roundoff."""
-    V = sys.member_matrix()
-    G = sys.grid.cell_volume * (np.conj(V) @ V.T)
+    V = members.reshape(_stack_size(members, grid), -1)
+    G = grid.cell_volume * (np.conj(V) @ V.T)
     return 0.5 * (G + np.conj(G).T)
 
 
-def frame_bounds(sys: FunctionSystem) -> FrameBounds:
+def frame_bounds(members: np.ndarray, grid: GridSpec) -> FrameBounds:
     """Extreme Gramian eigenvalues on the numerically nonzero eigenspace.
 
     Finite systems are never frames for the whole sample space; the returned
     bounds are Riesz-sequence bounds on the span, flagged accordingly when
     rank deficiency forced dropping null directions.
     """
-    G = gramian(sys)
-    eigs = np.linalg.eigvalsh(G)
-    tol = eigs[-1] * len(sys) * np.finfo(float).eps
+    eigs = np.linalg.eigvalsh(gramian(members, grid))
+    tol = eigs[-1] * eigs.size * np.finfo(float).eps
     kept = eigs[eigs > tol]
     if kept.size == 0:
         return FrameBounds(0.0, 0.0, True)
@@ -145,11 +123,10 @@ def dual_gram(G: np.ndarray) -> np.ndarray:
     return np.linalg.inv(G)
 
 
-def dual_system(sys: FunctionSystem) -> FunctionSystem:
+def dual_system(members: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Biorthogonal system, coefficients conj(G^{-1}): (f_n, g_m) = delta_{nm} to machine precision."""
-    Vd = np.conj(dual_gram(gramian(sys))) @ sys.member_matrix()
-    members = [SampledFunction(sys.grid, row.reshape(sys.grid.shape)) for row in Vd]
-    return FunctionSystem(members, list(sys.centers))
+    Vd = np.conj(dual_gram(gramian(members, grid))) @ members.reshape(len(members), -1)
+    return Vd.reshape(members.shape)
 
 
 def _inverse_sqrt_weights(spectra: Sequence[np.ndarray], capped: bool = False) -> tuple[list[np.ndarray], int]:
@@ -189,33 +166,33 @@ def _inverse_sqrt_rows(G: np.ndarray, rows=slice(None), capped: bool = False) ->
     return (U[rows] * scale) @ np.conj(U).T, dropped
 
 
-def canonical_tight(sys: FunctionSystem) -> FunctionSystem:
+def canonical_tight(members: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Loewdin orthonormalization: coefficients conj(G^{-1/2}).
 
     Rank-deficient Gramians (overcomplete systems) use the pseudo-inverse
     square root, so the output Gramian is the orthogonal projection onto the
     span rather than the identity; its span-restricted bounds are still (1, 1).
     """
-    inv_sqrt, _ = _inverse_sqrt_rows(gramian(sys))
-    Vt = np.conj(inv_sqrt) @ sys.member_matrix()
-    members = [SampledFunction(sys.grid, row.reshape(sys.grid.shape)) for row in Vt]
-    return FunctionSystem(members, list(sys.centers))
+    inv_sqrt, _ = _inverse_sqrt_rows(gramian(members, grid))
+    Vt = np.conj(inv_sqrt) @ members.reshape(len(members), -1)
+    return Vt.reshape(members.shape)
 
 
-def localization_fit(G: np.ndarray, centers: Sequence[PhasePoint]) -> DecayFit:
-    """Bin |G| by center distance (width 1), fit log max vs log(1 + dist).
+def localization_fit(G: np.ndarray, centers: np.ndarray) -> DecayFit:
+    """Bin |G| by the distance of the (M, 2d) centers (width 1), fit log max vs log(1 + dist).
 
     Diagonal entries are excluded.  Bins whose maximum sits below the 1e-12
     floor are dropped from the fit; if fewer than two bins survive, the decay
     outruns measurement and the exponent is the +inf sentinel.
     """
+    if centers.ndim != 2 or centers.shape[1] not in (2, 4):
+        raise ValueError(f"centers of shape {centers.shape} are not an (M, 2d) array")
     M = len(centers)
     if M < DECAY_FIT_MEMBERS:
         raise ValueError(f"need at least {DECAY_FIT_MEMBERS} members to fit decay, got {M}")
     if G.shape != (M, M):
         raise ValueError(f"Gram shape {G.shape} does not match {M} centers")
-    pts = np.stack([c.as_vector() for c in centers])
-    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    dist = np.sqrt(((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
     mod = np.abs(G)
     off = ~np.eye(M, dtype=bool)
     bins: list[tuple[float, float]] = []
@@ -241,31 +218,30 @@ def localization_fit(G: np.ndarray, centers: Sequence[PhasePoint]) -> DecayFit:
     return DecayFit(float(-slope), float(np.exp(intercept)), r2, bins)
 
 
-def commutation_ledger(sys: FunctionSystem, dual: FunctionSystem) -> CommutationLedger:
+def commutation_ledger(members: np.ndarray, dual: np.ndarray, grid: GridSpec) -> CommutationLedger:
     """Multiplication and derivative coefficients plus the identity residual.
 
     The per-index residual compares the grid dimension with the finite-M
     commutator sum; it is near zero when the pair is complete around index n
     and grows toward the truncation edge.
     """
-    if sys.grid != dual.grid or len(sys) != len(dual):
+    M, d = _stack_size(members, grid), grid.dim
+    if dual.shape != members.shape:
         raise GridMismatchError("system and dual must match in grid and size")
-    grid, dual_grid = sys.grid, sys.grid.dual()
-    # a self-dual pair (an orthonormal system) shares its stacked members and transforms
-    V = sys.member_matrix()
-    Vd = V if dual is sys else dual.member_matrix()
+    dual_grid, axes = grid.dual(), tuple(range(1, d + 1))
+    # a self-dual pair (an orthonormal system) shares its stack and transforms
+    V = members.reshape(M, -1)
+    Vd = V if dual is members else dual.reshape(M, -1)
     biorth = grid.cell_volume * (V @ np.conj(Vd).T)
-    defect = np.abs(biorth - np.eye(len(sys))).max()
+    defect = np.abs(biorth - np.eye(M)).max()
     if defect > 1e-6:
         raise ValueError(f"pair is not biorthogonal: max deviation {defect:.3e}")
-    hats = [fourier_transform(m) for m in sys.members]
-    if any(max(tail_mass(m), tail_mass(h)) > TAIL_MASS_THRESHOLD for m, h in zip(sys.members, hats)):
+    hats = _centered_fft(members, axes) * grid.cell_volume
+    if max(tail_mass(members, grid), tail_mass(hats, dual_grid)) > TAIL_MASS_THRESHOLD:
         warnings.warn("members carry boundary mass in time or frequency; moments may be truncated", stacklevel=2)
     # c and d via spectral derivatives, and the norm of x_j f_n minus its reconstruction from c
-    Vh = np.stack([h.values.ravel() for h in hats])
-    del hats
-    Vdh = Vh if dual is sys else np.stack([fourier_transform(m).values.ravel() for m in dual.members])
-    M, d = len(sys), grid.dim
+    Vh = hats.reshape(M, -1)
+    Vdh = Vh if dual is members else (_centered_fft(dual, axes) * grid.cell_volume).reshape(M, -1)
     c = np.empty((M, M, d), dtype=complex)
     dcoef = np.empty((M, M, d), dtype=complex)
     truncation = np.empty((M, d))

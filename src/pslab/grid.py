@@ -126,9 +126,6 @@ class PhasePoint:
     def dim(self) -> int:
         return len(self.a)
 
-    def as_vector(self) -> np.ndarray:
-        return np.array(self.a + self.b)
-
 
 class GridMismatchError(ValueError):
     """Raised when two sampled functions live on different grids."""

@@ -34,15 +34,16 @@ def moment(f: SampledFunction, center, s: float, side: str = "time") -> float:
     return float(g.grid.cell_volume * np.sum(weight * np.abs(g.values) ** 2))
 
 
-def tail_mass(f: SampledFunction) -> float:
-    """Relative mass beyond 3/4 of the half-extent, |x_i| > 3 L_i/8 on some axis."""
-    mask = np.zeros(f.grid.shape, dtype=bool)
-    for ax, coords in enumerate(f.grid.mesh()):
-        mask |= np.broadcast_to(np.abs(coords) > 0.75 * f.grid.half_extent(ax), f.grid.shape)
-    total = float(np.sum(np.abs(f.values) ** 2))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(np.abs(f.values[mask]) ** 2)) / total
+def tail_mass(values: np.ndarray, grid: GridSpec) -> float:
+    """Largest relative mass beyond 3/4 of the half-extent, |x_i| > 3 L_i/8 on some axis,
+    of the functions stacked on the leading axes of ``values``, each against its own total."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    for ax, coords in enumerate(grid.mesh()):
+        mask |= np.broadcast_to(np.abs(coords) > 0.75 * grid.half_extent(ax), grid.shape)
+    power = np.abs(values) ** 2
+    total = power.sum(axis=tuple(range(-grid.dim, 0)))
+    tail = power[..., mask].sum(axis=-1)
+    return float(np.max(np.divide(tail, total, out=np.zeros_like(total), where=total > 0)))
 
 
 def modulation_norm(f: SampledFunction, s: float) -> float:

@@ -151,48 +151,46 @@ def localization_operator(f: SampledFunction, R: float) -> SampledFunction:
     return SampledFunction(f.grid, _apply_cutoff(f.values, f.grid, R))
 
 
-@dataclass
-class ImproveResult:
-    """Outcome of smoothing a system through the phase-space cutoff."""
-
-    system: FunctionSystem
-    modulation_errors: np.ndarray
-
-
-def improve_system(system: FunctionSystem, radii: Sequence[float], sigma: float = 1.0) -> list[ImproveResult]:
+def improve_system(
+    members: np.ndarray, centers: np.ndarray, grid: GridSpec, radii: Sequence[float], sigma: float = 1.0
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """De-shift members to the origin, apply A_R for each radius R, re-shift.
 
-    Members are carried once to phi_n = pi(a_n, b_n)^{-1} f_n, smoothed to
-    psi_n = A_R phi_n, and returned as h_n = pi(a_n, b_n) psi_n under the
-    original centers, one result per radius in order.
-    ``modulation_errors[n]`` is ||phi_n - psi_n|| in the sigma-weighted
+    ``members`` stacks M functions on ``grid`` and ``centers`` holds their
+    (M, 2d) phase-space centers (a, b).  Members are carried once to
+    phi_n = pi(a_n, b_n)^{-1} f_n, smoothed to psi_n = A_R phi_n, and returned
+    as h_n = pi(a_n, b_n) psi_n, one (h, modulation errors) pair per radius in
+    order.  ``modulation errors[n]`` is ||phi_n - psi_n|| in the sigma-weighted
     modulation norm.  Every radius is smoothed first; then the weight, an
     STFT-multiplier matrix and the only n^d x n^d one, is built once and
     applied to all residuals by matrix products.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    from .frames import FunctionSystem
+    from .frames import _stack_size
     from .localization import modulation_weight
     from .stft import multiplier_matrix
-    grid = system.grid
-    phis = np.empty((len(system),) + grid.shape, dtype=complex)
-    centers = []
-    for idx, (f, c) in enumerate(zip(system.members, system.centers)):
-        snapped = snap_to_grid(grid, c)
-        if max(abs(s - v) for s, v in zip(snapped.a + snapped.b, c.a + c.b)) > 1e-12:
-            warnings.warn(f"center ({c.a}, {c.b}) snapped to the grid for member {idx}", stacklevel=2)
-        centers.append(snapped)
+    M, d = _stack_size(members, grid), grid.dim
+    if centers.shape != (M, 2 * d):
+        raise ValueError(f"centers of shape {centers.shape} do not label {M} members on a {d}-D grid")
+    phis = np.empty(members.shape, dtype=complex)
+    points = []
+    for idx, (f, c) in enumerate(zip(members, centers)):
+        snapped = snap_to_grid(grid, PhasePoint(c[:d], c[d:]))
+        if max(abs(s - v) for s, v in zip(snapped.a + snapped.b, c)) > 1e-12:
+            warnings.warn(f"center ({c[:d]}, {c[d:]}) snapped to the grid for member {idx}", stacklevel=2)
+        points.append(snapped)
         ab = sum(ai * bi for ai, bi in zip(snapped.a, snapped.b))
         back = PhasePoint(tuple(-v for v in snapped.a), tuple(-v for v in snapped.b))
-        phis[idx] = (tf_shift(f, back) * np.exp(-2j * np.pi * ab)).values
+        phis[idx] = (tf_shift(SampledFunction(grid, f), back) * np.exp(-2j * np.pi * ab)).values
     smoothed = [_apply_cutoff(phis, grid, R) for R in radii]
     weight = multiplier_matrix(gaussian_window(grid), modulation_weight(grid, sigma))
     results = []
     for psis in smoothed:
-        residual = (phis - psis).reshape(len(system), -1)
+        residual = (phis - psis).reshape(M, -1)
         # squared M2_sigma norm of each residual row: cell_volume * Re(h* M_W h)
         quad = np.einsum("mt,mt->m", np.conj(residual), residual @ weight.T).real
-        improved = [tf_shift(SampledFunction(grid, psi), c) for psi, c in zip(psis, centers)]
-        results.append(ImproveResult(FunctionSystem(improved, centers), np.sqrt(grid.cell_volume * quad)))
+        for psi, point in zip(psis, points):
+            psi[...] = tf_shift(SampledFunction(grid, psi), point).values
+        results.append((psis, np.sqrt(grid.cell_volume * quad)))
     return results

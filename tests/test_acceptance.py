@@ -19,7 +19,6 @@ from pslab.corpus import hermite_functions, standard_corpus
 from pslab.experiments import run
 from pslab.fock import fock_gram, lattice_points, sampling_bounds
 from pslab.frames import (
-    FunctionSystem,
     commutation_ledger,
     dual_system,
     gramian,
@@ -116,14 +115,12 @@ def test_05_commutation_residuals():
     value = inner_product(xg, gprime) + inner_product(gprime, xg)
     assert abs(value + 1.0) < 1e-6
 
-    members = hermite_functions(grid, 64)
-    centers = [PhasePoint(0.0, 0.0)] * 64
-    system = FunctionSystem(members, centers)
+    members = np.stack([h.values for h in hermite_functions(grid, 64)])
     # no boundary-mass warning: every member has under 2e-25 of its mass beyond
     # 3/4 of the half-extent, in time and in frequency
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ledger = commutation_ledger(system, system)
+        ledger = commutation_ledger(members, members, grid)
     interior = ledger.per_n_identity_residual[: 64 // 4 + 1]
     assert interior.mean() < 0.05
 
@@ -148,9 +145,8 @@ def test_06_localization_error_law():
 
 
 def test_07_dual_decay_preservation():
-    centers = [PhasePoint(float(k), 0.0) for k in range(-8, 9)]
-    pts = np.stack([c.as_vector() for c in centers])
-    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    centers = np.array([(k, 0.0) for k in range(-8, 9)], dtype=float)
+    dist = np.sqrt(((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
     gram = (1.0 + dist) ** -5.0
     inverse_fit = localization_fit(np.linalg.inv(gram), centers)
     assert inverse_fit.exponent >= 4.5
@@ -167,9 +163,10 @@ def test_07_dual_decay_preservation():
             if abs(a) > 6.5 or abs(b) > 6.5:
                 continue
             points.append(snap_to_grid(grid, PhasePoint(a, b)))
-    system = FunctionSystem([tf_shift(gaussian_window(grid), p) for p in points], points)
-    primal = localization_fit(gramian(system), system.centers)
-    dual = localization_fit(gramian(dual_system(system)), system.centers)
+    members = np.stack([tf_shift(gaussian_window(grid), p).values for p in points])
+    centers = np.array([p.a + p.b for p in points])
+    primal = localization_fit(gramian(members, grid), centers)
+    dual = localization_fit(gramian(dual_system(members, grid), grid), centers)
     assert primal.exponent >= 6.0
     assert dual.exponent >= 4.0
 
@@ -219,12 +216,9 @@ def test_09_kernel_lattice_bounds():
     pts = sorted(pts)
     grid = GridSpec(1, 256, 1 / 16)
     g = gaussian_window(grid)
-    system = FunctionSystem(
-        [tf_shift(g, PhasePoint([a], [b])) for a, b in pts],
-        [PhasePoint([a], [b]) for a, b in pts],
-    )
+    members = np.stack([tf_shift(g, PhasePoint([a], [b])).values for a, b in pts])
     kernel_gram = fock_gram([complex(a, -b) for a, b in pts])
-    deviation = np.abs(np.abs(kernel_gram) - np.abs(gramian(system))).max()
+    deviation = np.abs(np.abs(kernel_gram) - np.abs(gramian(members, grid))).max()
     assert deviation < 0.05
 
 

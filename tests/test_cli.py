@@ -20,8 +20,8 @@ from pslab.experiments import (
     run,
 )
 from pslab.fock import gaussian_atom_gram
-from pslab.frames import FunctionSystem, _inverse_sqrt_rows, canonical_tight, gramian
-from pslab.grid import GridSpec, PhasePoint, gaussian_window, tf_shift
+from pslab.frames import _inverse_sqrt_rows, canonical_tight, gramian
+from pslab.grid import GridSpec, PhasePoint, gaussian_window, snap_to_grid, tf_shift
 from pslab.localization import moment
 from pslab.operators import RestrictionSpec
 
@@ -124,38 +124,69 @@ class TestConfig:
 
 class TestCorpus:
     def test_hermite_gram_is_identity(self):
-        system = corpus("hermite-onb(16)", GRID)
-        assert np.abs(gramian(system) - np.eye(16)).max() < 1e-6
+        members, centers = corpus("hermite-onb(16)", GRID)
+        assert np.abs(gramian(members, GRID) - np.eye(16)).max() < 1e-6
+        np.testing.assert_array_equal(centers, np.zeros((16, 2)))
 
     def test_gabor_lattice_member_count(self):
-        system = corpus("gabor-gaussian(0.5, 0.5, 2)", GRID)
-        assert len(system) == 81
+        members, centers = corpus("gabor-gaussian(0.5, 0.5, 2)", GRID)
+        assert members.shape == (81,) + GRID.shape
+        assert centers.shape == (81, 2)
 
     def test_gabor_lattice_keeps_outer_ring(self):
         # 0.3 / 0.1 rounds to 2.9999999999999996; the atoms at +-0.3 stay
-        assert len(corpus("gabor-gaussian(0.1, 0.1, 0.3)", GRID)) == 49
-        assert len(corpus("gabor-gaussian(1, 1, 3)", GRID)) == 49
+        assert len(corpus("gabor-gaussian(0.1, 0.1, 0.3)", GRID)[0]) == 49
+        assert len(corpus("gabor-gaussian(1, 1, 3)", GRID)[0]) == 49
 
     def test_jittered_gabor_deterministic(self):
         one = corpus("jittered-gabor(1, 1, 0.125, 2)", GRID, seed=5)
         two = corpus("jittered-gabor(1, 1, 0.125, 2)", GRID, seed=5)
         other = corpus("jittered-gabor(1, 1, 0.125, 2)", GRID, seed=6)
-        assert all(np.array_equal(a.values, b.values) for a, b in zip(one.members, two.members))
-        assert one.centers == two.centers
-        assert one.centers != other.centers
+        np.testing.assert_array_equal(one[0], two[0])
+        np.testing.assert_array_equal(one[1], two[1])
+        assert not np.array_equal(one[1], other[1])
+
+    @pytest.mark.parametrize(
+        "grid, alpha, beta, jitter, window, seed",
+        [(GRID, 1, 1, 0.125, 2, 5), (GRID, 1.5, 0.75, 0.3, 3, 0), (GridSpec(2, 16, 1 / 4), 1, 0.5, 0.25, 1.5, 2)],
+        ids=["square", "oblong", "2d"],
+    )
+    def test_jittered_gabor_matches_double_loop(self, grid, alpha, beta, jitter, window, seed):
+        # the definition: m-major over |alpha m|, |beta n| <= window, two jitter draws per atom, snapped
+        rng = np.random.default_rng(seed)
+        g = gaussian_window(grid)
+        values, rows = [], []
+        for m in range(-10, 11):
+            if abs(alpha * m) > window:
+                continue
+            for n in range(-10, 11):
+                if abs(beta * n) > window:
+                    continue
+                a = alpha * m + rng.uniform(-jitter, jitter)
+                b = beta * n + rng.uniform(-jitter, jitter)
+                point = snap_to_grid(grid, PhasePoint((a,) * grid.dim, (b,) * grid.dim))
+                values.append(tf_shift(g, point).values)
+                rows.append(point.a + point.b)
+        members, centers = corpus(f"jittered-gabor({alpha}, {beta}, {jitter}, {window})", grid, seed)
+        np.testing.assert_array_equal(members, np.stack(values))
+        np.testing.assert_array_equal(centers, np.array(rows))
 
     def test_two_bump_single_member(self):
-        system = corpus("two-bump", GRID)
-        assert len(system) == 1
-        assert system.members[0].norm() == pytest.approx(1.0, abs=1e-12)
+        members, centers = corpus("two-bump", GRID)
+        assert members.shape == (1,) + GRID.shape
+        assert np.linalg.norm(members[0]) * np.sqrt(GRID.cell_volume) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(centers, np.zeros((1, 2)))
 
     def test_unknown_recipe_rejected(self):
         with pytest.raises(ValueError, match="unknown recipe"):
             corpus("mystery-basis(3)", GRID)
 
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(ValueError, match="arguments"):
-            corpus("gabor-gaussian(1)", GRID)
+    @pytest.mark.parametrize(
+        "recipe", ["gabor-gaussian(1)", "hermite-onb(8.7)", "hermite-onb(8, 2)", "two-bump(3, 9)"]
+    )
+    def test_wrong_arity_rejected(self, recipe):
+        with pytest.raises(ValueError, match="argument"):
+            corpus(recipe, GRID)
 
     def test_unparseable_recipe_rejected(self):
         with pytest.raises(ValueError, match="unparseable"):
@@ -168,15 +199,15 @@ class TestGaborCentralMember:
         """The central member of canonical_tight on tf_shift members: the sampled-Gram oracle."""
         g = gaussian_window(grid)
         centers = [PhasePoint((alpha * m,), (beta * n,)) for m in range(-T, T + 1) for n in range(-T, T + 1)]
-        tight = canonical_tight(FunctionSystem([tf_shift(g, c) for c in centers], centers))
-        return tight.members[len(centers) // 2]
+        tight = canonical_tight(np.stack([tf_shift(g, c).values for c in centers]), grid)
+        return tight[len(centers) // 2]
 
     @pytest.mark.parametrize("alpha, beta, T", [(1.0, 1.0, 4), (0.5, 2.0, 2), (1.5, 0.75, 4)])
     def test_matches_sampled_path(self, alpha, beta, T):
         grid = GridSpec(1, 1024, 1 / 32)
         sampled = self.sampled_path(grid, alpha, beta, T)
         phi = _gabor_central_member(grid, alpha, beta, T)
-        assert np.abs(phi.values - sampled.values).max() < 1e-12 * np.abs(sampled.values).max()
+        assert np.abs(phi.values - sampled).max() < 1e-12 * np.abs(sampled).max()
 
     @staticmethod
     def full_gram_row(alpha, T):
@@ -240,10 +271,11 @@ class TestDenseEstimates:
             "from pslab.experiments import corpus\n"
             "from pslab.grid import GridSpec\n"
             "from pslab.operators import improve_system\n"
-            f"improve_system(corpus('two-bump', {warmup}), [1.0])\n"
-            f"system = corpus('jittered-gabor(1, 1, 0.125, 2)', {grid})"
+            f"improve_system(*corpus('two-bump', {warmup}), {warmup}, [1.0])\n"
+            f"grid = {grid}\n"
+            "members, centers = corpus('jittered-gabor(1, 1, 0.125, 2)', grid)"
         )
-        return peak_rss_growth(setup, f"improve_system(system, {radii})")
+        return peak_rss_growth(setup, f"improve_system(members, centers, grid, {radii})")
 
     def test_improve_weight_and_cutoffs(self):
         # n^d = 2048 in 1-D, four radii: every cutoff is freed before the weight, the one
@@ -259,19 +291,20 @@ class TestDenseEstimates:
         assert estimate / 2 <= growth <= estimate
 
     def test_dual_decay_gram_and_inverse(self):
-        # M = 625 on N = 2048: gramian's member stack, then G beside G^-1 (measured 7.8 M^2)
+        # M = 625 on N = 2048: gramian's conjugated members, then G beside G^-1 (measured 4.6 M^2)
         setup = (
             "from pslab.config import load_config\n"
             "from pslab.experiments import _run_dual_decay, corpus\n"
             "from pslab.frames import dual_gram, gramian, localization_fit\n"
             "from pslab.grid import GridSpec\n"
             f"_run_dual_decay(load_config({str(DEFAULT)!r}, 'dual-decay'))\n"
-            "system = corpus('jittered-gabor(1, 1, 0.1, 12)', GridSpec(1, 2048, 1 / 64))\n"
-            "assert len(system) == 625"
+            "grid = GridSpec(1, 2048, 1 / 64)\n"
+            "members, centers = corpus('jittered-gabor(1, 1, 0.1, 12)', grid)\n"
+            "assert len(members) == 625"
         )
-        step = "G = gramian(system)\nlocalization_fit(G, system.centers)\nlocalization_fit(dual_gram(G), system.centers)"
+        step = "G = gramian(members, grid)\nlocalization_fit(G, centers)\nlocalization_fit(dual_gram(G), centers)"
         growth = peak_rss_growth(setup, step)
-        estimate = 625 * (4 * 625 + 2 * 2048) * COMPLEX_BYTES
+        estimate = 625 * (4 * 625 + 2048) * COMPLEX_BYTES
         assert estimate / 2 <= growth <= estimate
 
 
@@ -323,9 +356,9 @@ class TestCli:
     def test_dual_decay_fits_one_gram_and_its_inverse(self, tmp_path, monkeypatch):
         built = []
 
-        def counted(system):
-            built.append(len(system))
-            return gramian(system)
+        def counted(members, grid):
+            built.append(len(members))
+            return gramian(members, grid)
 
         def refuse(*args, **kwargs):
             raise AssertionError("dual-decay synthesized the dual system")
@@ -357,13 +390,22 @@ class TestCli:
         assert "distance bins" in capsys.readouterr().err
         assert not list(out.iterdir())
 
-    def test_rerun_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_rerun_is_byte_identical(self, tmp_path, experiment):
         first, second = tmp_path / "a", tmp_path / "b"
         for out in (first, second):
-            assert main(["fock-sweep", "--config", str(DEFAULT), "--out", str(out)]) == 0
-            assert main(["dual-decay", "--config", str(DEFAULT), "--out", str(out)]) == 0
-        for name in ("fock_sweep.csv", "dual_decay.csv"):
-            assert (first / name).read_bytes() == (second / name).read_bytes()
+            assert main([experiment, "--config", str(DEFAULT), "--out", str(out)]) == 0
+        name = f"{experiment.replace('-', '_')}.csv"
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_ignored_recipe_argument_exits_2(self, tmp_path, capsys):
+        # two-bump takes one separation; a second argument would be dropped without a word
+        stub = tmp_path / "extra.cfg"
+        stub.write_text("[improve]\ngrid_n = 512\ngrid_dx = 0.0625\nrecipe = two-bump(3, 9)\nradii = 2\n")
+        out = tmp_path / "out"
+        assert main(["improve", "--config", str(stub), "--out", str(out)]) == 2
+        assert "recipe two-bump takes at most one argument" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_seed_changes_jittered_output(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"

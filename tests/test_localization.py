@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from pslab.corpus import random_bandlimited, standard_corpus
-from pslab.frames import FunctionSystem, commutation_ledger
+from pslab.corpus import hermite_functions, random_bandlimited, standard_corpus
+from pslab.frames import commutation_ledger, dual_system
 from pslab.geometry import PhasePointSet, lattice_point_set, separation_stat
 from pslab.grid import (
     GridSpec,
@@ -83,12 +83,22 @@ class TestMoment:
 
 class TestTailMass:
     def test_boundary_mass_warns(self, gauss):
-        assert tail_mass(gauss) < 1e-6
-        hugging = tf_shift(gauss, PhasePoint(6.0, 0.0))
-        assert tail_mass(hugging) > 1e-6
-        single = FunctionSystem([hugging], [PhasePoint(6.0, 0.0)])
+        assert tail_mass(gauss.values, GRID) < 1e-6
+        hugging = tf_shift(gauss, PhasePoint(6.0, 0.0)).values
+        assert tail_mass(hugging, GRID) > 1e-6
         with pytest.warns(UserWarning, match="boundary mass"):
-            commutation_ledger(single, single)
+            commutation_ledger(hugging[None], hugging[None], GRID)
+
+    def test_stack_is_judged_by_its_worst_member(self, gauss):
+        # 40 quiet Hermite functions and one atom with 2.7e-6 of its mass past 6:
+        # measured against the mass of the whole stack its tail would read 6.5e-8
+        quiet = np.stack([h.values for h in hermite_functions(GRID, 40)])
+        edge = tf_shift(gauss, PhasePoint(4.75, 0.0)).values
+        members = np.concatenate([quiet, edge[None]])
+        assert tail_mass(members, GRID) == max(tail_mass(f, GRID) for f in members) == tail_mass(edge, GRID)
+        assert tail_mass(quiet, GRID) < 1e-20 and 1e-6 < tail_mass(edge, GRID) < 41e-6
+        with pytest.warns(UserWarning, match="boundary mass"):
+            commutation_ledger(members, dual_system(members, GRID), GRID)
 
 
 class TestWeightedNorms:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pslab.corpus import random_bandlimited
-from pslab.frames import FunctionSystem, frame_bounds
+from pslab.frames import frame_bounds
 from pslab.grid import (
     GridSpec,
     PhasePoint,
@@ -60,11 +60,21 @@ def cube_multiplier(grid, R):
     return multiplier_matrix(gaussian_window(grid), mask)
 
 
-def improve_by_loop(system, R, sigma, window):
+def stack(members):
+    """Sampled functions as the rows of an (M,) + grid.shape array."""
+    return np.stack([f.values for f in members])
+
+
+def center_rows(centers):
+    """Phase points as the rows (a, b) of an (M, 2d) array."""
+    return np.array([c.a + c.b for c in centers])
+
+
+def improve_by_loop(members, centers, R, sigma, window):
     """Member by member: de-shift, A_R by definition, modulation norm, re-shift."""
     improved, errors = [], []
-    for f, c in zip(system.members, system.centers):
-        snapped = snap_to_grid(system.grid, c)
+    for f, c in zip(members, centers):
+        snapped = snap_to_grid(f.grid, c)
         ab = sum(ai * bi for ai, bi in zip(snapped.a, snapped.b))
         back = PhasePoint(tuple(-v for v in snapped.a), tuple(-v for v in snapped.b))
         phi = tf_shift(f, back) * np.exp(-2j * np.pi * ab)
@@ -299,14 +309,13 @@ class TestImproveSystem:
             tf_shift(gauss, snap_to_grid(GRID, c)) + random_bandlimited(GRID, i) * 0.1
             for i, c in enumerate(centers)
         ]
-        system = FunctionSystem(members, centers)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            (result,) = improve_system(system, [R], sigma)
-            members_ref, errors_ref = improve_by_loop(system, R, sigma, gauss)
-        for h, ref in zip(result.system.members, members_ref):
-            assert np.abs(h.values - ref.values).max() < 1e-12
-        np.testing.assert_allclose(result.modulation_errors, errors_ref, rtol=1e-9, atol=1e-13)
+            ((improved, errors),) = improve_system(stack(members), center_rows(centers), GRID, [R], sigma)
+            members_ref, errors_ref = improve_by_loop(members, centers, R, sigma, gauss)
+        for h, ref in zip(improved, members_ref):
+            assert np.abs(h - ref.values).max() < 1e-12
+        np.testing.assert_allclose(errors, errors_ref, rtol=1e-9, atol=1e-13)
 
     @pytest.mark.parametrize("R, sigma", [(1.0, 1.0), (1.75, 2.0)])
     def test_matches_member_loop_2d(self, R, sigma):
@@ -317,29 +326,27 @@ class TestImproveSystem:
             tf_shift(gauss2, snap_to_grid(GRID_2D, c)) + random_bandlimited(GRID_2D, i) * 0.1
             for i, c in enumerate(centers)
         ]
-        system = FunctionSystem(members, centers)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            (result,) = improve_system(system, [R], sigma)
-            members_ref, errors_ref = improve_by_loop(system, R, sigma, gauss2)
-        for h, ref in zip(result.system.members, members_ref):
-            assert np.abs(h.values - ref.values).max() < 1e-12
-        np.testing.assert_allclose(result.modulation_errors, errors_ref, rtol=1e-9, atol=1e-13)
+            ((improved, errors),) = improve_system(stack(members), center_rows(centers), GRID_2D, [R], sigma)
+            members_ref, errors_ref = improve_by_loop(members, centers, R, sigma, gauss2)
+        for h, ref in zip(improved, members_ref):
+            assert np.abs(h - ref.values).max() < 1e-12
+        np.testing.assert_allclose(errors, errors_ref, rtol=1e-9, atol=1e-13)
 
     def test_negative_sigma_refused_before_any_multiplier(self, gauss, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("multiplier matrix built before sigma was checked")
 
         monkeypatch.setattr("pslab.stft.multiplier_matrix", refuse)
-        system = FunctionSystem([gauss], [PhasePoint(0.0, 0.0)])
         with pytest.raises(ValueError, match="sigma"):
-            improve_system(system, [3.0], -1.0)
+            improve_system(gauss.values[None], np.zeros((1, 2)), GRID, [3.0], -1.0)
 
     def test_weight_follows_sigma(self, gauss):
         # sigma 1, 2, 1 on one grid: each call must use its own sigma's weight
-        members = [tf_shift(gauss, PhasePoint(0.5, -0.25)) + random_bandlimited(GRID, 3) * 0.1]
-        system = FunctionSystem(members, [PhasePoint(0.5, -0.25)])
-        errors = [improve_system(system, [3.0], sigma)[0].modulation_errors for sigma in (1.0, 2.0, 1.0)]
+        members = stack([tf_shift(gauss, PhasePoint(0.5, -0.25)) + random_bandlimited(GRID, 3) * 0.1])
+        centers = np.array([[0.5, -0.25]])
+        errors = [improve_system(members, centers, GRID, [3.0], sigma)[0][1] for sigma in (1.0, 2.0, 1.0)]
         assert not np.array_equal(errors[0], errors[1])
         np.testing.assert_array_equal(errors[2], errors[0])
 
@@ -350,32 +357,31 @@ class TestImproveSystem:
             tf_shift(gauss, snap_to_grid(GRID, c)) + random_bandlimited(GRID, i) * 0.1
             for i, c in enumerate(centers)
         ]
-        system = FunctionSystem(members, centers)
+        args = stack(members), center_rows(centers), GRID
         radii = [2.0, 3.5, 5.0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            together = improve_system(system, radii, 1.5)
-            apart = [improve_system(system, [R], 1.5)[0] for R in radii]
+            together = improve_system(*args, radii, 1.5)
+            apart = [improve_system(*args, [R], 1.5)[0] for R in radii]
         assert len(together) == len(radii)
-        for one, ref in zip(together, apart):
-            np.testing.assert_array_equal(one.modulation_errors, ref.modulation_errors)
-            for h, g in zip(one.system.members, ref.system.members):
-                np.testing.assert_array_equal(h.values, g.values)
+        for (improved, errors), (improved_ref, errors_ref) in zip(together, apart):
+            np.testing.assert_array_equal(errors, errors_ref)
+            np.testing.assert_array_equal(improved, improved_ref)
 
     def test_gaussian_system_fixed_point(self, gauss):
         points = [PhasePoint(a, b) for a, b in [(0.0, 0.0), (1.0, -2.0), (-1.5, 0.5)]]
-        sys = FunctionSystem([tf_shift(gauss, p) for p in points], points)
-        (result,) = improve_system(sys, [6.0])
-        worst = max((f - h).norm() for f, h in zip(sys.members, result.system.members))
+        members = stack([tf_shift(gauss, p) for p in points])
+        ((improved, errors),) = improve_system(members, center_rows(points), GRID, [6.0])
+        worst = max(SampledFunction(GRID, f - h).norm() for f, h in zip(members, improved))
         assert worst < 1e-6
-        assert result.modulation_errors.max() < 1e-6
+        assert errors.max() < 1e-6
 
     def test_off_grid_center_snapped_with_warning(self, gauss):
-        centers = [PhasePoint(0.3, 0.0)]
-        sys = FunctionSystem([tf_shift(gauss, PhasePoint(0.3125, 0.0))], centers)
+        # 0.3 snaps to 0.3125, the member's own center, so A_6 hands the member back
+        member = tf_shift(gauss, PhasePoint(0.3125, 0.0)).values
         with pytest.warns(UserWarning, match="snapped"):
-            (result,) = improve_system(sys, [6.0])
-        assert result.system.centers[0].a[0] == pytest.approx(0.3125)
+            ((improved, _),) = improve_system(member[None], np.array([[0.3, 0.0]]), GRID, [6.0])
+        assert np.abs(improved[0] - member).max() < 1e-6
 
     def test_error_slope_tracks_phase_space_decay(self, gauss):
         # STFT profile (1 + |z|)^{-5} has weighted-decay order 4 after the
@@ -385,9 +391,8 @@ class TestImproveSystem:
         xi = GRID.dual().axis_points(0)
         rad = np.sqrt(x[:, None] ** 2 + xi[None, :] ** 2)
         phi = adjoint_stft(StftField(GRID, ((1.0 + rad) ** -5.0).astype(complex)), gauss)
-        sys = FunctionSystem([phi], [PhasePoint(0.0, 0.0)])
         radii = [2.0, 3.0, 4.0, 5.0, 6.0]
-        errs = [result.modulation_errors[0] for result in improve_system(sys, radii, sigma=2.0)]
+        errs = [errors[0] for _, errors in improve_system(phi.values[None], np.zeros((1, 2)), GRID, radii, sigma=2.0)]
         slope = np.polyfit(np.log1p(radii), np.log(errs), 1)[0]
         assert slope <= 2 - 4 + 0.3
 
@@ -398,16 +403,15 @@ class TestImproveSystem:
             for m in (-1, 0, 1)
             for k in (-1, 0, 1)
         ]
-        sys = FunctionSystem([tf_shift(gauss, p) for p in points], points)
-        before = frame_bounds(sys)
-        after = frame_bounds(improve_system(sys, [6.0])[0].system)
+        members = stack([tf_shift(gauss, p) for p in points])
+        before = frame_bounds(members, GRID)
+        after = frame_bounds(improve_system(members, center_rows(points), GRID, [6.0])[0][0], GRID)
         assert abs(after.lower - before.lower) <= 0.1 * before.lower
         assert abs(after.upper - before.upper) <= 0.1 * before.upper
 
     def test_improved_members_keep_gaussian_decay(self, gauss):
-        sys = FunctionSystem([gauss], [PhasePoint(0.0, 0.0)])
-        h = improve_system(sys, [4.0])[0].system.members[0]
+        h = improve_system(gauss.values[None], np.zeros((1, 2)), GRID, [4.0])[0][0][0]
         x = GRID.axis_points(0)
-        keep = (np.abs(h.values) > 1e-10) & (np.abs(x) <= 4)
-        alpha = np.polyfit(x[keep] ** 2, np.log(np.abs(h.values[keep])), 1)[0]
+        keep = (np.abs(h) > 1e-10) & (np.abs(x) <= 4)
+        alpha = np.polyfit(x[keep] ** 2, np.log(np.abs(h[keep])), 1)[0]
         assert -alpha > 0
