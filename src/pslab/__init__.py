@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .grid import (
     GridMismatchError,
     GridSpec,
-    PhasePoint,
     SampledFunction,
     fourier_transform,
     gaussian_window,
@@ -18,7 +17,6 @@ from .grid import (
 __all__ = [
     "GridMismatchError",
     "GridSpec",
-    "PhasePoint",
     "SampledFunction",
     "fourier_transform",
     "gaussian_window",

@@ -6,15 +6,7 @@ import math
 
 import numpy as np
 
-from .grid import (
-    GridSpec,
-    PhasePoint,
-    SampledFunction,
-    gaussian_window,
-    inverse_fourier_transform,
-    snap_to_grid,
-    tf_shift,
-)
+from .grid import GridSpec, SampledFunction, gaussian_window, inverse_fourier_transform, snap_to_grid, tf_shift
 
 
 def hermite_functions(grid: GridSpec, count: int) -> list[SampledFunction]:
@@ -41,9 +33,10 @@ def hermite_functions(grid: GridSpec, count: int) -> list[SampledFunction]:
 
 def two_bump(grid: GridSpec, separation: float = 3.0) -> SampledFunction:
     """Unit-norm sum of two Gaussians centered at +-separation."""
-    g = gaussian_window(grid)
-    shift = snap_to_grid(grid, PhasePoint([separation] * grid.dim, [0.0] * grid.dim))
-    f = tf_shift(g, shift) + tf_shift(g, PhasePoint([-s for s in shift.a], shift.b))
+    centers = np.zeros((2, 2 * grid.dim))
+    centers[:, : grid.dim] = [[separation], [-separation]]
+    pair = tf_shift(gaussian_window(grid).values, grid, snap_to_grid(grid, centers))
+    f = SampledFunction(grid, pair.sum(axis=0))
     return f * (1.0 / f.norm())
 
 
@@ -57,12 +50,6 @@ def random_bandlimited(grid: GridSpec, seed: int, bandlimit: float = 4.0) -> Sam
     return f * (1.0 / f.norm())
 
 
-def shifted_gaussian(grid: GridSpec, a, b) -> SampledFunction:
-    """pi(a, b) applied to the Gaussian window, with a snapped on-grid."""
-    g = gaussian_window(grid)
-    return tf_shift(g, snap_to_grid(grid, PhasePoint(a, b)))
-
-
 def standard_corpus(grid: GridSpec, seed: int = 0) -> list[SampledFunction]:
     """The 20-function corpus: Hermites, shifted Gaussians, bumps, noise.
 
@@ -72,8 +59,9 @@ def standard_corpus(grid: GridSpec, seed: int = 0) -> list[SampledFunction]:
     if grid.dim != 1:
         raise ValueError("standard_corpus is one-dimensional")
     members = hermite_functions(grid, 6)
-    for a, b in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.5, -2.0), (-2.5, 0.5), (0.5, 3.0)]:
-        members.append(shifted_gaussian(grid, a, b))
+    centers = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.5, -2.0), (-2.5, 0.5), (0.5, 3.0)]
+    shifted = tf_shift(gaussian_window(grid).values, grid, snap_to_grid(grid, centers))
+    members.extend(SampledFunction(grid, v) for v in shifted)
     members.append(two_bump(grid, 3.0))
     members.append(two_bump(grid, 2.0))
     members.extend(random_bandlimited(grid, seed + k) for k in range(6))

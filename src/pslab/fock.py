@@ -13,6 +13,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .grid import null_space_floor
+
 
 def _lattice_reach(window: float, pitch: float) -> int:
     """floor(window / pitch), taking a ratio within 1e-9 (relative) of an integer as that integer.
@@ -173,15 +175,15 @@ def sampling_bounds(lam) -> tuple[float, float]:
 def lattice_sweep(alpha_values: Sequence[float], window: float) -> list[SweepRow]:
     """Bounds and conditioning of square lattices clipped to the window.
 
-    A smallest eigenvalue at or below the null-space floor M * eps * upper
-    (M points), the floor of :func:`~pslab.frames.frame_bounds`, is roundoff
+    A smallest eigenvalue at or below :func:`~pslab.grid.null_space_floor` of
+    the M points, the floor of :func:`~pslab.frames.frame_bounds`, is roundoff
     and carries no bound: the row reports lower 0 and condition inf.
     """
     rows = []
     for alpha in alpha_values:
         points = lattice_points(alpha, window)
         lower, upper = sampling_bounds(points)
-        if lower <= len(points) * np.finfo(float).eps * upper:
+        if lower <= null_space_floor(upper, len(points)):
             lower = 0.0
         condition = upper / lower if lower > 0 else math.inf
         rows.append(SweepRow(float(alpha), 1.0 / float(alpha) ** 2, lower, upper, condition))

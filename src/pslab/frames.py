@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import GridMismatchError, GridSpec, _centered_fft
+from .grid import GridMismatchError, GridSpec, _centered_fft, null_space_floor
 from .localization import TAIL_MASS_THRESHOLD, tail_mass
 
 GRAM_FLOOR = 1e-12
@@ -102,8 +102,7 @@ def frame_bounds(members: np.ndarray, grid: GridSpec) -> FrameBounds:
     rank deficiency forced dropping null directions.
     """
     eigs = np.linalg.eigvalsh(gramian(members, grid))
-    tol = eigs[-1] * eigs.size * np.finfo(float).eps
-    kept = eigs[eigs > tol]
+    kept = eigs[eigs > null_space_floor(eigs[-1], eigs.size)]
     if kept.size == 0:
         return FrameBounds(0.0, 0.0, True)
     return FrameBounds(float(kept[0]), float(kept[-1]), kept.size < eigs.size)
@@ -135,12 +134,13 @@ def _inverse_sqrt_weights(spectra: Sequence[np.ndarray], capped: bool = False) -
     ``spectra`` are the ascending spectra of the diagonal blocks of one
     Gramian, or of the whole Gramian as a single block; M is their total
     size and w_max their largest eigenvalue.  Eigenvalues up to
-    w_max * M * eps span the numerical null space and get weight 0.  A span
-    whose condition number reaches CONDITION_LIMIT is refused, or if
-    ``capped`` the directions below w_max / CONDITION_LIMIT are dropped instead.
+    :func:`~pslab.grid.null_space_floor` (w_max * M * eps) span the numerical
+    null space and get weight 0.  A span whose condition number reaches
+    CONDITION_LIMIT is refused, or if ``capped`` the directions below
+    w_max / CONDITION_LIMIT are dropped instead.
     """
     w_max = max(w[-1] for w in spectra if w.size)
-    tol = w_max * sum(w.size for w in spectra) * np.finfo(float).eps
+    tol = null_space_floor(w_max, sum(w.size for w in spectra))
     floor = max(tol, w_max / CONDITION_LIMIT) if capped else tol
     kept = [w > floor for w in spectra]
     if not any(k.any() for k in kept):

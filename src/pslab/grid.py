@@ -19,6 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _sample_count(value) -> int:
+    if not float(value).is_integer():
+        raise ValueError(f"points per axis must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _as_tuple(value, dim, cast):
     if np.isscalar(value):
         return (cast(value),) * dim
@@ -47,7 +53,7 @@ class GridSpec:
     def __init__(self, dim, n, step):
         if dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {dim}")
-        n = _as_tuple(n, dim, int)
+        n = _as_tuple(n, dim, _sample_count)
         step = _as_tuple(step, dim, float)
         for ni in n:
             if ni < 8 or ni & (ni - 1):
@@ -105,26 +111,6 @@ class GridSpec:
             object.__setattr__(dual, "_dual", self)
             object.__setattr__(self, "_dual", dual)
         return self._dual
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point (a, b) in phase space: time shift a, frequency shift b."""
-
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-
-    def __init__(self, a, b):
-        a = _as_tuple(a, len(a) if not np.isscalar(a) else 1, float)
-        b = _as_tuple(b, len(a), float)
-        if not all(math.isfinite(v) for v in a + b):
-            raise ValueError("phase-space coordinates must be finite")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def dim(self) -> int:
-        return len(self.a)
 
 
 class GridMismatchError(ValueError):
@@ -196,34 +182,59 @@ def inverse_fourier_transform(fhat: SampledFunction) -> SampledFunction:
     return SampledFunction(g.dual(), out)
 
 
-def tf_shift(f: SampledFunction, point: PhasePoint) -> SampledFunction:
-    """Apply the time-frequency shift ``exp(2 pi i b.t) f(t - a)``.
+def tf_shift(values: np.ndarray, grid: GridSpec, centers) -> np.ndarray:
+    """Apply pi(a, b) f = exp(2 pi i b.t) f(t - a) on the trailing grid axes of ``values``.
 
-    The time shift must land on the grid (a an integer multiple of the
-    spacing); callers snap off-grid centers themselves so the snap is a
+    ``values`` is one function on ``grid`` or an (M,) + grid.shape stack, and
+    ``centers`` one phase-space point (a, b) of 2d coordinates or an (M, 2d)
+    array of them; the leading shapes broadcast, so one window and M centers
+    give M atoms.  The time shift must land on the grid (a an integer multiple
+    of the spacing); callers snap off-grid centers themselves so the snap is a
     visible decision, not a silent one.
     """
-    if point.dim != f.grid.dim:
-        raise ValueError(f"phase point dim {point.dim} does not match grid dim {f.grid.dim}")
-    shifts = []
-    for ax in range(f.grid.dim):
-        ratio = point.a[ax] / f.grid.step[ax]
-        nearest = round(ratio)
-        if abs(ratio - nearest) > 1e-9 * max(1.0, abs(ratio)):
-            raise ValueError(
-                f"time shift {point.a[ax]} is not a multiple of spacing {f.grid.step[ax]}"
-            )
-        shifts.append(int(nearest))
-    out = np.roll(f.values, shifts, axis=tuple(range(f.grid.dim)))
-    for ax, coords in enumerate(f.grid.mesh()):
-        out = out * np.exp(2j * np.pi * point.b[ax] * coords)
-    return SampledFunction(f.grid, out)
+    d = grid.dim
+    values = np.asarray(values)
+    centers = np.asarray(centers, dtype=float)
+    if values.shape[values.ndim - d :] != grid.shape:
+        raise GridMismatchError(f"values of shape {values.shape} do not hold samples of grid {grid.shape}")
+    if centers.ndim not in (1, 2) or centers.shape[-1] != 2 * d:
+        raise ValueError(f"centers of shape {centers.shape} are not (2d,) or (M, 2d) rows for a {d}-D grid")
+    if not np.isfinite(centers).all():
+        raise ValueError("phase-space coordinates must be finite")
+    ratio = centers[..., :d] / np.array(grid.step)
+    nearest = np.round(ratio)
+    off = np.abs(ratio - nearest) > 1e-9 * np.maximum(1.0, np.abs(ratio))
+    if off.any():
+        raise ValueError(f"time shifts {centers[..., :d][off]} are not multiples of spacing {grid.step}")
+    try:
+        lead = np.broadcast_shapes(values.shape[: values.ndim - d], centers.shape[:-1])
+    except ValueError:
+        raise ValueError(f"{centers.shape[:-1]} centers do not match values of shape {values.shape}") from None
+    values = np.broadcast_to(values, lead + grid.shape)
+    shifts = np.broadcast_to(nearest.astype(int), lead + (d,))
+    freqs = np.broadcast_to(centers[..., d:], lead + (d,))
+    axes, mesh = tuple(range(d)), grid.mesh()
+    # row by row into one output: a whole-stack gather and phase would hold several stacks
+    out = np.empty(lead + grid.shape, dtype=complex)
+    for idx in np.ndindex(lead):
+        row = np.roll(values[idx], tuple(shifts[idx]), axis=axes)
+        for coords, b in zip(mesh, freqs[idx]):
+            row = row * np.exp(2j * np.pi * b * coords)
+        out[idx] = row
+    return out
 
 
-def snap_to_grid(grid: GridSpec, point: PhasePoint) -> PhasePoint:
-    """Round a phase point's time shift to the nearest grid multiple."""
-    a = tuple(round(point.a[i] / grid.step[i]) * grid.step[i] for i in range(grid.dim))
-    return PhasePoint(a, point.b)
+def snap_to_grid(grid: GridSpec, centers) -> np.ndarray:
+    """Round the time columns of (2d,) or (M, 2d) centers to the nearest grid multiple per axis."""
+    snapped = np.array(centers, dtype=float)
+    step = np.array(grid.step)
+    snapped[..., : grid.dim] = np.round(snapped[..., : grid.dim] / step) * step
+    return snapped
+
+
+def null_space_floor(w_max: float, order: int) -> float:
+    """w_max * order * eps: eigenvalues of an order x order Gramian up to this are roundoff, its null space."""
+    return w_max * order * np.finfo(float).eps
 
 
 def gaussian_window(grid: GridSpec) -> SampledFunction:

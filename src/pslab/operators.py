@@ -20,15 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import (
-    GridSpec,
-    PhasePoint,
-    SampledFunction,
-    _centered_fft,
-    gaussian_window,
-    snap_to_grid,
-    tf_shift,
-)
+from .grid import GridSpec, SampledFunction, _centered_fft, gaussian_window, snap_to_grid, tf_shift
 
 
 def _ball_mask(grid: GridSpec, halfwidth: float) -> np.ndarray:
@@ -114,6 +106,7 @@ class RestrictionOperator:
             # sorted, not concatenated: section eigenvalues can be -1e-17
             lam = np.concatenate([lam, np.zeros(self.grid.n[0] - lam.size)])
             self._eigs = np.sort(lam)[::-1].copy()
+            self._eigs.setflags(write=False)  # shared by every caller: a write would corrupt the cache
         return self._eigs
 
 
@@ -173,24 +166,20 @@ def improve_system(
     M, d = _stack_size(members, grid), grid.dim
     if centers.shape != (M, 2 * d):
         raise ValueError(f"centers of shape {centers.shape} do not label {M} members on a {d}-D grid")
-    phis = np.empty(members.shape, dtype=complex)
-    points = []
-    for idx, (f, c) in enumerate(zip(members, centers)):
-        snapped = snap_to_grid(grid, PhasePoint(c[:d], c[d:]))
-        if max(abs(s - v) for s, v in zip(snapped.a + snapped.b, c)) > 1e-12:
-            warnings.warn(f"center ({c[:d]}, {c[d:]}) snapped to the grid for member {idx}", stacklevel=2)
-        points.append(snapped)
-        ab = sum(ai * bi for ai, bi in zip(snapped.a, snapped.b))
-        back = PhasePoint(tuple(-v for v in snapped.a), tuple(-v for v in snapped.b))
-        phis[idx] = (tf_shift(SampledFunction(grid, f), back) * np.exp(-2j * np.pi * ab)).values
+    snapped = snap_to_grid(grid, centers)
+    for idx in np.flatnonzero(np.abs(snapped - centers).max(axis=1) > 1e-12):
+        warnings.warn(f"center {centers[idx]} snapped to the grid for member {idx}", stacklevel=2)
+    # pi(a, b)^{-1} = exp(-2 pi i a.b) pi(-a, -b)
+    phis = tf_shift(members, grid, -snapped)
+    phis *= np.exp(-2j * np.pi * (snapped[:, :d] * snapped[:, d:]).sum(axis=1)).reshape((M,) + (1,) * d)
     smoothed = [_apply_cutoff(phis, grid, R) for R in radii]
     weight = multiplier_matrix(gaussian_window(grid), modulation_weight(grid, sigma))
     results = []
-    for psis in smoothed:
+    while smoothed:
+        # popped, so each smoothed stack is freed once its re-shifted copy is made
+        psis = smoothed.pop(0)
         residual = (phis - psis).reshape(M, -1)
         # squared M2_sigma norm of each residual row: cell_volume * Re(h* M_W h)
         quad = np.einsum("mt,mt->m", np.conj(residual), residual @ weight.T).real
-        for psi, point in zip(psis, points):
-            psi[...] = tf_shift(SampledFunction(grid, psi), point).values
-        results.append((psis, np.sqrt(grid.cell_volume * quad)))
+        results.append((tf_shift(psis, grid, snapped), np.sqrt(grid.cell_volume * quad)))
     return results

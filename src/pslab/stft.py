@@ -76,7 +76,7 @@ def _shifted_windows(grid: GridSpec, values: np.ndarray):
 
 
 def stft(f: SampledFunction, window: SampledFunction) -> StftField:
-    """V_w f(x_j, xi_k) = (f, tf_shift(window, (x_j, xi_k))) on the full grid.
+    """V_w f(x_j, xi_k) = (f, pi(x_j, xi_k) w) on the full grid, pi(a, b) = :func:`~pslab.grid.tf_shift`.
 
     Computed as one FFT per time shift: the k-block at shift x_j is the
     forward transform of f * conj(window(. - x_j)).
@@ -93,7 +93,7 @@ def stft(f: SampledFunction, window: SampledFunction) -> StftField:
 
 
 def adjoint_stft(field: StftField, window: SampledFunction) -> SampledFunction:
-    """Cell-measure-weighted superposition sum_jk F[j,k] tf_shift(window,(x_j,xi_k))."""
+    """Cell-measure-weighted superposition sum_jk F[j, k] pi(x_j, xi_k) w, pi(a, b) = :func:`~pslab.grid.tf_shift`."""
     if field.grid != window.grid:
         raise ValueError("field phase-space grid does not match the window grid")
     _check_window(window)

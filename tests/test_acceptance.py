@@ -27,7 +27,6 @@ from pslab.frames import (
 from pslab.geometry import density_estimate, lattice_point_set
 from pslab.grid import (
     GridSpec,
-    PhasePoint,
     SampledFunction,
     fourier_transform,
     gaussian_window,
@@ -135,7 +134,7 @@ def test_06_localization_error_law():
     for m in range(-reach, reach + 1):
         for n in range(-reach, reach + 1):
             coeff = (1.0 + math.hypot(m, n)) ** (-(s + 1.0))
-            atom = tf_shift(g, PhasePoint((float(m),), (float(n),))) * coeff
+            atom = SampledFunction(grid, tf_shift(g.values, grid, [m, n])) * coeff
             phi = atom if phi is None else phi + atom
     phi = phi * (1.0 / phi.norm())
     radii = np.array([2.0, 3.0, 4.0, 5.0])
@@ -162,9 +161,9 @@ def test_07_dual_decay_preservation():
             b = step * k + rng.uniform(-0.1, 0.1)
             if abs(a) > 6.5 or abs(b) > 6.5:
                 continue
-            points.append(snap_to_grid(grid, PhasePoint(a, b)))
-    members = np.stack([tf_shift(gaussian_window(grid), p).values for p in points])
-    centers = np.array([p.a + p.b for p in points])
+            points.append([a, b])
+    centers = snap_to_grid(grid, points)
+    members = tf_shift(gaussian_window(grid).values, grid, centers)
     primal = localization_fit(gramian(members, grid), centers)
     dual = localization_fit(gramian(dual_system(members, grid), grid), centers)
     assert primal.exponent >= 6.0
@@ -216,7 +215,7 @@ def test_09_kernel_lattice_bounds():
     pts = sorted(pts)
     grid = GridSpec(1, 256, 1 / 16)
     g = gaussian_window(grid)
-    members = np.stack([tf_shift(g, PhasePoint([a], [b])).values for a, b in pts])
+    members = tf_shift(g.values, grid, pts)
     kernel_gram = fock_gram([complex(a, -b) for a, b in pts])
     deviation = np.abs(np.abs(kernel_gram) - np.abs(gramian(members, grid))).max()
     assert deviation < 0.05

@@ -21,7 +21,7 @@ from pslab.experiments import (
 )
 from pslab.fock import gaussian_atom_gram
 from pslab.frames import _inverse_sqrt_rows, canonical_tight, gramian
-from pslab.grid import GridSpec, PhasePoint, gaussian_window, snap_to_grid, tf_shift
+from pslab.grid import GridSpec, gaussian_window, tf_shift
 from pslab.localization import moment
 from pslab.operators import RestrictionSpec
 
@@ -152,9 +152,10 @@ class TestCorpus:
         ids=["square", "oblong", "2d"],
     )
     def test_jittered_gabor_matches_double_loop(self, grid, alpha, beta, jitter, window, seed):
-        # the definition: m-major over |alpha m|, |beta n| <= window, two jitter draws per atom, snapped
+        # the definition: m-major over |alpha m|, |beta n| <= window, two jitter draws per atom,
+        # a rounded to the grid, exp(2 pi i b.x) g(x - a) by np.roll on every axis
         rng = np.random.default_rng(seed)
-        g = gaussian_window(grid)
+        g = gaussian_window(grid).values
         values, rows = [], []
         for m in range(-10, 11):
             if abs(alpha * m) > window:
@@ -164,9 +165,12 @@ class TestCorpus:
                     continue
                 a = alpha * m + rng.uniform(-jitter, jitter)
                 b = beta * n + rng.uniform(-jitter, jitter)
-                point = snap_to_grid(grid, PhasePoint((a,) * grid.dim, (b,) * grid.dim))
-                values.append(tf_shift(g, point).values)
-                rows.append(point.a + point.b)
+                k = [round(a / s) for s in grid.step]
+                atom = np.roll(g, k, axis=tuple(range(grid.dim)))
+                for x in grid.mesh():
+                    atom = atom * np.exp(2j * np.pi * b * x)
+                values.append(atom)
+                rows.append([ki * s for ki, s in zip(k, grid.step)] + [b] * grid.dim)
         members, centers = corpus(f"jittered-gabor({alpha}, {beta}, {jitter}, {window})", grid, seed)
         np.testing.assert_array_equal(members, np.stack(values))
         np.testing.assert_array_equal(centers, np.array(rows))
@@ -198,8 +202,8 @@ class TestGaborCentralMember:
     def sampled_path(grid, alpha, beta, T):
         """The central member of canonical_tight on tf_shift members: the sampled-Gram oracle."""
         g = gaussian_window(grid)
-        centers = [PhasePoint((alpha * m,), (beta * n,)) for m in range(-T, T + 1) for n in range(-T, T + 1)]
-        tight = canonical_tight(np.stack([tf_shift(g, c).values for c in centers]), grid)
+        centers = [(alpha * m, beta * n) for m in range(-T, T + 1) for n in range(-T, T + 1)]
+        tight = canonical_tight(tf_shift(g.values, grid, centers), grid)
         return tight[len(centers) // 2]
 
     @pytest.mark.parametrize("alpha, beta, T", [(1.0, 1.0, 4), (0.5, 2.0, 2), (1.5, 0.75, 4)])
@@ -288,6 +292,31 @@ class TestDenseEstimates:
         # n^d = 1024 in 2-D, two radii: the cutoff factors are n x n (measured 1.60 weights)
         growth = self.improve_growth("GridSpec(2, 8, 1 / 2)", "GridSpec(2, 32, 1 / 4)", [1.0, 2.0])
         estimate = 2 * 1024**2 * COMPLEX_BYTES
+        assert estimate / 2 <= growth <= estimate
+
+    def test_improve_radii_and_frame_bounds(self):
+        # M = 465 on N = 512 with 16 radii: one smoothed, then one improved, stack held per radius
+        # beside the weight and frame_bounds (measured 0.88 of the estimate)
+        setup = (
+            "from pslab.experiments import corpus\n"
+            "from pslab.frames import frame_bounds\n"
+            "from pslab.grid import GridSpec\n"
+            "from pslab.operators import improve_system\n"
+            "warmup = GridSpec(1, 64, 1 / 4)\n"
+            "members, centers = corpus('jittered-gabor(1, 1, 0.125, 2)', warmup)\n"
+            "frame_bounds(members, warmup)\n"
+            "improve_system(members, centers, warmup, [1.0])\n"
+            "grid = GridSpec(1, 512, 1 / 16)\n"
+            "members, centers = corpus('jittered-gabor(0.5, 1, 0.1, 7.5)', grid)\n"
+            "assert len(members) == 465"
+        )
+        step = (
+            "frame_bounds(members, grid)\n"
+            "for improved, _ in improve_system(members, centers, grid, [r / 2 for r in range(1, 17)]):\n"
+            "    frame_bounds(improved, grid)"
+        )
+        growth = peak_rss_growth(setup, step)
+        estimate = (2 * 512**2 + 465 * (4 * 465 + (3 + 16) * 512)) * COMPLEX_BYTES
         assert estimate / 2 <= growth <= estimate
 
     def test_dual_decay_gram_and_inverse(self):
@@ -620,6 +649,31 @@ class TestCli:
         monkeypatch.setattr("pslab.experiments.corpus", refuse)
         stub = tmp_path / "big.cfg"
         stub.write_text(f"[improve]\n{grid}recipe = jittered-gabor(1, 1, 0.125, 2)\nradii = 2\n")
+        out = tmp_path / "out"
+        assert main(["improve", "--config", str(stub), "--out", str(out)]) == 2
+        assert "memory budget" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    def test_many_radii_exit_2_before_allocating(self, tmp_path, monkeypatch, capsys):
+        # 625 members of 4096 samples: one radius needs 0.7 GiB, forty hold forty more stacks
+        class Admitted(Exception):
+            pass
+
+        def admit(*args, **kwargs):
+            raise Admitted
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("improved or bounded before the memory check")
+
+        body = "[improve]\ngrid_n = 4096\ngrid_dx = 0.015625\nrecipe = jittered-gabor(1, 1, 0.1, 12)\n"
+        stub = tmp_path / "radii.cfg"
+        stub.write_text(body + "radii = 2\n")
+        monkeypatch.setattr("pslab.frames.frame_bounds", admit)
+        with pytest.raises(Admitted):
+            run(load_config(stub, "improve"), tmp_path / "one")
+        stub.write_text(body + "radii = " + " ".join(str(r / 2) for r in range(1, 41)) + "\n")
+        for name in ("pslab.frames.frame_bounds", "pslab.operators.improve_system"):
+            monkeypatch.setattr(name, refuse)
         out = tmp_path / "out"
         assert main(["improve", "--config", str(stub), "--out", str(out)]) == 2
         assert "memory budget" in capsys.readouterr().err

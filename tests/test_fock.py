@@ -18,7 +18,7 @@ from pslab.fock import (
     sampling_bounds,
 )
 from pslab.frames import frame_bounds, gramian
-from pslab.grid import GridSpec, PhasePoint, gaussian_window, tf_shift
+from pslab.grid import GridSpec, gaussian_window, tf_shift
 
 
 def quarter_lattice_points(seed: int, count: int, radius: float):
@@ -106,7 +106,7 @@ class TestGaussianAtomGram:
     def test_matches_sampled_gramian(self, atoms):
         grid, a, b = atoms
         g = gaussian_window(grid)
-        members = np.stack([tf_shift(g, PhasePoint([x], [y])).values for x, y in zip(a, b)])
+        members = tf_shift(g.values, grid, np.stack([a, b], axis=1))
         sampled = gramian(members, grid)
         np.testing.assert_allclose(gaussian_atom_gram(a, b), sampled, rtol=0, atol=1e-12)
 
@@ -199,7 +199,7 @@ class TestBargmannBridge:
         grid = GridSpec(1, 256, 1 / 16)
         g = gaussian_window(grid)
         pts = quarter_lattice_points(3, 12, 2.0)
-        members = np.stack([tf_shift(g, PhasePoint([a], [b])).values for a, b in pts])
+        members = tf_shift(g.values, grid, pts)
         return pts, members, grid
 
     def test_moduli_match(self, gabor):

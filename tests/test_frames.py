@@ -23,7 +23,6 @@ from pslab.frames import (
 from pslab.grid import (
     GridMismatchError,
     GridSpec,
-    PhasePoint,
     SampledFunction,
     fourier_transform,
     gaussian_window,
@@ -43,15 +42,10 @@ def stack(functions):
     return np.stack([f.values for f in functions])
 
 
-def center_rows(centers):
-    """Phase points as the rows (a, b) of an (M, 2d) array."""
-    return np.array([c.a + c.b for c in centers])
-
-
 def gaussian_system(grid, points):
     """Gaussian atoms at the phase points (a, b), stacked, and their (M, 2) centers."""
-    g = gaussian_window(grid)
-    return stack([tf_shift(g, PhasePoint(a, b)) for a, b in points]), np.array(points, dtype=float)
+    centers = np.array(points, dtype=float)
+    return tf_shift(gaussian_window(grid).values, grid, centers), centers
 
 
 def full_box_half_lattice(grid):
@@ -142,7 +136,7 @@ class TestGramian:
 
     def test_positive_semidefinite(self, hermites):
         members = hermites[:4] + [random_bandlimited(GRID, seed) for seed in range(3)]
-        members += [tf_shift(members[0], PhasePoint(0.25, -0.5))]
+        members += [SampledFunction(GRID, tf_shift(members[0].values, GRID, [0.25, -0.5]))]
         assert np.linalg.eigvalsh(gramian(stack(members), GRID)).min() >= -1e-10
 
 
@@ -193,11 +187,11 @@ class TestDualSystem:
         rng = np.random.default_rng(11)
         step = math.sqrt(2)
         points = [
-            snap_to_grid(GRID, PhasePoint(step * m + rng.uniform(-0.1, 0.1), step * k + rng.uniform(-0.1, 0.1)))
+            snap_to_grid(GRID, [step * m + rng.uniform(-0.1, 0.1), step * k + rng.uniform(-0.1, 0.1)])
             for m in range(-2, 3)
             for k in range(-4, 6)
         ]
-        members = stack([tf_shift(gaussian_window(GRID), p) for p in points])
+        members = tf_shift(gaussian_window(GRID).values, GRID, points)
         assert len(members) == 50
         return members
 
@@ -343,10 +337,10 @@ class TestDualLocalizationCheck:
                 b = step * k + rng.uniform(-0.1, 0.1)
                 if abs(a) > 6.5 or abs(b) > 6.5:
                     continue
-                points.append(snap_to_grid(GRID, PhasePoint(a, b)))
-        members = stack([tf_shift(gaussian_window(GRID), p) for p in points])
-        primal = localization_fit(gramian(members, GRID), center_rows(points))
-        dual = localization_fit(gramian(dual_system(members, GRID), GRID), center_rows(points))
+                points.append(snap_to_grid(GRID, [a, b]))
+        members = tf_shift(gaussian_window(GRID).values, GRID, points)
+        primal = localization_fit(gramian(members, GRID), np.array(points))
+        dual = localization_fit(gramian(dual_system(members, GRID), GRID), np.array(points))
         assert primal.exponent > 6.0
         assert dual.exponent >= 4.0
 
@@ -390,9 +384,9 @@ class TestCommutationLedger:
 
     def test_frequency_edge_mass_warns(self):
         # modulated to xi = 6 on a frequency half-extent of 8; the time side is clean
-        f = tf_shift(gaussian_window(GRID), PhasePoint(0.0, 6.0))
-        assert tail_mass(f.values, GRID) < 1e-20
-        single = f.values[None]
+        f = tf_shift(gaussian_window(GRID).values, GRID, [0.0, 6.0])
+        assert tail_mass(f, GRID) < 1e-20
+        single = f[None]
         with pytest.warns(UserWarning, match="boundary mass"):
             commutation_ledger(single, single, GRID)
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from pslab import (
     GridMismatchError,
     GridSpec,
-    PhasePoint,
     SampledFunction,
     fourier_transform,
     gaussian_window,
@@ -47,6 +46,14 @@ def test_gridspec_validation():
         GridSpec(1, 64, -0.5)
 
 
+@pytest.mark.parametrize("n", [1024.7, (64, 32.5), float("nan")])
+def test_gridspec_refuses_fractional_sample_count(n):
+    # int() would truncate 1024.7 to a valid 1024
+    with pytest.raises(ValueError, match="whole number"):
+        GridSpec(1 if np.isscalar(n) else 2, n, 0.1)
+    assert GridSpec(1, 1024.0, 0.1).n == (1024,)
+
+
 def test_dual_grid_round_trip():
     g = make_grid()
     d = g.dual()
@@ -83,7 +90,7 @@ def test_gaussian_is_fourier_invariant():
 def test_shift_theorem():
     g = make_grid()
     f = random_function(g, seed=1, bandlimit=4.0)
-    shifted = tf_shift(f, PhasePoint(0.5, 0.0))
+    shifted = SampledFunction(g, tf_shift(f.values, g, [0.5, 0.0]))
     lhs = fourier_transform(shifted).values
     xi = g.dual().axis_points()
     rhs = fourier_transform(f).values * np.exp(-2j * np.pi * 0.5 * xi)
@@ -151,32 +158,103 @@ def test_hermite_orthogonality():
 def test_tf_shift_identity_and_unitarity():
     g = make_grid()
     f = random_function(g, seed=8)
-    same = tf_shift(f, PhasePoint(0.0, 0.0))
-    np.testing.assert_array_equal(same.values, f.values)
-    moved = tf_shift(f, PhasePoint(1.25, 0.7))
+    same = tf_shift(f.values, g, [0.0, 0.0])
+    np.testing.assert_array_equal(same, f.values)
+    moved = SampledFunction(g, tf_shift(f.values, g, [1.25, 0.7]))
     assert moved.norm() == pytest.approx(f.norm(), abs=1e-12)
+
+
+def shift_by_roll(values, grid, a, b):
+    """The oracle exp(2 pi i b.x) f(x - a): np.roll by a / step samples, then the phase, a on the grid."""
+    moved = np.roll(values, [round(ai / si) for ai, si in zip(a, grid.step)], axis=tuple(range(grid.dim)))
+    return moved * np.exp(2j * np.pi * sum(bi * x for bi, x in zip(b, grid.mesh())))
+
+
+GRID_2D = GridSpec(2, (16, 32), (1 / 4, 1 / 8))
+# negative shifts, and shifts past the half-extent (8 in 1-D, 2 and 2 in 2-D) that wrap
+SHIFT_CENTERS = {
+    1: [[0.0, 0.0], [-3.5, 1.25], [10.0, -2.0], [-12.5, 0.5]],
+    2: [[0.0, 0.0, 0.0, 0.0], [-0.75, 1.5, 2.0, -1.0], [3.0, -2.5, -0.5, 0.25], [-5.0, 0.125, 1.0, 3.0]],
+}
+
+
+@pytest.mark.parametrize("grid", [make_grid(), GRID_2D], ids=["1d", "2d"])
+@pytest.mark.parametrize("layout", ["window-by-centers", "stack-by-centers", "one-by-one"])
+def test_tf_shift_matches_roll_and_phase(grid, layout):
+    centers = np.array(SHIFT_CENTERS[grid.dim])
+    d = grid.dim
+    stack = np.stack([random_function(grid, seed=k).values for k in range(len(centers))])
+    window = gaussian_window(grid).values
+    if layout == "window-by-centers":
+        values, expected = window, [shift_by_roll(window, grid, c[:d], c[d:]) for c in centers]
+    elif layout == "stack-by-centers":
+        values, expected = stack, [shift_by_roll(f, grid, c[:d], c[d:]) for f, c in zip(stack, centers)]
+    else:
+        values, centers = stack[1], centers[1]
+        expected = shift_by_roll(values, grid, centers[:d], centers[d:])
+    shifted = tf_shift(values, grid, centers)
+    assert shifted.shape == np.shape(expected)
+    np.testing.assert_allclose(shifted, expected, rtol=0, atol=1e-12)
 
 
 def test_tf_shift_composition_phase():
     # pi(a,b) pi(a',b') = exp(-2 pi i a.b') pi(a+a', b+b'), read off from the
-    # definition exp(2 pi i b t) f(t-a).
-    g = make_grid()
-    f = gaussian_window(g)
-    a, b = 0.5, 1.25
-    ap, bp = -0.25, 2.0
-    lhs = tf_shift(tf_shift(f, PhasePoint(ap, bp)), PhasePoint(a, b))
-    rhs = np.exp(-2j * np.pi * a * bp) * tf_shift(f, PhasePoint(a + ap, b + bp))
-    assert np.max(np.abs(lhs.values - rhs.values)) < 1e-10
+    # definition exp(2 pi i b t) f(t-a); applied to a stack of two functions.
+    for grid in (make_grid(), GRID_2D):
+        d = grid.dim
+        f = np.stack([gaussian_window(grid).values, random_function(grid, seed=9).values])
+        first, second = np.array(SHIFT_CENTERS[d][1]), np.array(SHIFT_CENTERS[d][2])
+        lhs = tf_shift(tf_shift(f, grid, first), grid, second)
+        rhs = np.exp(-2j * np.pi * np.dot(second[:d], first[d:])) * tf_shift(f, grid, first + second)
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_tf_shift_rejects_off_grid():
     g = make_grid()
-    f = gaussian_window(g)
-    with pytest.raises(ValueError):
-        tf_shift(f, PhasePoint(0.03, 0.0))
-    snapped = snap_to_grid(g, PhasePoint(0.04, 0.4))
-    assert snapped.a[0] == pytest.approx(1 / 16)
-    tf_shift(f, snapped)  # does not raise
+    f = gaussian_window(g).values
+    with pytest.raises(ValueError, match="not multiples of spacing"):
+        tf_shift(f, g, [0.03, 0.0])
+    with pytest.raises(ValueError, match="not multiples of spacing"):
+        tf_shift(f, g, [[0.0, 0.0], [0.03, 0.0]])
+    snapped = snap_to_grid(g, [0.04, 0.4])
+    assert snapped[0] == pytest.approx(1 / 16)
+    assert snapped[1] == 0.4
+    tf_shift(f, g, snapped)  # does not raise
+
+
+def test_snap_to_grid_rounds_each_time_axis_by_its_spacing():
+    snapped = snap_to_grid(GRID_2D, [[0.3, 0.3, 0.3, -0.3], [-0.4, -0.4, 7.0, 7.0]])
+    np.testing.assert_array_equal(snapped, [[0.25, 0.25, 0.3, -0.3], [-0.5, -0.375, 7.0, 7.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 1], ids=["time", "frequency"])
+def test_tf_shift_rejects_non_finite_coordinates(bad, column):
+    g = make_grid()
+    centers = np.zeros((3, 2))
+    centers[1, column] = bad
+    with pytest.raises(ValueError, match="finite"):
+        tf_shift(gaussian_window(g).values, g, centers)
+
+
+@pytest.mark.parametrize(
+    "values_shape, centers_shape",
+    [
+        ((256,), (3,)),  # 2d + 1 coordinates
+        ((256,), (4, 4)),  # 2-D centers on a 1-D grid
+        ((3, 256), (4, 2)),  # three functions, four centers
+        ((256,), (2, 2, 2)),  # a grid of centers, not rows
+    ],
+)
+def test_tf_shift_rejects_mismatched_centers(values_shape, centers_shape):
+    g = make_grid()
+    with pytest.raises(ValueError, match="centers"):
+        tf_shift(np.ones(values_shape, dtype=complex), g, np.zeros(centers_shape))
+
+
+def test_tf_shift_rejects_values_of_another_grid():
+    with pytest.raises(GridMismatchError):
+        tf_shift(np.ones(128, dtype=complex), make_grid(), [0.0, 0.0])
 
 
 def test_gaussian_window_moments():

@@ -9,14 +9,7 @@ import pytest
 from pslab.corpus import hermite_functions, random_bandlimited, standard_corpus
 from pslab.frames import commutation_ledger, dual_system
 from pslab.geometry import PhasePointSet, lattice_point_set, separation_stat
-from pslab.grid import (
-    GridSpec,
-    PhasePoint,
-    fourier_transform,
-    gaussian_window,
-    snap_to_grid,
-    tf_shift,
-)
+from pslab.grid import GridSpec, SampledFunction, fourier_transform, gaussian_window, snap_to_grid, tf_shift
 from pslab.localization import (
     amalgam_norm,
     modulation_norm,
@@ -61,7 +54,7 @@ class TestMoment:
             assert moment(f, [0.0], 0.0) == pytest.approx(f.norm() ** 2, rel=1e-13)
 
     def test_translation_covariance(self, gauss):
-        shifted = tf_shift(gauss, PhasePoint(0.5, 0.75))
+        shifted = SampledFunction(GRID, tf_shift(gauss.values, GRID, [0.5, 0.75]))
         assert moment(shifted, [0.5], 1.0) == pytest.approx(moment(gauss, [0.0], 1.0), abs=1e-10)
 
     def test_frequency_side_by_fourier_invariance(self, gauss):
@@ -84,7 +77,7 @@ class TestMoment:
 class TestTailMass:
     def test_boundary_mass_warns(self, gauss):
         assert tail_mass(gauss.values, GRID) < 1e-6
-        hugging = tf_shift(gauss, PhasePoint(6.0, 0.0)).values
+        hugging = tf_shift(gauss.values, GRID, [6.0, 0.0])
         assert tail_mass(hugging, GRID) > 1e-6
         with pytest.warns(UserWarning, match="boundary mass"):
             commutation_ledger(hugging[None], hugging[None], GRID)
@@ -93,7 +86,7 @@ class TestTailMass:
         # 40 quiet Hermite functions and one atom with 2.7e-6 of its mass past 6:
         # measured against the mass of the whole stack its tail would read 6.5e-8
         quiet = np.stack([h.values for h in hermite_functions(GRID, 40)])
-        edge = tf_shift(gauss, PhasePoint(4.75, 0.0)).values
+        edge = tf_shift(gauss.values, GRID, [4.75, 0.0])
         members = np.concatenate([quiet, edge[None]])
         assert tail_mass(members, GRID) == max(tail_mass(f, GRID) for f in members) == tail_mass(edge, GRID)
         assert tail_mass(quiet, GRID) < 1e-20 and 1e-6 < tail_mass(edge, GRID) < 41e-6
@@ -144,7 +137,7 @@ class TestWeightedNorms:
         for f in corpus[:6]:
             base = modulation_norm(f, 1.0)
             for a, b in [(0.5, 0.5), (1.0, -2.0), (2.0, 1.5)]:
-                sh = tf_shift(f, snap_to_grid(GRID, PhasePoint(a, b)))
+                sh = SampledFunction(GRID, tf_shift(f.values, GRID, snap_to_grid(GRID, [a, b])))
                 assert modulation_norm(sh, 1.0) <= (1 + abs(a) + abs(b)) * base
 
 

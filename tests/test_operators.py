@@ -12,7 +12,6 @@ from pslab.corpus import random_bandlimited
 from pslab.frames import frame_bounds
 from pslab.grid import (
     GridSpec,
-    PhasePoint,
     SampledFunction,
     gaussian_window,
     inner_product,
@@ -65,9 +64,9 @@ def stack(members):
     return np.stack([f.values for f in members])
 
 
-def center_rows(centers):
-    """Phase points as the rows (a, b) of an (M, 2d) array."""
-    return np.array([c.a + c.b for c in centers])
+def shifted(f, center):
+    """pi(a, b) f for one center row (a, b), snapped onto the grid."""
+    return SampledFunction(f.grid, tf_shift(f.values, f.grid, snap_to_grid(f.grid, center)))
 
 
 def improve_by_loop(members, centers, R, sigma, window):
@@ -75,12 +74,12 @@ def improve_by_loop(members, centers, R, sigma, window):
     improved, errors = [], []
     for f, c in zip(members, centers):
         snapped = snap_to_grid(f.grid, c)
-        ab = sum(ai * bi for ai, bi in zip(snapped.a, snapped.b))
-        back = PhasePoint(tuple(-v for v in snapped.a), tuple(-v for v in snapped.b))
-        phi = tf_shift(f, back) * np.exp(-2j * np.pi * ab)
+        d = f.grid.dim
+        ab = sum(ai * bi for ai, bi in zip(snapped[:d], snapped[d:]))
+        phi = shifted(f, -snapped) * np.exp(-2j * np.pi * ab)
         psi = cutoff_by_definition(phi, R, window)
         errors.append(modulation_norm(phi - psi, sigma))
-        improved.append(tf_shift(psi, snapped))
+        improved.append(shifted(psi, snapped))
     return improved, np.array(errors)
 
 
@@ -217,6 +216,13 @@ class TestSpectrum:
         high = low + (lam.size - k) * lam[k - 1]
         assert low - 1e-8 <= box_op.trace() <= high + 1e-8
 
+    def test_cached_spectrum_is_read_only(self):
+        op = RestrictionOperator(RestrictionSpec(GRID, 2.0, 2.0))
+        assert plunge_count(op) == 16
+        with pytest.raises(ValueError, match="read-only"):
+            op.eigenvalues()[:] = 0.0
+        assert plunge_count(op) == 16
+
     def test_two_dimensional_operator_rejected(self):
         op = RestrictionOperator(RestrictionSpec(GridSpec(2, 16, 0.25), 1.0, 1.0))
         with pytest.raises(ValueError, match="one-dimensional"):
@@ -304,14 +310,11 @@ class TestImproveSystem:
     @pytest.mark.parametrize("R, sigma", [(2.0, 1.0), (3.0, 2.0), (5.0, 0.5)])
     def test_matches_member_loop(self, gauss, R, sigma):
         rng = np.random.default_rng(256)
-        centers = [PhasePoint(float(a), float(b)) for a, b in rng.uniform(-3, 3, size=(6, 2))]
-        members = [
-            tf_shift(gauss, snap_to_grid(GRID, c)) + random_bandlimited(GRID, i) * 0.1
-            for i, c in enumerate(centers)
-        ]
+        centers = rng.uniform(-3, 3, size=(6, 2))
+        members = [shifted(gauss, c) + random_bandlimited(GRID, i) * 0.1 for i, c in enumerate(centers)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            ((improved, errors),) = improve_system(stack(members), center_rows(centers), GRID, [R], sigma)
+            ((improved, errors),) = improve_system(stack(members), centers, GRID, [R], sigma)
             members_ref, errors_ref = improve_by_loop(members, centers, R, sigma, gauss)
         for h, ref in zip(improved, members_ref):
             assert np.abs(h - ref.values).max() < 1e-12
@@ -321,14 +324,11 @@ class TestImproveSystem:
     def test_matches_member_loop_2d(self, R, sigma):
         gauss2 = gaussian_window(GRID_2D)
         rng = np.random.default_rng(16)
-        centers = [PhasePoint(tuple(a), tuple(b)) for a, b in rng.uniform(-1, 1, size=(4, 2, 2))]
-        members = [
-            tf_shift(gauss2, snap_to_grid(GRID_2D, c)) + random_bandlimited(GRID_2D, i) * 0.1
-            for i, c in enumerate(centers)
-        ]
+        centers = rng.uniform(-1, 1, size=(4, 2, 2)).reshape(4, 4)
+        members = [shifted(gauss2, c) + random_bandlimited(GRID_2D, i) * 0.1 for i, c in enumerate(centers)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            ((improved, errors),) = improve_system(stack(members), center_rows(centers), GRID_2D, [R], sigma)
+            ((improved, errors),) = improve_system(stack(members), centers, GRID_2D, [R], sigma)
             members_ref, errors_ref = improve_by_loop(members, centers, R, sigma, gauss2)
         for h, ref in zip(improved, members_ref):
             assert np.abs(h - ref.values).max() < 1e-12
@@ -344,7 +344,7 @@ class TestImproveSystem:
 
     def test_weight_follows_sigma(self, gauss):
         # sigma 1, 2, 1 on one grid: each call must use its own sigma's weight
-        members = stack([tf_shift(gauss, PhasePoint(0.5, -0.25)) + random_bandlimited(GRID, 3) * 0.1])
+        members = stack([shifted(gauss, [0.5, -0.25]) + random_bandlimited(GRID, 3) * 0.1])
         centers = np.array([[0.5, -0.25]])
         errors = [improve_system(members, centers, GRID, [3.0], sigma)[0][1] for sigma in (1.0, 2.0, 1.0)]
         assert not np.array_equal(errors[0], errors[1])
@@ -352,12 +352,9 @@ class TestImproveSystem:
 
     def test_one_call_for_all_radii_matches_one_call_per_radius(self, gauss):
         rng = np.random.default_rng(7)
-        centers = [PhasePoint(float(a), float(b)) for a, b in rng.uniform(-2, 2, size=(3, 2))]
-        members = [
-            tf_shift(gauss, snap_to_grid(GRID, c)) + random_bandlimited(GRID, i) * 0.1
-            for i, c in enumerate(centers)
-        ]
-        args = stack(members), center_rows(centers), GRID
+        centers = rng.uniform(-2, 2, size=(3, 2))
+        members = [shifted(gauss, c) + random_bandlimited(GRID, i) * 0.1 for i, c in enumerate(centers)]
+        args = stack(members), centers, GRID
         radii = [2.0, 3.5, 5.0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
@@ -369,16 +366,16 @@ class TestImproveSystem:
             np.testing.assert_array_equal(improved, improved_ref)
 
     def test_gaussian_system_fixed_point(self, gauss):
-        points = [PhasePoint(a, b) for a, b in [(0.0, 0.0), (1.0, -2.0), (-1.5, 0.5)]]
-        members = stack([tf_shift(gauss, p) for p in points])
-        ((improved, errors),) = improve_system(members, center_rows(points), GRID, [6.0])
+        points = np.array([(0.0, 0.0), (1.0, -2.0), (-1.5, 0.5)])
+        members = tf_shift(gauss.values, GRID, points)
+        ((improved, errors),) = improve_system(members, points, GRID, [6.0])
         worst = max(SampledFunction(GRID, f - h).norm() for f, h in zip(members, improved))
         assert worst < 1e-6
         assert errors.max() < 1e-6
 
     def test_off_grid_center_snapped_with_warning(self, gauss):
         # 0.3 snaps to 0.3125, the member's own center, so A_6 hands the member back
-        member = tf_shift(gauss, PhasePoint(0.3125, 0.0)).values
+        member = tf_shift(gauss.values, GRID, [0.3125, 0.0])
         with pytest.warns(UserWarning, match="snapped"):
             ((improved, _),) = improve_system(member[None], np.array([[0.3, 0.0]]), GRID, [6.0])
         assert np.abs(improved[0] - member).max() < 1e-6
@@ -398,14 +395,10 @@ class TestImproveSystem:
 
     def test_riesz_bounds_stable_for_large_radius(self, gauss):
         step = math.sqrt(2)
-        points = [
-            snap_to_grid(GRID, PhasePoint(step * m, step * k))
-            for m in (-1, 0, 1)
-            for k in (-1, 0, 1)
-        ]
-        members = stack([tf_shift(gauss, p) for p in points])
+        points = snap_to_grid(GRID, [(step * m, step * k) for m in (-1, 0, 1) for k in (-1, 0, 1)])
+        members = tf_shift(gauss.values, GRID, points)
         before = frame_bounds(members, GRID)
-        after = frame_bounds(improve_system(members, center_rows(points), GRID, [6.0])[0][0], GRID)
+        after = frame_bounds(improve_system(members, points, GRID, [6.0])[0][0], GRID)
         assert abs(after.lower - before.lower) <= 0.1 * before.lower
         assert abs(after.upper - before.upper) <= 0.1 * before.upper
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pslab import GridSpec, PhasePoint, SampledFunction, gaussian_window, inner_product, tf_shift
+from pslab import GridSpec, SampledFunction, gaussian_window, inner_product, tf_shift
 from pslab.stft import (
     ComplexGrid,
     StftField,
@@ -17,6 +17,11 @@ from pslab.stft import (
 
 from test_cli import run_python
 from test_grid import random_function
+
+
+def shifted(f, a, b):
+    """pi(a, b) f, with a and b given per axis or as scalars in 1-D."""
+    return SampledFunction(f.grid, tf_shift(f.values, f.grid, np.hstack([a, b])))
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +51,7 @@ def test_stft_matches_inner_product_definition(setup):
     for jt, jf in [(128, 128), (120, 140), (140, 100), (97, 131)]:
         x = g.axis_points()[jt]
         xi = g.dual().axis_points()[jf]
-        direct = inner_product(f, tf_shift(w, PhasePoint(x, xi)))
+        direct = inner_product(f, shifted(w, x, xi))
         assert field.values[jt, jf] == pytest.approx(direct, abs=1e-12)
 
 
@@ -101,7 +106,7 @@ def test_single_cell_field_synthesizes_shifted_window(setup):
     out = adjoint_stft(field, w)
     x = g.axis_points()[jt]
     xi = g.dual().axis_points()[jf]
-    expected = tf_shift(w, PhasePoint(x, xi))
+    expected = shifted(w, x, xi)
     assert np.max(np.abs(out.values - expected.values)) < 1e-10
 
 
@@ -129,7 +134,7 @@ def test_single_cell_field_synthesizes_shifted_window_2d(setup_2d):
     out = adjoint_stft(field, w)
     x = tuple(g.axis_points(ax)[jt[ax]] for ax in range(2))
     xi = tuple(g.dual().axis_points(ax)[jf[ax]] for ax in range(2))
-    expected = tf_shift(w, PhasePoint(x, xi))
+    expected = shifted(w, x, xi)
     assert np.max(np.abs(out.values - expected.values)) < 1e-12
 
 
@@ -138,7 +143,7 @@ def test_covariance(setup):
     f = random_function(g, seed=15, bandlimit=3.0)
     a, b = 0.5, 1.0  # on-grid shifts in both axes of the field
     field = stft(f, w)
-    moved = stft(tf_shift(f, PhasePoint(a, b)), w)
+    moved = stft(shifted(f, a, b), w)
     sa = int(round(a / g.step[0]))
     sb = int(round(b / g.dual().step[0]))
     rolled = np.roll(np.roll(np.abs(field.values), sa, axis=0), sb, axis=1)
@@ -163,7 +168,7 @@ def test_stft_2d_matches_definition():
     jf = (9, 12)
     x = tuple(g.axis_points(ax)[jt[ax]] for ax in range(2))
     xi = tuple(g.dual().axis_points(ax)[jf[ax]] for ax in range(2))
-    direct = inner_product(f, tf_shift(w, PhasePoint(x, xi)))
+    direct = inner_product(f, shifted(w, x, xi))
     assert field.values[jt + jf] == pytest.approx(direct, abs=1e-12)
     back = adjoint_stft(field, w)
     rel = np.linalg.norm((back.values - f.values).ravel()) / np.linalg.norm(f.values.ravel())
@@ -277,7 +282,7 @@ def test_bargmann_gaussian_quadrature_oracle(setup):
 def test_bargmann_of_shifted_gaussian_is_kernel(setup):
     g, w = setup
     w1, w2 = 0.5, 0.75
-    f = tf_shift(w, PhasePoint(w1, -w2))
+    f = shifted(w, w1, -w2)
     zg = ComplexGrid(-1.0, 1.0, -1.0, 1.0, 0.1)
     B = bargmann_transform(f, zg)
     wc = w1 + 1j * w2
@@ -298,7 +303,7 @@ def test_bargmann_linearity(setup):
 def test_bargmann_stft_bridge(setup):
     # |Bf(x+i xi)| e^{-pi |z|^2 / 2} = |V_g f(x, -xi)| at phase-space grid points
     g, w = setup
-    f = tf_shift(gaussian_window(g), PhasePoint(0.25, 0.5))
+    f = shifted(gaussian_window(g), 0.25, 0.5)
     field = stft(f, w)
     zg = ComplexGrid(-1.0, 1.0, -1.0, 1.0, 0.25)
     B = bargmann_transform(f, zg)
@@ -315,7 +320,7 @@ def test_bargmann_entirety(setup):
     # fourth-order central differences: |dbar B| / |d B| over the interior is
     # at the level of the stencil's truncation error for an analytic field
     g, w = setup
-    f = tf_shift(w, PhasePoint(0.5, -0.5)) + 0.5 * gaussian_window(g)
+    f = shifted(w, 0.5, -0.5) + 0.5 * gaussian_window(g)
     zg = ComplexGrid(-1.0, 1.0, -1.0, 1.0, 0.02)
     B = bargmann_transform(f, zg)
 
