@@ -16,7 +16,6 @@ from . import __version__
 from ._csvio import _write_csv
 from .config import ExperimentConfig
 from .grid import GridSpec, SampledFunction, gaussian_window, snap_to_grid, tf_shift
-from .operators import RestrictionOperator, RestrictionSpec, plunge_count
 
 # Bytes the largest dense step of any experiment may take: every runner checks
 # its estimate against this one budget before it allocates.
@@ -208,9 +207,8 @@ def _run_balian_low(cfg: ExperimentConfig) -> Table:
 
 
 def _run_trace_check(cfg: ExperimentConfig) -> Table:
+    from .operators import restriction_trace
     grid = cfg.grid()
-    if grid.dim != 1:
-        raise cfg.error("runs on one-dimensional grids")
     pairs = []
     for token in cfg.get_str("pairs").split():
         try:
@@ -221,39 +219,33 @@ def _run_trace_check(cfg: ExperimentConfig) -> Table:
             raise cfg.error(f"bad pair {token!r}, halfwidths must be positive and finite")
         pairs.append((ht, hf))
     try:
-        specs = [RestrictionSpec(grid, ht, hf) for ht, hf in pairs]
+        traces = [restriction_trace(grid, ht, hf) for ht, hf in pairs]
     except ValueError as exc:
         raise cfg.error(str(exc)) from None
     rows = []
-    for spec in specs:
-        tr = RestrictionOperator(spec).trace()
-        area = (2 * spec.time_halfwidth) ** grid.dim * (2 * spec.freq_halfwidth) ** grid.dim
-        rows.append(
-            f"{spec.time_halfwidth!r},{spec.freq_halfwidth!r},{tr!r},{area!r},"
-            f"{abs(tr - area) / area!r}"
-        )
+    for (ht, hf), tr in zip(pairs, traces):
+        area = (2 * ht) * (2 * hf)
+        rows.append(f"{ht!r},{hf!r},{tr!r},{area!r},{abs(tr - area) / area!r}")
     return "time_halfwidth,freq_halfwidth,trace,area,rel_error", rows, []
 
 
 def _run_plunge_count(cfg: ExperimentConfig) -> Table:
+    from .operators import plunge_count, restriction_masks
     grid = cfg.grid()
-    if grid.dim != 1:
-        raise cfg.error("dense spectra run on one-dimensional grids")
     radii = cfg.get_floats("radii")
     if any(R <= 0 for R in radii):
         raise cfg.error("radii must be positive")
     try:
-        specs = [RestrictionSpec(grid, R / 2, R / 2) for R in radii]
+        sizes = [int(np.count_nonzero(restriction_masks(grid, R / 2, R / 2)[0])) for R in radii]
     except ValueError as exc:
         raise cfg.error(str(exc)) from None
     # the |T| x |T| section and eigvalsh's copy: peak RSS growth 2.07 and 2.04
     # sections at |T| = 1024 and 2048, budgeted as three
-    for R, spec in zip(radii, specs):
-        size = int(np.count_nonzero(spec.time_mask()))
+    for R, size in zip(radii, sizes):
         _check_budget(cfg, 3 * size**2 * COMPLEX_BYTES, f"radius {R!r}", f"eigensolve its {size}-sample section")
     rows = []
-    for R, spec in zip(radii, specs):
-        count = plunge_count(RestrictionOperator(spec))
+    for R in radii:
+        count = plunge_count(grid, R / 2, R / 2)
         rows.append(f"{R!r},{count},{count / R**2!r}")
     return "radius,count,count_per_square_radius", rows, []
 

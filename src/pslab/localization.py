@@ -103,24 +103,26 @@ def amalgam_norm(field: StftField, s: float) -> float:
     return math.sqrt(float(np.sum(sup * weight)))
 
 
-def sampled_weighted_sum(field: StftField, lam: PhasePointSet, z, s: float) -> float:
-    """(sum_n |F(z + lambda_n)|^2 (1 + |z + lambda_n|)^{2s})^{1/2}.
+def sampled_weighted_sum(field: StftField, points: np.ndarray, z, s: float) -> float:
+    """(sum_n |F(z + lambda_n)|^2 (1 + |z + lambda_n|)^{2s})^{1/2} over the rows lambda_n of ``points``.
 
-    F is evaluated by nearest grid cell; points falling outside the field's
-    phase-space box are an error rather than silently dropped.
+    ``points`` is an (M, 2d) array of phase-space points (x, xi) for the
+    field's d.  F is evaluated by nearest grid cell; points falling outside
+    the field's phase-space box are an error rather than silently dropped.
     """
     if s < 0:
         raise ValueError(f"weight exponent s must be >= 0, got {s}")
     g = field.grid
     d = g.dim
-    if lam.dim != d:
-        raise ValueError(f"point set dim {lam.dim} does not match field dim {d}")
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2 * d:
+        raise ValueError(f"points of shape {points.shape} are not (M, {2 * d}) for a {d}-D field")
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.size != 2 * d:
         raise ValueError(f"z must have {2 * d} components")
-    if len(lam) == 0:
+    if len(points) == 0:
         return 0.0
-    shifted = lam.coords + z[None, :]
+    shifted = points + z[None, :]
     idx = []
     for col, ni, si in zip(shifted.T, g.n + g.dual().n, g.step + g.dual().step):
         j = np.round(col / si).astype(np.int64) + ni // 2

@@ -1,10 +1,9 @@
-"""Restriction operators L = P1 P2 P1, their spectra, and phase-space cutoffs.
+"""Restriction operators L = P_T P_Omega P_T, their spectra, and phase-space cutoffs.
 
-Sets are centred at the origin.  Set membership follows the half-open
-convention: a d=1 interval of halfwidth rho is [-rho, rho), which makes
-traces of on-grid intervals exact count ratios.  d=2 sets are open balls;
-only operator application is offered there, dense spectra stay
-one-dimensional.
+A restriction operator is given by its grid and two halfwidths: the time
+set T = [-rho_t, rho_t) on a one-dimensional grid and the frequency set
+Omega = [-rho_f, rho_f) on its dual.  The half-open convention makes traces
+of on-grid intervals exact count ratios.
 
 Spectra come from the |T| x |T| Toeplitz section of the restriction operator
 (the periodic discrete-prolate matrix), and the phase-space cutoff A_R is
@@ -15,7 +14,6 @@ rewrites of the FFT-defined operators, not approximations.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,96 +21,64 @@ import numpy as np
 from .grid import GridSpec, SampledFunction, _centered_fft, gaussian_window, snap_to_grid, tf_shift
 
 
-def _ball_mask(grid: GridSpec, halfwidth: float) -> np.ndarray:
-    if grid.dim == 1:
-        points = grid.axis_points(0)
-        return (points >= -halfwidth) & (points < halfwidth)
-    return grid.radius_squared() < halfwidth**2
+def restriction_masks(grid: GridSpec, time_halfwidth: float, freq_halfwidth: float) -> list[np.ndarray]:
+    """The time mask of T on ``grid`` and the frequency mask of Omega on its dual.
 
-
-def _check_margin(grid: GridSpec, halfwidth: float, what: str) -> None:
-    for ax in range(grid.dim):
-        he = grid.half_extent(ax)
-        if he - 4 * grid.step[ax] < halfwidth < he:
-            raise ValueError(
-                f"{what} set [{-halfwidth}, {halfwidth}) needs "
-                f"4-sample margin inside [-{he}, {he}) or full coverage"
-            )
-
-
-@dataclass
-class RestrictionSpec:
-    """Origin-centred time interval/ball and frequency interval/ball cut out of a grid."""
-
-    grid: GridSpec
-    time_halfwidth: float
-    freq_halfwidth: float
-
-    def __post_init__(self):
-        if self.time_halfwidth < 0 or self.freq_halfwidth < 0:
+    Each set must leave a 4-sample margin inside its periodic box or cover it.
+    """
+    if grid.dim != 1:
+        raise ValueError("restriction operators run on one-dimensional grids")
+    masks = []
+    for g, rho, what in ((grid, time_halfwidth, "time"), (grid.dual(), freq_halfwidth, "frequency")):
+        if not rho >= 0:  # also refuses NaN, which would give an empty set
             raise ValueError("halfwidths must be nonnegative")
-        _check_margin(self.grid, self.time_halfwidth, "time")
-        _check_margin(self.grid.dual(), self.freq_halfwidth, "frequency")
-
-    def time_mask(self) -> np.ndarray:
-        return _ball_mask(self.grid, self.time_halfwidth)
-
-    def freq_mask(self) -> np.ndarray:
-        return _ball_mask(self.grid.dual(), self.freq_halfwidth)
-
-
-class RestrictionOperator:
-    """Self-adjoint PSD composition: time cut, frequency cut, time cut."""
-
-    def __init__(self, spec: RestrictionSpec):
-        self.spec = spec
-        self._mt = spec.time_mask().astype(float)
-        self._mf = spec.freq_mask().astype(float)
-        self._support = np.flatnonzero(self._mt)
-        self._eigs: np.ndarray | None = None
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.spec.grid
-
-    def apply(self, f: SampledFunction) -> SampledFunction:
-        if f.grid != self.grid:
-            raise ValueError("function grid does not match the operator grid")
-        axes = tuple(range(self.grid.dim))
-        cut = self._mt * f.values
-        hat = _centered_fft(cut, axes, inverse=False)
-        back = _centered_fft(self._mf * hat, axes, inverse=True)
-        return SampledFunction(self.grid, self._mt * back)
-
-    def _section(self) -> np.ndarray:
-        """The |T| x |T| Hermitian Toeplitz block c[(j - j') mod N], T = supp(mt).
-
-        The frequency cut is the circulant with kernel c = ifft(ifftshift(mf)),
-        so the operator is that circulant compressed to T and zero elsewhere.
-        """
-        if self.grid.dim != 1:
-            raise ValueError("dense assembly is one-dimensional")
-        c = np.fft.ifft(np.fft.ifftshift(self._mf))
-        return c[np.subtract.outer(self._support, self._support) % self.grid.n[0]]
-
-    def trace(self) -> float:
-        """|T| |Omega| / N^d: every diagonal entry of the section is c[0] = mean(mf)."""
-        return self._support.size * int(np.count_nonzero(self._mf)) / self._mf.size
-
-    def eigenvalues(self) -> np.ndarray:
-        """All N eigenvalues, descending: the section's plus N - |T| zeros."""
-        if self._eigs is None:
-            lam = np.linalg.eigvalsh(self._section())
-            # sorted, not concatenated: section eigenvalues can be -1e-17
-            lam = np.concatenate([lam, np.zeros(self.grid.n[0] - lam.size)])
-            self._eigs = np.sort(lam)[::-1].copy()
-            self._eigs.setflags(write=False)  # shared by every caller: a write would corrupt the cache
-        return self._eigs
+        he = g.half_extent()
+        if he - 4 * g.step[0] < rho < he:
+            raise ValueError(
+                f"{what} set [{-rho}, {rho}) needs 4-sample margin inside [-{he}, {he}) or full coverage"
+            )
+        points = g.axis_points()
+        masks.append((points >= -rho) & (points < rho))
+    return masks
 
 
-def plunge_count(op: RestrictionOperator) -> int:
+def apply_restriction(values: np.ndarray, grid: GridSpec, time_halfwidth: float, freq_halfwidth: float) -> np.ndarray:
+    """P_T P_Omega P_T applied to samples on ``grid``: the FFT definition."""
+    if values.shape != grid.shape:
+        raise ValueError(f"values of shape {values.shape} do not match the grid shape {grid.shape}")
+    mt, mf = restriction_masks(grid, time_halfwidth, freq_halfwidth)
+    hat = _centered_fft(mt * values, (0,), inverse=False)
+    return mt * _centered_fft(mf * hat, (0,), inverse=True)
+
+
+def restriction_section(grid: GridSpec, time_halfwidth: float, freq_halfwidth: float) -> np.ndarray:
+    """The |T| x |T| Hermitian Toeplitz block c[(j - j') mod N] on the samples j, j' in T.
+
+    The frequency cut is the circulant with kernel c = ifft(ifftshift(mf)),
+    so the operator is that circulant compressed to T and zero elsewhere.
+    """
+    mt, mf = restriction_masks(grid, time_halfwidth, freq_halfwidth)
+    support = np.flatnonzero(mt)
+    c = np.fft.ifft(np.fft.ifftshift(mf))
+    return c[np.subtract.outer(support, support) % grid.n[0]]
+
+
+def restriction_trace(grid: GridSpec, time_halfwidth: float, freq_halfwidth: float) -> float:
+    """|T| |Omega| / N: every diagonal entry of the section is c[0] = mean(mf)."""
+    mt, mf = restriction_masks(grid, time_halfwidth, freq_halfwidth)
+    return int(np.count_nonzero(mt)) * int(np.count_nonzero(mf)) / mf.size
+
+
+def restriction_spectrum(grid: GridSpec, time_halfwidth: float, freq_halfwidth: float) -> np.ndarray:
+    """All N eigenvalues, descending: the section's plus N - |T| zeros."""
+    lam = np.linalg.eigvalsh(restriction_section(grid, time_halfwidth, freq_halfwidth))
+    # sorted, not concatenated: section eigenvalues can be -1e-17
+    return np.sort(np.concatenate([lam, np.zeros(grid.n[0] - lam.size)]))[::-1]
+
+
+def plunge_count(grid: GridSpec, time_halfwidth: float, freq_halfwidth: float) -> int:
     """Number of eigenvalues above 1/2, the Landau-type area count."""
-    return int((op.eigenvalues() > 0.5).sum())
+    return int((restriction_spectrum(grid, time_halfwidth, freq_halfwidth) > 0.5).sum())
 
 
 def cutoff_extent(grid: GridSpec) -> float:

@@ -23,7 +23,7 @@ from pslab.fock import gaussian_atom_gram
 from pslab.frames import _inverse_sqrt_rows, canonical_tight, gramian
 from pslab.grid import GridSpec, gaussian_window, tf_shift
 from pslab.localization import moment
-from pslab.operators import RestrictionSpec
+from pslab.operators import restriction_masks
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -260,11 +260,11 @@ class TestDenseEstimates:
         # |T| = 2048: halfwidth 16 at dx = 1/64
         setup = (
             "from pslab.grid import GridSpec\n"
-            "from pslab.operators import RestrictionOperator, RestrictionSpec, plunge_count\n"
-            "plunge_count(RestrictionOperator(RestrictionSpec(GridSpec(1, 256, 1 / 8), 4.0, 4.0)))\n"
-            "spec = RestrictionSpec(GridSpec(1, 4096, 1 / 64), 16.0, 16.0)"
+            "from pslab.operators import plunge_count\n"
+            "plunge_count(GridSpec(1, 256, 1 / 8), 4.0, 4.0)\n"
+            "grid = GridSpec(1, 4096, 1 / 64)"
         )
-        growth = peak_rss_growth(setup, "plunge_count(RestrictionOperator(spec))")
+        growth = peak_rss_growth(setup, "plunge_count(grid, 16.0, 16.0)")
         estimate = 3 * 2048**2 * COMPLEX_BYTES
         assert estimate / 2 <= growth <= estimate
 
@@ -600,7 +600,7 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise AssertionError("operator built before the memory check")
 
-        monkeypatch.setattr("pslab.experiments.RestrictionOperator", refuse)
+        monkeypatch.setattr("pslab.operators.restriction_section", refuse)
         # halfwidth 20 at dx = 1/256 is a 10240-sample time set: three |T| x |T|
         # complex matrices take 4.7 GiB, and the budget admits |T| <= 6688
         stub = tmp_path / "big.cfg"
@@ -610,6 +610,18 @@ class TestCli:
         assert "memory budget" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("experiment, sets", [("trace-check", "pairs = 1,1\n"), ("plunge-count", "radii = 2\n")])
+    def test_two_dimensional_grid_exits_2(self, tmp_path, capsys, experiment, sets):
+        # the restriction functions refuse a 2-D grid; the runner reports their refusal
+        stub = tmp_path / "2d.cfg"
+        stub.write_text(f"[{experiment}]\ngrid_dim = 2\ngrid_n = 16\ngrid_dx = 0.25\n{sets}")
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(stub), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"[{experiment}]" in err[0] and "one-dimensional" in err[0]
+        assert not list(out.iterdir())
+
     def test_plunge_count_budget_follows_the_section(self, tmp_path, monkeypatch):
         class Admitted(Exception):
             pass
@@ -617,7 +629,7 @@ class TestCli:
         def admit(*args, **kwargs):
             raise Admitted
 
-        monkeypatch.setattr("pslab.experiments.RestrictionOperator", admit)
+        monkeypatch.setattr("pslab.operators.restriction_section", admit)
         # radius R at dx = 1/256 is a time set of 256 R samples: 6688 at R = 26.125 is
         # the largest the budget admits, 6720 at R = 26.25 is refused
         stub = tmp_path / "pc.cfg"
@@ -636,8 +648,8 @@ class TestCli:
         rows = read_rows(tmp_path / "trace_check.csv")
         assert [row[:2] for row in rows] == [[1.0, 1.0], [20.0, 1.0]]
         for ht, hf, trace, _, _ in rows:
-            spec = RestrictionSpec(grid, ht, hf)
-            assert spec.time_mask().sum() * spec.freq_mask().sum() / grid.n[0] == trace
+            time_mask, freq_mask = restriction_masks(grid, ht, hf)
+            assert time_mask.sum() * freq_mask.sum() / grid.n[0] == trace
 
     @pytest.mark.parametrize(
         "grid", ["grid_n = 1048576\ngrid_dx = 0.0009765625\n", "grid_dim = 2\ngrid_n = 128\ngrid_dx = 0.125\n"]
@@ -783,7 +795,8 @@ class TestCli:
             raise AssertionError("computed before the parameter check")
 
         monkeypatch.setattr("pslab.experiments.corpus", refuse)
-        monkeypatch.setattr("pslab.experiments.RestrictionOperator", refuse)
+        monkeypatch.setattr("pslab.operators.restriction_trace", refuse)
+        monkeypatch.setattr("pslab.operators.restriction_section", refuse)
         monkeypatch.setattr("pslab.experiments._gabor_central_member", refuse)
         monkeypatch.setattr("pslab.fock.lattice_sweep", refuse)
         monkeypatch.setattr("pslab.geometry.PhasePointSet.load_csv", refuse)
@@ -812,8 +825,8 @@ class TestCli:
         rows = read_rows(tmp_path / "trace_check.csv")
         assert len(rows) == 2
         for ht, hf, trace, _, _ in rows:
-            spec = RestrictionSpec(grid, ht, hf)
-            exact = spec.time_mask().sum() * spec.freq_mask().sum() / grid.n[0]
+            time_mask, freq_mask = restriction_masks(grid, ht, hf)
+            exact = time_mask.sum() * freq_mask.sum() / grid.n[0]
             assert trace == pytest.approx(exact, rel=1e-12)
         assert [row[2] for row in rows] == pytest.approx([4.0, 32.0], rel=1e-12)
 
@@ -841,12 +854,8 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
 
 def test_each_experiment_loads_only_its_modules(tmp_path):
     # each runner imports the modules it calls, so a CLI process pays only for its own
-    # experiment; every run loads the parser, the config, the shared runner helpers and
-    # the restriction operators those import at module level
-    core = {
-        "pslab", "pslab._csvio", "pslab.cli", "pslab.config",
-        "pslab.experiments", "pslab.grid", "pslab.operators",
-    }
+    # experiment; every run loads the parser, the config and the shared runner helpers
+    core = {"pslab", "pslab._csvio", "pslab.cli", "pslab.config", "pslab.experiments", "pslab.grid"}
     loaded = {}
     for experiment in EXPERIMENTS:
         code = (
@@ -856,7 +865,7 @@ def test_each_experiment_loads_only_its_modules(tmp_path):
             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in ('pslab', 'scipy'))))\n"
         )
         loaded[experiment] = set(run_python(code).splitlines()[-1].split())
-    assert loaded["trace-check"] == loaded["plunge-count"] == core
+    assert loaded["trace-check"] == loaded["plunge-count"] == core | {"pslab.operators"}
     assert loaded["fock-sweep"] == core | {"pslab.fock"}
     assert loaded["density"] == core | {"pslab.geometry"}
     for experiment, modules in loaded.items():
@@ -864,3 +873,6 @@ def test_each_experiment_loads_only_its_modules(tmp_path):
         assert not any(m.split(".")[0] == "scipy" for m in modules), experiment
         if experiment != "density":
             assert "pslab.geometry" not in modules, experiment
+        if experiment not in ("trace-check", "plunge-count", "improve"):
+            assert "pslab.operators" not in modules, experiment
+    assert "pslab.operators" in loaded["improve"]

@@ -8,7 +8,7 @@ import pytest
 
 from pslab.corpus import hermite_functions, random_bandlimited, standard_corpus
 from pslab.frames import commutation_ledger, dual_system
-from pslab.geometry import PhasePointSet, lattice_point_set, separation_stat
+from pslab.geometry import lattice_point_set, separation_stat
 from pslab.grid import GridSpec, SampledFunction, fourier_transform, gaussian_window, snap_to_grid, tf_shift
 from pslab.localization import (
     amalgam_norm,
@@ -221,14 +221,13 @@ class TestAmalgamNorm:
 class TestSampledWeightedSum:
     def test_single_point_at_origin(self, gauss):
         field = stft(gauss, gauss)
-        lam = PhasePointSet(np.array([[0.0, 0.0]]), 1.0, 1)
-        value = sampled_weighted_sum(field, lam, (0.0, 0.0), 0.0)
+        value = sampled_weighted_sum(field, np.array([[0.0, 0.0]]), (0.0, 0.0), 0.0)
         assert value == pytest.approx(abs(field.values[128, 128]), abs=1e-12)
 
     def test_duplicate_strictly_increases(self, gauss):
         field = stft(gauss, gauss)
-        lam = PhasePointSet(np.array([[0.0, 0.0], [1.0, 1.0]]), 2.0, 1)
-        dup = PhasePointSet(np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]), 2.0, 1)
+        lam = np.array([[0.0, 0.0], [1.0, 1.0]])
+        dup = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         assert sampled_weighted_sum(field, dup, (0.0, 0.0), 0.0) > sampled_weighted_sum(
             field, lam, (0.0, 0.0), 0.0
         )
@@ -239,22 +238,22 @@ class TestSampledWeightedSum:
         for f in corpus[::3]:
             field = stft(f, gauss)
             for z, s in [((0.0, 0.0), 0.0), ((0.25, -0.125), 1.0), ((0.4375, 0.375), 2.0)]:
-                value = sampled_weighted_sum(field, lam, z, s)
+                value = sampled_weighted_sum(field, lam.coords, z, s)
                 assert value <= sep * amalgam_norm(field, s) * 1.05
 
     def test_out_of_domain_rejected(self, gauss):
         field = stft(gauss, gauss)
         lam = lattice_point_set((1.0, 1.0), 8.0)
         with pytest.raises(ValueError):
-            sampled_weighted_sum(field, lam, (0.25, -0.125), 1.0)
+            sampled_weighted_sum(field, lam.coords, (0.25, -0.125), 1.0)
 
     def test_matches_point_loop_2d(self):
         field = field_2d(4)
         axes = phase_axes_2d()
-        lam = PhasePointSet(np.random.default_rng(2).uniform(-1.5, 1.5, size=(12, 4)), 1.5, 2)
+        lam = np.random.default_rng(2).uniform(-1.5, 1.5, size=(12, 4))
         z, s = np.array([0.25, -0.125, 0.1, 0.0]), 1.5
         total = 0.0
-        for row in lam.coords:
+        for row in lam:
             p = row + z
             idx = tuple(int(np.argmin(np.abs(ax - v))) for ax, v in zip(axes, p))
             total += abs(field.values[idx]) ** 2 * (1 + np.linalg.norm(p)) ** (2 * s)
@@ -262,5 +261,11 @@ class TestSampledWeightedSum:
 
     def test_empty_set_is_zero(self, gauss):
         field = stft(gauss, gauss)
-        lam = PhasePointSet(np.zeros((0, 2)), 1.0, 1)
-        assert sampled_weighted_sum(field, lam, (0.0, 0.0), 1.0) == 0.0
+        assert sampled_weighted_sum(field, np.zeros((0, 2)), (0.0, 0.0), 1.0) == 0.0
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 4), (3, 1, 2)])
+    def test_points_not_m_by_2d_rejected(self, gauss, shape):
+        # a 1-D field takes (M, 2) rows (x, xi); the 2-D rows of shape (M, 4) are refused too
+        field = stft(gauss, gauss)
+        with pytest.raises(ValueError, match=r"not \(M, 2\)"):
+            sampled_weighted_sum(field, np.zeros(shape), (0.0, 0.0), 1.0)

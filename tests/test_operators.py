@@ -20,13 +20,16 @@ from pslab.grid import (
 )
 from pslab.localization import modulation_norm
 from pslab.operators import (
-    RestrictionOperator,
-    RestrictionSpec,
     _apply_cutoff,
+    apply_restriction,
     cutoff_extent,
     improve_system,
     localization_operator,
     plunge_count,
+    restriction_masks,
+    restriction_section,
+    restriction_spectrum,
+    restriction_trace,
 )
 from pslab.stft import StftField, adjoint_stft, multiplier_matrix, stft
 
@@ -83,16 +86,15 @@ def improve_by_loop(members, centers, R, sigma, window):
     return improved, np.array(errors)
 
 
-def dense_from_apply(op):
+def dense_from_apply(grid, ht, hf):
     """The operator matrix, column by column from the FFT definition."""
-    n = op.grid.n[0]
-    cols = [op.apply(SampledFunction(op.grid, e)).values for e in np.eye(n)]
+    cols = [apply_restriction(e.astype(complex), grid, ht, hf) for e in np.eye(grid.n[0])]
     return np.array(cols).T
 
 
 @st.composite
 def restriction_specs(draw):
-    """Centred time and frequency intervals (or full coverage) at N <= 256."""
+    """(grid, time halfwidth, freq halfwidth): centred intervals (or full coverage) at N <= 256."""
     n = draw(st.sampled_from([16, 64, 256]))
     step = 1 / math.isqrt(n)
     inner = n // 2 - 4  # the 4-sample margin, in samples
@@ -102,7 +104,7 @@ def restriction_specs(draw):
             return n / 2 * step
         return draw(st.integers(0, 2 * inner)) / 2 * step
 
-    return RestrictionSpec(GridSpec(1, n, step), halfwidth(), halfwidth())
+    return GridSpec(1, n, step), halfwidth(), halfwidth()
 
 
 @pytest.fixture(scope="module")
@@ -111,122 +113,129 @@ def gauss():
 
 
 @pytest.fixture(scope="module")
-def box_op():
-    """The [-4, 4) x [-4, 4) cutoff, eigenvalues cached across tests."""
-    return RestrictionOperator(RestrictionSpec(GRID, 4.0, 4.0))
+def box_spectrum():
+    """Eigenvalues of the [-4, 4) x [-4, 4) cutoff, computed once for the module."""
+    return restriction_spectrum(GRID, 4.0, 4.0)
 
 
 class TestRestrictionSpec:
     def test_margin_too_small_rejected(self):
         with pytest.raises(ValueError, match="margin"):
-            RestrictionSpec(GRID, 7.9, 4.0)
+            restriction_masks(GRID, 7.9, 4.0)
 
     def test_freq_margin_too_small_rejected(self):
         with pytest.raises(ValueError, match="margin"):
-            RestrictionSpec(GRID, 4.0, 7.9)
+            restriction_masks(GRID, 4.0, 7.9)
 
     def test_full_coverage_allowed(self):
-        spec = RestrictionSpec(GRID, 8.0, 8.0)
-        assert spec.time_mask().all()
-        assert spec.freq_mask().all()
+        time_mask, freq_mask = restriction_masks(GRID, 8.0, 8.0)
+        assert time_mask.all()
+        assert freq_mask.all()
 
     def test_negative_halfwidth_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            RestrictionSpec(GRID, -1.0, 4.0)
+            restriction_masks(GRID, -1.0, 4.0)
+
+    @pytest.mark.parametrize("halfwidths", [(math.nan, 4.0), (4.0, math.nan)], ids=["time", "frequency"])
+    def test_nan_halfwidth_rejected(self, halfwidths):
+        # NaN compares false both ways, so it would pass a sign check and give an empty set
+        with pytest.raises(ValueError, match="nonnegative"):
+            restriction_masks(GRID, *halfwidths)
 
 
 class TestRestrictionOperator:
     def test_full_sets_give_identity(self, gauss):
-        op = RestrictionOperator(RestrictionSpec(GRID, 8.0, 8.0))
         f = random_bandlimited(GRID, 1)
-        assert np.abs(op.apply(f).values - f.values).max() < 1e-10
+        assert np.abs(apply_restriction(f.values, GRID, 8.0, 8.0) - f.values).max() < 1e-10
 
     def test_annihilates_outside_time_set(self):
-        op = RestrictionOperator(RestrictionSpec(GRID, 1.0, 4.0))
         x = GRID.axis_points(0)
-        f = SampledFunction(GRID, ((x >= 2) & (x < 3)).astype(complex))
-        assert np.abs(op.apply(f).values).max() == 0.0
+        f = ((x >= 2) & (x < 3)).astype(complex)
+        assert np.abs(apply_restriction(f, GRID, 1.0, 4.0)).max() == 0.0
 
-    def test_self_adjoint(self, box_op):
+    def test_self_adjoint(self):
         f, h = random_bandlimited(GRID, 2), random_bandlimited(GRID, 3)
-        lhs = inner_product(box_op.apply(f), h)
-        rhs = inner_product(f, box_op.apply(h))
+        lhs = inner_product(SampledFunction(GRID, apply_restriction(f.values, GRID, 4.0, 4.0)), h)
+        rhs = inner_product(f, SampledFunction(GRID, apply_restriction(h.values, GRID, 4.0, 4.0)))
         assert abs(lhs - rhs) < 1e-10
 
-    def test_operator_norm_at_most_one(self, box_op):
+    def test_operator_norm_at_most_one(self):
         for seed in range(3):
             f = random_bandlimited(GRID, seed)
-            assert box_op.apply(f).norm() <= (1 + 1e-8) * f.norm()
+            Lf = SampledFunction(GRID, apply_restriction(f.values, GRID, 4.0, 4.0))
+            assert Lf.norm() <= (1 + 1e-8) * f.norm()
 
-    def test_grid_mismatch_rejected(self, box_op):
+    def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError, match="grid"):
-            box_op.apply(gaussian_window(GridSpec(1, 128, 1 / 16)))
+            apply_restriction(gaussian_window(GridSpec(1, 128, 1 / 16)).values, GRID, 4.0, 4.0)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(restriction_specs())
     def test_section_spectrum_matches_dense_definition(self, spec):
-        op = RestrictionOperator(spec)
-        dense = dense_from_apply(op)
+        dense = dense_from_apply(*spec)
         reference = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))[::-1]
-        assert np.abs(op.eigenvalues() - reference).max() < 1e-12
-        on_t = np.ix_(op._support, op._support)
-        assert np.abs(op._section() - dense[on_t]).max(initial=0.0) < 1e-12
+        assert np.abs(restriction_spectrum(*spec) - reference).max() < 1e-12
+        support = np.flatnonzero(restriction_masks(*spec)[0])
+        on_t = np.ix_(support, support)
+        assert np.abs(restriction_section(*spec) - dense[on_t]).max(initial=0.0) < 1e-12
         dense[on_t] = 0.0
         assert np.abs(dense).max() < 1e-12
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(restriction_specs())
     def test_trace_is_count_ratio(self, spec):
-        op = RestrictionOperator(spec)
-        count = spec.time_mask().sum() * spec.freq_mask().sum() / spec.grid.n[0]
-        assert abs(op.trace() - count) < 1e-12
+        time_mask, freq_mask = restriction_masks(*spec)
+        count = time_mask.sum() * freq_mask.sum() / spec[0].n[0]
+        assert abs(restriction_trace(*spec) - count) < 1e-12
         # the definition: the diagonal sum of the |T| x |T| section
-        assert abs(op.trace() - np.trace(op._section()).real) < 1e-12
+        assert abs(restriction_trace(*spec) - np.trace(restriction_section(*spec)).real) < 1e-12
 
 
 class TestTrace:
     def test_square_box_trace(self):
-        op = RestrictionOperator(RestrictionSpec(TRACE_GRID, 4.0, 4.0))
-        assert op.trace() == pytest.approx(64.0, rel=0.01)
+        assert restriction_trace(TRACE_GRID, 4.0, 4.0) == pytest.approx(64.0, rel=0.01)
 
     def test_empty_time_set_traceless(self):
-        op = RestrictionOperator(RestrictionSpec(GRID, 0.0, 4.0))
-        assert op.trace() == 0.0
+        assert restriction_trace(GRID, 0.0, 4.0) == 0.0
 
     def test_doubling_time_interval_doubles_trace(self):
-        half = RestrictionOperator(RestrictionSpec(TRACE_GRID, 2.0, 4.0))
-        full = RestrictionOperator(RestrictionSpec(TRACE_GRID, 4.0, 4.0))
-        assert full.trace() == pytest.approx(2 * half.trace(), rel=0.01)
+        half = restriction_trace(TRACE_GRID, 2.0, 4.0)
+        full = restriction_trace(TRACE_GRID, 4.0, 4.0)
+        assert full == pytest.approx(2 * half, rel=0.01)
 
 
 class TestSpectrum:
-    def test_eigenvalue_band(self, box_op):
-        lam = box_op.eigenvalues()
+    def test_eigenvalue_band(self, box_spectrum):
+        lam = box_spectrum
         assert lam.min() >= -1e-10
         assert lam.max() <= 1 + 1e-10
 
-    def test_plunge_count_matches_area(self, box_op):
+    def test_plunge_count_matches_area(self):
         area = 64.0
-        assert abs(plunge_count(box_op) - area) <= max(2, 0.05 * area)
+        assert abs(plunge_count(GRID, 4.0, 4.0) - area) <= max(2, 0.05 * area)
 
-    def test_trace_bracketing(self, box_op):
-        lam = box_op.eigenvalues()
+    def test_trace_bracketing(self, box_spectrum):
+        lam = box_spectrum
         k = 10
         low = lam[:k].sum()
         high = low + (lam.size - k) * lam[k - 1]
-        assert low - 1e-8 <= box_op.trace() <= high + 1e-8
+        assert low - 1e-8 <= restriction_trace(GRID, 4.0, 4.0) <= high + 1e-8
 
-    def test_cached_spectrum_is_read_only(self):
-        op = RestrictionOperator(RestrictionSpec(GRID, 2.0, 2.0))
-        assert plunge_count(op) == 16
-        with pytest.raises(ValueError, match="read-only"):
-            op.eigenvalues()[:] = 0.0
-        assert plunge_count(op) == 16
-
-    def test_two_dimensional_operator_rejected(self):
-        op = RestrictionOperator(RestrictionSpec(GridSpec(2, 16, 0.25), 1.0, 1.0))
+    @pytest.mark.parametrize(
+        "function",
+        [
+            restriction_masks,
+            lambda grid, ht, hf: apply_restriction(np.zeros(grid.shape, dtype=complex), grid, ht, hf),
+            restriction_section,
+            restriction_trace,
+            restriction_spectrum,
+            plunge_count,
+        ],
+        ids=["masks", "apply", "section", "trace", "spectrum", "plunge_count"],
+    )
+    def test_two_dimensional_operator_rejected(self, function):
         with pytest.raises(ValueError, match="one-dimensional"):
-            op.eigenvalues()
+            function(GRID_2D, 1.0, 1.0)
 
 
 class TestLocalizationOperator:
