@@ -15,12 +15,13 @@ import numpy as np
 from . import __version__
 from ._csvio import _write_csv
 from .config import ExperimentConfig
-from .grid import GridSpec, SampledFunction, gaussian_window, snap_to_grid, tf_shift
+from .grid import GridSpec, SampledFunction, _lattice_reach, gaussian_window, snap_to_grid, tf_shift
 
 # Bytes the largest dense step of any experiment may take: every runner checks
 # its estimate against this one budget before it allocates.
 GRAM_BYTES_LIMIT = 2**31
 COMPLEX_BYTES = np.dtype(complex).itemsize
+FLOAT_BYTES = np.dtype(float).itemsize
 
 # What a runner returns: the CSV header, its data rows, and comment lines
 # that follow the provenance block.
@@ -37,7 +38,6 @@ def corpus(recipe: str, grid: GridSpec, seed: int = 0) -> tuple[np.ndarray, np.n
     Lattice atoms come m-major at their snapped points; the others sit at the origin.
     """
     from .corpus import hermite_functions, two_bump
-    from .fock import _lattice_reach
     match = _RECIPE.match(recipe.strip())
     if not match:
         raise ValueError(f"unparseable recipe {recipe!r}")
@@ -158,13 +158,14 @@ def _check_budget(cfg: ExperimentConfig, need: int, subject: str, task: str) -> 
 def _budgeted_corpus(
     cfg: ExperimentConfig, grid: GridSpec, squares: int, products: int, task: str, fixed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The recipe's M members of N samples and their centers, refused past squares M^2 + products M N + fixed."""
+    """The recipe's M members of N samples and their centers, refused past squares M^2 + products M N
+    complex entries and ``fixed`` bytes."""
     try:
         members, centers = corpus(cfg.get_str("recipe"), grid, cfg.seed)
     except ValueError as exc:
         raise cfg.error(str(exc)) from None
     M = len(members)
-    need = (M * (squares * M + products * math.prod(grid.n)) + fixed) * COMPLEX_BYTES
+    need = M * (squares * M + products * math.prod(grid.n)) * COMPLEX_BYTES + fixed
     _check_budget(cfg, need, f"recipe of {M} members", task)
     return members, centers
 
@@ -218,6 +219,8 @@ def _run_trace_check(cfg: ExperimentConfig) -> Table:
         if not (0 < ht < math.inf and 0 < hf < math.inf):
             raise cfg.error(f"bad pair {token!r}, halfwidths must be positive and finite")
         pairs.append((ht, hf))
+    if not pairs:
+        raise cfg.error("pairs must list at least one time,freq pair")
     try:
         traces = [restriction_trace(grid, ht, hf) for ht, hf in pairs]
     except ValueError as exc:
@@ -283,10 +286,13 @@ def _run_improve(cfg: ExperimentConfig) -> Table:
     from .frames import frame_bounds
     from .operators import cutoff_extent, improve_system
     grid = cfg.grid()
-    # improve_system's weight, the one n^d x n^d matrix it holds: peak RSS growth 1.60 and
-    # 1.64 n^d x n^d matrices at n^d = 1024 (2-D, 2 radii) and 2048 (1-D, 4 radii), budgeted as two
+    # improve_system's largest arrays are real n^d x n^d: the weight beside a slab of its symbol,
+    # and before it, in 1-D, a cutoff factor beside its bank of up to n shifted windows.  Peak RSS
+    # growth 1.53 and 1.43 of them at n^d = 2048 (1-D, 4 radii) and 1024 (2-D, 2 radii), and 2.27
+    # when the cube keeps every time shift (1-D, 2048), budgeted as five halves
     size = math.prod(grid.n)
-    _check_budget(cfg, 2 * size**2 * COMPLEX_BYTES, f"grid of {size} samples", "hold the modulation weight")
+    matrices = 5 * size**2 * FLOAT_BYTES // 2
+    _check_budget(cfg, matrices, f"grid of {size} samples", "hold the modulation weight")
     radii = cfg.get_floats("radii")
     sigma = cfg.get_float("sigma", 1.0)
     extent = cutoff_extent(grid)
@@ -294,11 +300,12 @@ def _run_improve(cfg: ExperimentConfig) -> Table:
         raise cfg.error(f"radii must lie in (0, {extent}]")
     if sigma < 0:
         raise cfg.error(f"sigma = {sigma!r} must be nonnegative")
-    # improve_system holds the weight, the de-shifted members and one smoothed stack per
+    # improve_system holds those matrices, the de-shifted members and one smoothed stack per
     # radius; the R improved stacks then sit beside frame_bounds' 4 M^2 + 3 M N.  Budgeted as
-    # 2 N^2 + 4 M^2 + (3 + R) M N, the peak RSS growth of all of it is 0.74 and 0.87 of that
-    # at M = 625, N = 2048 with 2 and 16 radii, and 0.83 at M = 3721, N = 512 with 2
-    members, centers = _budgeted_corpus(cfg, grid, 4, 3 + len(radii), "improve and bound it", 2 * size**2)
+    # 4 M^2 + (3 + R) M N complex entries beside the matrices, the peak RSS growth of all of it
+    # is 0.67 and 0.86 of that at M = 625, N = 2048 with 2 and 16 radii, and 0.81 at M = 3721,
+    # N = 512 with 2
+    members, centers = _budgeted_corpus(cfg, grid, 4, 3 + len(radii), "improve and bound it", matrices)
     source = frame_bounds(members, grid)
     rows = []
     for R, (improved, errors) in zip(radii, improve_system(members, centers, grid, radii, sigma)):
@@ -354,7 +361,7 @@ def _run_uncertainty_sum(cfg: ExperimentConfig) -> Table:
 
 
 def _run_fock_sweep(cfg: ExperimentConfig) -> Table:
-    from .fock import _lattice_reach, lattice_sweep
+    from .fock import lattice_sweep
     alphas = cfg.get_floats("alphas")
     window = cfg.get_float("window", 6.0)
     if any(a <= 0 for a in alphas) or window <= 0:

@@ -13,18 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import null_space_floor
-
-
-def _lattice_reach(window: float, pitch: float) -> int:
-    """floor(window / pitch), taking a ratio within 1e-9 (relative) of an integer as that integer.
-
-    0.3 / 0.1 is 2.9999999999999996; a plain floor would drop the outer ring
-    of lattice points that lies on the window's edge.
-    """
-    ratio = window / pitch
-    nearest = round(ratio)
-    return nearest if abs(ratio - nearest) <= 1e-9 * ratio else math.floor(ratio)
+from .grid import _lattice_reach, null_space_floor
 
 
 def lattice_points(alpha: float, window: float) -> np.ndarray:

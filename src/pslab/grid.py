@@ -232,6 +232,17 @@ def snap_to_grid(grid: GridSpec, centers) -> np.ndarray:
     return snapped
 
 
+def _lattice_reach(window: float, pitch: float) -> int:
+    """floor(window / pitch), taking a ratio within 1e-9 (relative) of an integer as that integer.
+
+    0.3 / 0.1 is 2.9999999999999996; a plain floor would drop the outer ring
+    of lattice points that lies on the window's edge.
+    """
+    ratio = window / pitch
+    nearest = round(ratio)
+    return nearest if abs(ratio - nearest) <= 1e-9 * ratio else math.floor(ratio)
+
+
 def null_space_floor(w_max: float, order: int) -> float:
     """w_max * order * eps: eigenvalues of an order x order Gramian up to this are roundoff, its null space."""
     return w_max * order * np.finfo(float).eps

@@ -9,11 +9,14 @@ edge, and callers warn when it exceeds ``TAIL_MASS_THRESHOLD``.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grid import GridSpec, SampledFunction, fourier_transform, gaussian_window
-from .stft import StftField, stft
+
+if TYPE_CHECKING:
+    from .stft import StftField
 
 TAIL_MASS_THRESHOLD = 1e-6
 
@@ -50,22 +53,25 @@ def modulation_norm(f: SampledFunction, s: float) -> float:
     """M2_s norm: weighted L2 norm of the Gaussian-window STFT over phase space."""
     if s < 0:
         raise ValueError(f"weight exponent s must be >= 0, got {s}")
+    from .stft import stft
     field = stft(f, gaussian_window(f.grid))
     return weighted_field_norm(field, s)
 
 
-def modulation_weight(grid: GridSpec, s: float) -> np.ndarray:
+def modulation_weight(grid: GridSpec, s: float, rows=...) -> np.ndarray:
     """The weight (1+|(x,xi)|)^{2s} on the phase-space grid of ``grid``.
 
     One float array of shape ``grid.shape + grid.shape`` (time axes, then
-    frequency).
+    frequency), or with ``rows``, an index into ``grid.shape``, the weight on
+    those time rows alone: the indexed time shape + ``grid.shape``.
     """
     if s < 0:
         raise ValueError(f"weight exponent s must be >= 0, got {s}")
-    coords = grid.phase_mesh()
-    # one full-size array, built in place: the coordinates are sparse
-    weight = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)))
-    for c in coords:
+    time = grid.radius_squared()[rows]
+    # one array of the result's size, built in place: the frequency coordinates are sparse
+    weight = np.empty(time.shape + grid.shape)
+    weight[...] = time.reshape(time.shape + (1,) * grid.dim)
+    for c in grid.dual().mesh():
         weight += c * c
     np.sqrt(weight, out=weight)
     weight += 1.0

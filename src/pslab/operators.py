@@ -7,8 +7,9 @@ of on-grid intervals exact count ratios.
 
 Spectra come from the |T| x |T| Toeplitz section of the restriction operator
 (the periodic discrete-prolate matrix), and the phase-space cutoff A_R is
-applied axis by axis through its 1-D STFT-multiplier factors; both are exact
-rewrites of the FFT-defined operators, not approximations.
+applied axis by axis through its real 1-D STFT-multiplier factors, each in
+closed form; both are exact rewrites of the FFT-defined operators, not
+approximations.
 """
 
 from __future__ import annotations
@@ -86,23 +87,45 @@ def cutoff_extent(grid: GridSpec) -> float:
     return min(g.half_extent(ax) for g in (grid, grid.dual()) for ax in range(grid.dim))
 
 
+def _cutoff_factor(line: GridSpec, R: float) -> np.ndarray:
+    """The real n x n matrix of the 1-D cutoff A_R on ``line``, in closed form.
+
+    A_R[t, s] = dx beta[(t - s) mod n] sum_{|x_j| <= R} w[(t - s_j) mod n] w[(s - s_j) mod n]
+    over the time shifts s_j = j - n/2, w the real Gaussian window and beta =
+    ifft(ifftshift(1_{|xi| <= R})) the kernel of the frequency band.  beta is
+    real: the band is symmetric, and its unpaired -n/2 edge adds (-1)^l / n.
+    """
+    n, dx = line.n[0], line.step[0]
+    keep_t, keep_f = (np.abs(g.axis_points()) <= R for g in (line, line.dual()))
+    beta = np.fft.ifft(np.fft.ifftshift(keep_f)).real
+    w = gaussian_window(line).values.real
+    # bank[j, t] = w[(t - s_j) mod n] on the kept shifts
+    bank = w[(np.arange(n) - (np.flatnonzero(keep_t) - n // 2)[:, None]) % n]
+    factor = bank.T @ bank
+    # beta[(t - s) mod n] = [beta[1:], beta][t - s + n - 1], a strided view read backwards along s
+    factor *= np.lib.stride_tricks.sliding_window_view(np.concatenate([beta[1:], beta]), n)[:, ::-1]
+    factor *= dx
+    return factor
+
+
 def _apply_cutoff(values: np.ndarray, grid: GridSpec, R: float) -> np.ndarray:
     """A_R = V* 1_Q V on the trailing grid axes of ``values``, Q = [-R, R]^{2d}.
 
     The cube and the Gaussian window factor over the axes, so A_R is the
-    Kronecker product of the 1-D cutoffs on GridSpec(1, n, dx), one per axis.
+    Kronecker product of the real 1-D cutoffs on GridSpec(1, n, dx), one per
+    axis, each applied to the real and imaginary parts of ``values`` apart.
     """
-    from .stft import multiplier_matrix
     extent = cutoff_extent(grid)
     if not 0 < R <= extent:
         raise ValueError(f"R={R} outside (0, {extent}] for this phase-space grid")
+    parts = [np.ascontiguousarray(values.real), np.ascontiguousarray(values.imag)]
     for ax in range(grid.dim):
-        line = GridSpec(1, grid.n[ax], grid.step[ax])
-        keep = [np.abs(g.axis_points()) <= R for g in (line, line.dual())]
-        factor = multiplier_matrix(gaussian_window(line), keep[0][:, None] & keep[1])
+        factor = _cutoff_factor(GridSpec(1, grid.n[ax], grid.step[ax]), R)
         # factor @ acts along axis -2, the first axis of a 2-D grid; @ factor.T along the last
-        values = values @ factor.T if ax == grid.dim - 1 else factor @ values
-    return values
+        parts = [p @ factor.T if ax == grid.dim - 1 else factor @ p for p in parts]
+    out = np.empty(parts[0].shape, dtype=complex)
+    out.real, out.imag = parts
+    return out
 
 
 def localization_operator(f: SampledFunction, R: float) -> SampledFunction:
@@ -120,9 +143,10 @@ def improve_system(
     phi_n = pi(a_n, b_n)^{-1} f_n, smoothed to psi_n = A_R phi_n, and returned
     as h_n = pi(a_n, b_n) psi_n, one (h, modulation errors) pair per radius in
     order.  ``modulation errors[n]`` is ||phi_n - psi_n|| in the sigma-weighted
-    modulation norm.  Every radius is smoothed first; then the weight, an
-    STFT-multiplier matrix and the only n^d x n^d one, is built once and
-    applied to all residuals by matrix products.
+    modulation norm.  Every radius is smoothed first; then the weight, a real
+    STFT-multiplier matrix and the only n^d x n^d one, is built from its
+    symbol evaluated a slab of time rows at a time, and applied to the real
+    and imaginary parts of all residuals by matrix products.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
@@ -139,13 +163,13 @@ def improve_system(
     phis = tf_shift(members, grid, -snapped)
     phis *= np.exp(-2j * np.pi * (snapped[:, :d] * snapped[:, d:]).sum(axis=1)).reshape((M,) + (1,) * d)
     smoothed = [_apply_cutoff(phis, grid, R) for R in radii]
-    weight = multiplier_matrix(gaussian_window(grid), modulation_weight(grid, sigma))
+    weight = multiplier_matrix(gaussian_window(grid), lambda rows: modulation_weight(grid, sigma, rows))
     results = []
     while smoothed:
         # popped, so each smoothed stack is freed once its re-shifted copy is made
         psis = smoothed.pop(0)
-        residual = (phis - psis).reshape(M, -1)
-        # squared M2_sigma norm of each residual row: cell_volume * Re(h* M_W h)
-        quad = np.einsum("mt,mt->m", np.conj(residual), residual @ weight.T).real
+        # squared M2_sigma norm of each residual row a + ib: cell_volume (a.Wa + b.Wb), W real symmetric
+        parts = [(phis.real - psis.real).reshape(M, -1), (phis.imag - psis.imag).reshape(M, -1)]
+        quad = sum(np.einsum("mt,mt->m", p, p @ weight.T) for p in parts)
         results.append((tf_shift(psis, grid, snapped), np.sqrt(grid.cell_volume * quad)))
     return results

@@ -110,43 +110,73 @@ def adjoint_stft(field: StftField, window: SampledFunction) -> SampledFunction:
 
 # Complex entries in each slab-sized temporary of multiplier_matrix: a slab is
 # a block of time rows or lag columns of about this many entries, 0.5 MiB
-# together with the index arrays and FFT copies that work on it.
+# together with the index arrays and FFT copies that work on it.  A slab is
+# never narrower than _SLAB_COLUMNS rows or columns, so a large n^d is not
+# built from thousands of tiny FFT calls.
 _SLAB_ENTRIES = 1 << 13
+_SLAB_COLUMNS = 16
+
+
+def _even_in_frequency(part: np.ndarray) -> bool:
+    """Whether part[j, k] = part[j, (n - k) mod n], k the centered index on every axis after the first."""
+    axes = tuple(range(1, part.ndim))
+    return bool(np.array_equal(part, np.roll(np.flip(part, axes), 1, axes)))
 
 
 def multiplier_matrix(window: SampledFunction, symbol) -> np.ndarray:
     """Matrix of the STFT multiplier V_w* diag(symbol) V_w on flattened samples.
 
     ``symbol`` broadcasts to the phase-space grid ``(time shift j, frequency
-    k)``.  With P[u, l] = w[u] conj(w[u - l]) and K[j, l] = sum_k symbol[j, k]
+    k)``, or is a function of an index tuple of time rows into ``grid.shape``
+    that returns the symbol on those rows, (rows,) + the dual shape; such a
+    symbol is evaluated one slab of rows at a time and never held in full.
+    With P[u, l] = w[u] conj(w[u - l]) and K[j, l] = sum_k symbol[j, k]
     exp(2 pi i l.(k - n/2)/n), entry [t, t - l] is the circular convolution
     over j of P[., l] with K[., l], evaluated at t + n/2 and scaled by
     cell_volume/n^d.  That costs a few FFTs over the phase-space grid instead
     of one analysis and one synthesis per column.
 
+    A real window and a symbol even in frequency, symbol[j, k] = symbol[j,
+    (n - k) mod n] on the centered frequency axes, make K, P and every lag
+    convolution real (the unpaired k = 0, frequency -n/2, contributes
+    e^{-i pi l} = +-1), and the result is float64.  Any other input gives
+    complex128; evenness is checked on each slab of the symbol as it is
+    evaluated, and the first slab that fails it turns the result complex.
+
     The n^d x n^d result is the only full-size array: K is built in it a few
     time rows at a time (rolled by n/2, so the convolution at t + n/2 lands
     on row t), each slab of lag columns is convolved over time and written
     back in lag layout [t, l], and each row is then flipped and rolled to
-    [t, s].  The workspace is the result plus one slab of ``_SLAB_ENTRIES``.
+    [t, s].  The workspace is the result plus one slab of ``_SLAB_ENTRIES``,
+    or of ``_SLAB_COLUMNS`` rows or columns when that is wider.
     """
     _check_window(window)
     g = window.grid
     d = g.dim
     shape = g.shape + g.shape
-    try:
-        symbol = np.broadcast_to(symbol, shape)
-    except ValueError:
-        raise ValueError(f"symbol shape {np.shape(symbol)} does not broadcast to {shape}") from None
+    if not callable(symbol):
+        try:
+            table = np.broadcast_to(symbol, shape)
+        except ValueError:
+            raise ValueError(f"symbol shape {np.shape(symbol)} does not broadcast to {shape}") from None
+        symbol = table.__getitem__
     size = math.prod(g.n)
-    width = max(1, _SLAB_ENTRIES // size)
+    width = max(_SLAB_COLUMNS, _SLAB_ENTRIES // size)
     slabs = [slice(lo, lo + width) for lo in range(0, size, width)]
     # per-axis index of every flattened time row or lag column
     flat = np.unravel_index(np.arange(size), g.shape)
-    out = np.empty((size, size), dtype=np.complex128)
+    real = not window.values.imag.any()
+    out = None
     for rows in slabs:
         shifted = tuple((i[rows] + n // 2) % n for i, n in zip(flat, g.n))
-        out[rows] = np.fft.ifftn(symbol[shifted], axes=tuple(range(1, d + 1))).reshape(-1, size)
+        part = np.broadcast_to(symbol(shifted), (len(shifted[0]),) + g.shape)
+        real = real and _even_in_frequency(part)
+        if out is None:
+            out = np.empty((size, size), dtype=float if real else complex)
+        elif not real and out.dtype == float:
+            out = out.astype(complex)
+        K = np.fft.ifftn(part, axes=tuple(range(1, d + 1))).reshape(-1, size)
+        out[rows] = K.real if real else K
     # K is n^d ifftn(symbol) times (-1)^l and the sum is scaled by cell_volume/n^d: P carries the rest
     scale = (-1.0) ** sum(flat) * g.cell_volume
     time_axes = tuple(range(d))
@@ -159,7 +189,8 @@ def multiplier_matrix(window: SampledFunction, symbol) -> np.ndarray:
         conv = np.fft.fftn(pairs, axes=time_axes)
         del pairs
         conv *= np.fft.fftn(lag_layout[..., cols], axes=time_axes)
-        lag_layout[..., cols] = np.fft.ifftn(conv, axes=time_axes)
+        conv = np.fft.ifftn(conv, axes=time_axes)
+        lag_layout[..., cols] = conv.real if real else conv
     # row t holds entry [t, s] in lag column t - s; gather it back to column s
     for rows in slabs:
         lag = np.ravel_multi_index(tuple((t[rows, None] - t) % n for t, n in zip(flat, g.n)), g.shape)

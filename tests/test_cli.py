@@ -12,6 +12,7 @@ from pslab.cli import main
 from pslab.config import EXPERIMENTS, ConfigError, load_config
 from pslab.experiments import (
     COMPLEX_BYTES,
+    FLOAT_BYTES,
     _eigh_bytes,
     _gabor_central_member,
     _gabor_central_row,
@@ -282,21 +283,28 @@ class TestDenseEstimates:
         return peak_rss_growth(setup, f"improve_system(members, centers, grid, {radii})")
 
     def test_improve_weight_and_cutoffs(self):
-        # n^d = 2048 in 1-D, four radii: every cutoff is freed before the weight, the one
-        # n^d x n^d matrix held, is built (measured 1.64 of them)
+        # n^d = 2048 in 1-D, four radii: every cutoff is freed before the weight, a real n^d x n^d
+        # matrix, is built from slabs of its symbol (measured 1.53 real matrices)
         growth = self.improve_growth("GridSpec(1, 64, 1 / 4)", "GridSpec(1, 2048, 1 / 32)", [2.0, 4.0, 6.0, 8.0])
-        estimate = 2 * 2048**2 * COMPLEX_BYTES
+        estimate = 5 * 2048**2 * FLOAT_BYTES // 2
+        assert estimate / 2 <= growth <= estimate
+
+    def test_improve_cutoff_keeping_every_time_shift(self):
+        # the cube at R = 16 keeps all 2048 time shifts of GridSpec(1, 2048, 1/64), so the 1-D
+        # cutoff factor sits beside a bank of n shifted windows (measured 2.27 real matrices)
+        growth = self.improve_growth("GridSpec(1, 64, 1 / 4)", "GridSpec(1, 2048, 1 / 64)", [16.0])
+        estimate = 5 * 2048**2 * FLOAT_BYTES // 2
         assert estimate / 2 <= growth <= estimate
 
     def test_improve_weight_and_cutoffs_2d(self):
-        # n^d = 1024 in 2-D, two radii: the cutoff factors are n x n (measured 1.60 weights)
+        # n^d = 1024 in 2-D, two radii: the cutoff factors are n x n (measured 1.41 real weights)
         growth = self.improve_growth("GridSpec(2, 8, 1 / 2)", "GridSpec(2, 32, 1 / 4)", [1.0, 2.0])
-        estimate = 2 * 1024**2 * COMPLEX_BYTES
+        estimate = 5 * 1024**2 * FLOAT_BYTES // 2
         assert estimate / 2 <= growth <= estimate
 
     def test_improve_radii_and_frame_bounds(self):
         # M = 465 on N = 512 with 16 radii: one smoothed, then one improved, stack held per radius
-        # beside the weight and frame_bounds (measured 0.88 of the estimate)
+        # beside the weight and frame_bounds (measured 0.93 of the estimate)
         setup = (
             "from pslab.experiments import corpus\n"
             "from pslab.frames import frame_bounds\n"
@@ -316,7 +324,7 @@ class TestDenseEstimates:
             "    frame_bounds(improved, grid)"
         )
         growth = peak_rss_growth(setup, step)
-        estimate = (2 * 512**2 + 465 * (4 * 465 + (3 + 16) * 512)) * COMPLEX_BYTES
+        estimate = 5 * 512**2 * FLOAT_BYTES // 2 + 465 * (4 * 465 + (3 + 16) * 512) * COMPLEX_BYTES
         assert estimate / 2 <= growth <= estimate
 
     def test_dual_decay_gram_and_inverse(self):
@@ -667,7 +675,7 @@ class TestCli:
         assert not list(out.iterdir())
 
     def test_many_radii_exit_2_before_allocating(self, tmp_path, monkeypatch, capsys):
-        # 625 members of 4096 samples: one radius needs 0.7 GiB, forty hold forty more stacks
+        # 625 members of 4096 samples: one radius needs 0.5 GiB, forty-eight hold forty-seven more stacks
         class Admitted(Exception):
             pass
 
@@ -683,7 +691,7 @@ class TestCli:
         monkeypatch.setattr("pslab.frames.frame_bounds", admit)
         with pytest.raises(Admitted):
             run(load_config(stub, "improve"), tmp_path / "one")
-        stub.write_text(body + "radii = " + " ".join(str(r / 2) for r in range(1, 41)) + "\n")
+        stub.write_text(body + "radii = " + " ".join(str(r / 2) for r in range(1, 49)) + "\n")
         for name in ("pslab.frames.frame_bounds", "pslab.operators.improve_system"):
             monkeypatch.setattr(name, refuse)
         out = tmp_path / "out"
@@ -696,7 +704,7 @@ class TestCli:
         [
             "grid_n = 4096\ngrid_dx = 0.03125\n",
             "grid_dim = 2\ngrid_n = 64\ngrid_dx = 0.125\n",
-            # two 8192 x 8192 complex matrices are exactly the budget
+            # five halves of an 8192 x 8192 real matrix are 0.625 of the budget; 16384 samples are over it
             "grid_n = 8192\ngrid_dx = 0.015625\n",
         ],
     )
@@ -759,6 +767,8 @@ class TestCli:
             ("plunge-count", "grid_n = 1024\ngrid_dx = 0.03125\nradii = 0\n", "radii must be positive"),
             # non-finite numbers would otherwise become NaN rows or fail mid-computation
             ("trace-check", "grid_n = 1024\ngrid_dx = 0.03125\npairs = nan,1\n", "positive and finite"),
+            # an empty list, like an empty radii, windows or alphas, would write a header-only CSV
+            ("trace-check", "grid_n = 1024\ngrid_dx = 0.03125\npairs =\n", "must list at least one"),
             ("plunge-count", "grid_n = 1024\ngrid_dx = 0.03125\nradii = nan\n", "is not finite"),
             ("improve", "grid_n = 512\ngrid_dx = 0.0625\nrecipe = two-bump\nradii = 2\nsigma = nan\n", "is not finite"),
             ("balian-low", "grid_n = 2048\ngrid_dx = 0.03125\nalpha = nan\nwindows = 2\n", "is not finite"),
@@ -778,6 +788,7 @@ class TestCli:
             "trace-check",
             "plunge-count",
             "trace-check-nan",
+            "trace-check-empty",
             "plunge-count-nan",
             "improve-nan-sigma",
             "balian-low-nan",
@@ -875,4 +886,8 @@ def test_each_experiment_loads_only_its_modules(tmp_path):
             assert "pslab.geometry" not in modules, experiment
         if experiment not in ("trace-check", "plunge-count", "improve"):
             assert "pslab.operators" not in modules, experiment
+        if experiment != "improve":
+            assert "pslab.stft" not in modules, experiment
+        if experiment not in ("balian-low", "fock-sweep"):
+            assert "pslab.fock" not in modules, experiment
     assert "pslab.operators" in loaded["improve"]

@@ -164,6 +164,11 @@ class TestModulationWeight:
         if s == 0.0:
             assert np.all(weight == 1.0)
 
+    @pytest.mark.parametrize("grid", [GRID, GRID_2D], ids=["1d", "2d"])
+    def test_rows_are_the_whole_weight_indexed(self, grid):
+        rows = np.unravel_index(np.array([0, 5, 17, grid.n[0] // 2]), grid.shape)
+        np.testing.assert_array_equal(modulation_weight(grid, 1.5, rows), modulation_weight(grid, 1.5)[rows])
+
 
 class TestAmalgamNorm:
     def test_coarse_grid_rejected(self, gauss):

@@ -21,6 +21,7 @@ from pslab.grid import (
 from pslab.localization import modulation_norm
 from pslab.operators import (
     _apply_cutoff,
+    _cutoff_factor,
     apply_restriction,
     cutoff_extent,
     improve_system,
@@ -308,6 +309,24 @@ class TestLocalizationOperator:
         columns = _apply_cutoff(np.eye(size).reshape((size,) + grid.shape), grid, R).reshape(size, size)
         assert np.abs(columns.T - np.kron(*factors)).max() < 1e-13
 
+    # GridSpec(1, 64, 1/8) and the two lines of RECT_2D, inside and at their cutoff extents
+    @pytest.mark.parametrize(
+        "line, R",
+        [
+            (GridSpec(1, 64, 1 / 8), 2.0),
+            (GridSpec(1, 64, 1 / 8), 4.0),
+            (GridSpec(1, 16, 1 / 4), 0.6),
+            (GridSpec(1, 16, 1 / 4), 2.0),
+            (GridSpec(1, 8, 1 / 2), 0.6),
+            (GridSpec(1, 8, 1 / 2), 1.0),
+        ],
+    )
+    def test_closed_form_factor_matches_multiplier(self, line, R):
+        dense = cube_multiplier(line, R)
+        factor = _cutoff_factor(line, R)
+        assert factor.dtype == dense.dtype == np.float64
+        assert np.abs(factor - dense).max() < 2e-15 * np.abs(dense).max()
+
     def test_radius_validation(self, gauss):
         with pytest.raises(ValueError, match="outside"):
             localization_operator(gauss, 0.0)
@@ -350,6 +369,20 @@ class TestImproveSystem:
         monkeypatch.setattr("pslab.stft.multiplier_matrix", refuse)
         with pytest.raises(ValueError, match="sigma"):
             improve_system(gauss.values[None], np.zeros((1, 2)), GRID, [3.0], -1.0)
+
+    @pytest.mark.parametrize("grid", [GRID, GRID_2D], ids=["1d", "2d"])
+    def test_weight_is_real_and_its_symbol_evaluated_by_rows(self, grid, monkeypatch):
+        built = []
+
+        def spy(window, symbol):
+            built.append((callable(symbol), multiplier_matrix(window, symbol)))
+            return built[-1][1]
+
+        monkeypatch.setattr("pslab.stft.multiplier_matrix", spy)
+        members = gaussian_window(grid).values[None] * (1 + 0.5j)
+        improve_system(members, np.zeros((1, 2 * grid.dim)), grid, [1.0])
+        ((by_rows, weight),) = built
+        assert by_rows and weight.dtype == np.float64
 
     def test_weight_follows_sigma(self, gauss):
         # sigma 1, 2, 1 on one grid: each call must use its own sigma's weight

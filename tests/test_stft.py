@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pslab import GridSpec, SampledFunction, gaussian_window, inner_product, tf_shift
+from pslab.localization import modulation_weight
+from pslab.operators import cutoff_extent
 from pslab.stft import (
     ComplexGrid,
     StftField,
@@ -185,6 +187,7 @@ def ragged_slabs(mp, size):
     width = size // 3 + 1
     assert -(-size // width) >= 3 and size % width
     mp.setattr("pslab.stft._SLAB_ENTRIES", size * width)
+    mp.setattr("pslab.stft._SLAB_COLUMNS", 1)
 
 
 @pytest.mark.parametrize("kind", ["mask", "weight"])
@@ -196,8 +199,8 @@ def test_multiplier_matrix_matches_definition(kind, monkeypatch):
     rng = np.random.default_rng(64)
     symbol = rng.random((64, 64)) < 0.4 if kind == "mask" else 1.0 + 10.0 * rng.random((64, 64))
     A = multiplier_matrix(w, symbol)
-    dense = np.array([multiplier_by_definition(w, symbol, SampledFunction(g, e)).values for e in np.eye(64)]).T
-    assert np.abs(A - dense).max() < 1e-12 * np.abs(dense).max()
+    assert A.dtype == np.complex128  # a random symbol is not even in frequency
+    assert_matches_definition(A, w, symbol)
 
 
 @pytest.mark.parametrize("kind", ["mask", "weight"])
@@ -209,11 +212,87 @@ def test_multiplier_matrix_2d_matches_definition(kind, monkeypatch):
     shape = g.shape + g.shape
     symbol = rng.random(shape) < 0.4 if kind == "mask" else 1.0 + 10.0 * rng.random(shape)
     A = multiplier_matrix(w, symbol)
-    assert A.shape == (256, 256)
+    assert A.shape == (256, 256) and A.dtype == np.complex128
+    assert_matches_definition(A, w, symbol)
+
+
+def assert_matches_definition(A, window, symbol):
+    """A against analysis + synthesis: on every unit vector in 1-D, on three random functions in 2-D."""
+    g = window.grid
+    if g.dim == 1:
+        size = g.n[0]
+        dense = np.array([multiplier_by_definition(window, symbol, SampledFunction(g, e)).values for e in np.eye(size)])
+        assert np.abs(A - dense.T).max() < 1e-12 * np.abs(dense).max()
+        return
     for seed in range(3):
         f = random_function(g, seed=seed)
-        ref = multiplier_by_definition(w, symbol, f).values.ravel()
+        ref = multiplier_by_definition(window, symbol, f).values.ravel()
         assert np.abs(A @ f.values.ravel() - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def even_symbol(grid, kind):
+    """The cube mask at half the cutoff extent or at all of it, where the unpaired -n/2 frequency is
+    kept, or the modulation weight at sigma = kind's number."""
+    if kind.startswith("cube"):
+        R = cutoff_extent(grid) * (1.0 if kind == "cube-edge" else 0.5)
+        mask = True
+        for coords in grid.phase_mesh():
+            mask = mask & (np.abs(coords) <= R)
+        return mask
+    return modulation_weight(grid, float(kind.split("-")[1]))
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 64, 1 / 8), GridSpec(2, 16, 1 / 4)], ids=["1d", "2d"])
+@pytest.mark.parametrize("kind", ["cube", "cube-edge", "weight-0.5", "weight-1", "weight-2"])
+def test_real_window_and_even_symbol_give_a_real_matrix(grid, kind, monkeypatch):
+    ragged_slabs(monkeypatch, math.prod(grid.n))
+    w = gaussian_window(grid)
+    symbol = even_symbol(grid, kind)
+    A = multiplier_matrix(w, symbol)
+    assert A.dtype == np.float64
+    assert_matches_definition(A, w, symbol)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 64, 1 / 8), GridSpec(2, 16, 1 / 4)], ids=["1d", "2d"])
+def test_symbol_by_rows_matches_the_whole_symbol(grid, monkeypatch):
+    ragged_slabs(monkeypatch, math.prod(grid.n))
+    w = gaussian_window(grid)
+    whole = multiplier_matrix(w, modulation_weight(grid, 1.5))
+    by_rows = multiplier_matrix(w, lambda rows: modulation_weight(grid, 1.5, rows))
+    np.testing.assert_array_equal(by_rows, whole)
+
+
+def test_odd_slab_after_even_ones_turns_the_matrix_complex(monkeypatch):
+    # time rows are built from n/2 on, so rows 0..15 come in the second and third slabs
+    g = GridSpec(1, 64, 1 / 8)
+    ragged_slabs(monkeypatch, 64)
+    w = gaussian_window(g)
+    symbol = modulation_weight(g, 1.0)
+    symbol[:16] += np.random.default_rng(5).random((16, 64))
+    A = multiplier_matrix(w, symbol)
+    assert A.dtype == np.complex128
+    assert_matches_definition(A, w, symbol)
+
+
+def test_complex_window_gives_a_complex_matrix():
+    g = GridSpec(1, 64, 1 / 8)
+    w = shifted(gaussian_window(g), 0.5, 1.0)
+    symbol = modulation_weight(g, 1.0)
+    A = multiplier_matrix(w, symbol)
+    assert A.dtype == np.complex128
+    assert_matches_definition(A, w, symbol)
+
+
+def test_multiplier_slabs_are_at_least_sixteen_wide(monkeypatch):
+    # a 64-entry slab would be one time row or lag column of 64; the floor makes it 16, so each
+    # of the two FFT loops takes 64 / 16 slabs
+    calls = []
+    ifftn = np.fft.ifftn
+    monkeypatch.setattr(np.fft, "ifftn", lambda *args, **kwargs: calls.append(1) or ifftn(*args, **kwargs))
+    monkeypatch.setattr("pslab.stft._SLAB_ENTRIES", 64)
+    g = GridSpec(1, 64, 1 / 8)
+    multiplier_matrix(gaussian_window(g), modulation_weight(g, 1.0))
+    assert len(calls) == 2 * 64 // 16
 
 
 def test_multiplier_matrix_peak_memory_is_the_result_and_a_slab():
