@@ -9,8 +9,8 @@ import numpy as np
 from .grid import GridSpec, SampledFunction, gaussian_window, inverse_fourier_transform, snap_to_grid, tf_shift
 
 
-def hermite_functions(grid: GridSpec, count: int) -> list[SampledFunction]:
-    """First `count` Hermite functions, orthonormal for the e^{-pi x^2} scaling.
+def hermite_functions(grid: GridSpec, count: int) -> np.ndarray:
+    """First `count` Hermite functions, orthonormal for the e^{-pi x^2} scaling, as a (count,) + grid.shape stack.
 
     Built by the normalized three-term recurrence
     h_{k+1} = x sqrt(4 pi / (k+1)) h_k - sqrt(k / (k+1)) h_{k-1},
@@ -22,13 +22,13 @@ def hermite_functions(grid: GridSpec, count: int) -> list[SampledFunction]:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     x = grid.axis_points(0)
-    values = [2.0**0.25 * np.exp(-math.pi * x**2)]
+    values = np.empty((count,) + grid.shape, dtype=complex)
+    values[0] = 2.0**0.25 * np.exp(-math.pi * x**2)
     if count > 1:
-        values.append(2.0**1.25 * math.sqrt(math.pi) * x * np.exp(-math.pi * x**2))
+        values[1] = 2.0**1.25 * math.sqrt(math.pi) * x * np.exp(-math.pi * x**2)
     for k in range(1, count - 1):
-        nxt = x * math.sqrt(4.0 * math.pi / (k + 1)) * values[k] - math.sqrt(k / (k + 1.0)) * values[k - 1]
-        values.append(nxt)
-    return [SampledFunction(grid, v) for v in values[:count]]
+        values[k + 1] = x * math.sqrt(4.0 * math.pi / (k + 1)) * values[k] - math.sqrt(k / (k + 1.0)) * values[k - 1]
+    return values
 
 
 def two_bump(grid: GridSpec, separation: float = 3.0) -> SampledFunction:
@@ -58,7 +58,7 @@ def standard_corpus(grid: GridSpec, seed: int = 0) -> list[SampledFunction]:
     """
     if grid.dim != 1:
         raise ValueError("standard_corpus is one-dimensional")
-    members = hermite_functions(grid, 6)
+    members = [SampledFunction(grid, v) for v in hermite_functions(grid, 6)]
     centers = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.5, -2.0), (-2.5, 0.5), (0.5, 3.0)]
     shifted = tf_shift(gaussian_window(grid).values, grid, snap_to_grid(grid, centers))
     members.extend(SampledFunction(grid, v) for v in shifted)

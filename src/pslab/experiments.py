@@ -47,12 +47,12 @@ def corpus(recipe: str, grid: GridSpec, seed: int = 0) -> tuple[np.ndarray, np.n
         if len(args) > 1:
             raise ValueError(f"recipe {name} takes at most one argument")
         if name == "two-bump":
-            functions = [two_bump(grid, args[0] if args else 3.0)]
+            members = two_bump(grid, args[0] if args else 3.0).values[None]
         elif args and not args[0].is_integer():
             raise ValueError(f"recipe hermite-onb takes an integer argument, got {args[0]!r}")
         else:
-            functions = hermite_functions(grid, int(args[0]) if args else 16)
-        return np.stack([f.values for f in functions]), np.zeros((len(functions), 2 * grid.dim))
+            members = hermite_functions(grid, int(args[0]) if args else 16)
+        return members, np.zeros((len(members), 2 * grid.dim))
     if name in ("gabor-gaussian", "jittered-gabor"):
         jittered = name == "jittered-gabor"
         expected = 3 if jittered else 2
@@ -146,6 +146,14 @@ def _eigh_bytes(order: int) -> int:
     return 6 * order**2 * COMPLEX_BYTES
 
 
+def _config_checked(cfg: ExperimentConfig, call, *args):
+    """``call(*args)``, a ValueError it raises reported as the config's error: exit 2, not 1."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise cfg.error(str(exc)) from None
+
+
 def _check_budget(cfg: ExperimentConfig, need: int, subject: str, task: str) -> None:
     """Refuse, before allocating, a step whose ``need`` bytes exceed GRAM_BYTES_LIMIT."""
     if need > GRAM_BYTES_LIMIT:
@@ -160,10 +168,7 @@ def _budgeted_corpus(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The recipe's M members of N samples and their centers, refused past squares M^2 + products M N
     complex entries and ``fixed`` bytes."""
-    try:
-        members, centers = corpus(cfg.get_str("recipe"), grid, cfg.seed)
-    except ValueError as exc:
-        raise cfg.error(str(exc)) from None
+    members, centers = _config_checked(cfg, corpus, cfg.get_str("recipe"), grid, cfg.seed)
     M = len(members)
     need = M * (squares * M + products * math.prod(grid.n)) * COMPLEX_BYTES + fixed
     _check_budget(cfg, need, f"recipe of {M} members", task)
@@ -184,10 +189,6 @@ def _run_balian_low(cfg: ExperimentConfig) -> Table:
         raise cfg.error("windows must be increasing positive integers")
     windows = [int(w) for w in windows]
     dual = grid.dual()
-    if abs(alpha / grid.step[0] - round(alpha / grid.step[0])) > 1e-9 or abs(
-        beta / dual.step[0] - round(beta / dual.step[0])
-    ) > 1e-9:
-        raise cfg.error(f"spacings ({alpha}, {beta}) are not grid-aligned")
     widest = windows[-1]
     if alpha * widest + _WRAP_MARGIN > grid.half_extent() or beta * widest + _WRAP_MARGIN > dual.half_extent():
         raise cfg.error(
@@ -195,10 +196,19 @@ def _run_balian_low(cfg: ExperimentConfig) -> Table:
             f"grid box edge (half-extents {grid.half_extent()}, {dual.half_extent()}), "
             "so their tails wrap"
         )
-    # the whole Gram is decomposed, or on a square lattice its rotation block 0
+    # inside the box, so each spacing is at most n/2 samples
+    samples = (alpha / grid.step[0], beta / dual.step[0])
+    if any(round(k) == 0 for k in samples):
+        raise cfg.error(f"spacings ({alpha}, {beta}) round to zero time or frequency samples")
+    if any(abs(k - round(k)) > 1e-9 for k in samples):
+        raise cfg.error(f"spacings ({alpha}, {beta}) are not grid-aligned")
+    # the whole Gram is decomposed, or on a square lattice its rotation block 0; then the central
+    # member is synthesized from two (2T + 1, N) complex arrays, peak RSS growth 2(2T + 1) + 0.57
+    # of N complex entries at N = 2^20, T = 2 and 6, budgeted as 2(2T + 1) + 2
     members = (2 * widest + 1) ** 2
     order = members // 4 + 1 if alpha == beta else members
-    _check_budget(cfg, _eigh_bytes(order), f"window {widest}", f"orthonormalize {members} atoms")
+    need = max(_eigh_bytes(order), (2 * (2 * widest + 1) + 2) * math.prod(grid.n) * COMPLEX_BYTES)
+    _check_budget(cfg, need, f"window {widest}", f"orthonormalize and synthesize {members} atoms")
     rows = []
     for T in windows:
         phi = _gabor_central_member(grid, alpha, beta, T)
@@ -210,6 +220,10 @@ def _run_balian_low(cfg: ExperimentConfig) -> Table:
 def _run_trace_check(cfg: ExperimentConfig) -> Table:
     from .operators import restriction_trace
     grid = cfg.grid()
+    # the sample positions and masks of both axes: peak RSS growth 25.1 and 25.4 bytes a sample at
+    # N = 2^22 and 2^20, budgeted as 32
+    samples = math.prod(grid.n)
+    _check_budget(cfg, 2 * samples * COMPLEX_BYTES, f"grid of {samples} samples", "build its time and frequency masks")
     pairs = []
     for token in cfg.get_str("pairs").split():
         try:
@@ -221,10 +235,7 @@ def _run_trace_check(cfg: ExperimentConfig) -> Table:
         pairs.append((ht, hf))
     if not pairs:
         raise cfg.error("pairs must list at least one time,freq pair")
-    try:
-        traces = [restriction_trace(grid, ht, hf) for ht, hf in pairs]
-    except ValueError as exc:
-        raise cfg.error(str(exc)) from None
+    traces = [_config_checked(cfg, restriction_trace, grid, ht, hf) for ht, hf in pairs]
     rows = []
     for (ht, hf), tr in zip(pairs, traces):
         area = (2 * ht) * (2 * hf)
@@ -238,10 +249,11 @@ def _run_plunge_count(cfg: ExperimentConfig) -> Table:
     radii = cfg.get_floats("radii")
     if any(R <= 0 for R in radii):
         raise cfg.error("radii must be positive")
-    try:
-        sizes = [int(np.count_nonzero(restriction_masks(grid, R / 2, R / 2)[0])) for R in radii]
-    except ValueError as exc:
-        raise cfg.error(str(exc)) from None
+    # the masks, the frequency kernel's FFT and the zero-padded spectrum: peak RSS growth 67 and 81
+    # bytes a sample at N = 2^22 and 2^20 with a 16-sample time set, budgeted as 96
+    samples = math.prod(grid.n)
+    _check_budget(cfg, 6 * samples * COMPLEX_BYTES, f"grid of {samples} samples", "build its masks and spectrum")
+    sizes = [int(np.count_nonzero(_config_checked(cfg, restriction_masks, grid, R / 2, R / 2)[0])) for R in radii]
     # the |T| x |T| section and eigvalsh's copy: peak RSS growth 2.07 and 2.04
     # sections at |T| = 1024 and 2048, budgeted as three
     for R, size in zip(radii, sizes):
@@ -272,7 +284,7 @@ def _run_density(cfg: ExperimentConfig) -> Table:
     # the block-sum scan holds three float64 arrays the size of the histogram
     # of the smallest radius at a time (block, padded cumsum, next block;
     # tracemalloc peaks at 3.0-3.3x the histogram), budgeted here as four
-    nbins, ndim = scan_bins(lam.window, radii[0]), 2 * lam.dim
+    nbins, ndim = _config_checked(cfg, scan_bins, lam.window, radii[0]), 2 * lam.dim
     need = 4 * nbins**ndim * np.dtype(float).itemsize
     _check_budget(cfg, need, f"radius {radii[0]!r}", f"scan {nbins}^{ndim} bins")
     rows = [
@@ -347,10 +359,7 @@ def _run_uncertainty_sum(cfg: ExperimentConfig) -> Table:
     # growth 12.6 M^2 at M = 512 and 21.2 M^2 at M = 256, N = 1024 both
     need = count * (4 * count + 9 * math.prod(grid.n)) * COMPLEX_BYTES
     _check_budget(cfg, need, f"count {count}", "build the commutation ledger")
-    try:
-        members = np.stack([h.values for h in hermite_functions(grid, count)])
-    except ValueError as exc:
-        raise cfg.error(str(exc)) from None
+    members = _config_checked(cfg, hermite_functions, grid, count)
     ledger = commutation_ledger(members, members, grid)
     worst = ledger.truncation_defect.max(axis=1)
     rows = [
@@ -367,7 +376,7 @@ def _run_fock_sweep(cfg: ExperimentConfig) -> Table:
     if any(a <= 0 for a in alphas) or window <= 0:
         raise cfg.error("pitches and window must be positive")
     # the finest lattice has at most (2 reach + 1)^2 points; each rotation block a quarter
-    points = (2 * _lattice_reach(window, min(alphas)) + 1) ** 2
+    points = (2 * _config_checked(cfg, _lattice_reach, window, min(alphas)) + 1) ** 2
     _check_budget(cfg, _eigh_bytes(points // 4 + 1), f"pitch {min(alphas)!r}", f"bound {points} lattice points")
     rows = [
         f"{r.alpha!r},{r.density!r},{r.lower!r},{r.upper!r},{r.condition!r}"

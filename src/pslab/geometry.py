@@ -65,6 +65,9 @@ class PhasePointSet:
             raise ValueError(f"expected columns a_1..a_d,b_1..b_d, got {header}")
         dim = ncols // 2
         data = np.array([[float(v) for v in r] for r in rows[1:]], dtype=np.float64)
+        # the constructor checks this too, but only after a window is derived from the data
+        if not np.isfinite(data).all():
+            raise ValueError("point coordinates must be finite")
         if window is None:
             window = math.floor(np.max(np.abs(data))) + 1.0 if data.size else 1.0
         return cls(data, window, dim)
@@ -91,7 +94,10 @@ class DensityEstimate:
 
 def scan_bins(window: float, r: float) -> int:
     """Bins per axis of density_estimate's pitch-r/4 histogram over Q(0, window)."""
-    return int(math.ceil(8 * window / r - 1e-9))
+    ratio = 8 * window / r
+    if not math.isfinite(ratio):
+        raise ValueError(f"window {window!r} over radius {r!r} is not a finite number of scan bins")
+    return int(math.ceil(ratio - 1e-9))
 
 
 def density_estimate(lam: PhasePointSet, r: float) -> DensityEstimate:

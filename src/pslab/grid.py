@@ -155,6 +155,15 @@ def _require_same_grid(f: SampledFunction, g: SampledFunction) -> None:
         raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
 
 
+def _phase_field(field, grid: GridSpec) -> np.ndarray:
+    """``field`` as a complex array, refused unless it has the :meth:`GridSpec.phase_mesh` shape of ``grid``."""
+    field = np.asarray(field, dtype=np.complex128)
+    expected = grid.shape + grid.dual().shape
+    if field.shape != expected:
+        raise ValueError(f"field shape {field.shape} does not match phase-space grid {expected}")
+    return field
+
+
 def inner_product(f: SampledFunction, g: SampledFunction) -> complex:
     """Riemann-sum L2 inner product, conjugate-linear in the second slot."""
     _require_same_grid(f, g)
@@ -239,6 +248,8 @@ def _lattice_reach(window: float, pitch: float) -> int:
     of lattice points that lies on the window's edge.
     """
     ratio = window / pitch
+    if not math.isfinite(ratio):
+        raise ValueError(f"window {window!r} over pitch {pitch!r} is not a finite number of lattice steps")
     nearest = round(ratio)
     return nearest if abs(ratio - nearest) <= 1e-9 * ratio else math.floor(ratio)
 

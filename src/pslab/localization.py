@@ -4,19 +4,18 @@ Moments use the true (non-wrapped) distance on the centered box.  A function
 whose mass reaches the box boundary would have its moments silently capped by
 the truncation; :func:`tail_mass` measures the relative mass near the box
 edge, and callers warn when it exceeds ``TAIL_MASS_THRESHOLD``.
+
+The phase-space norms read a field as :func:`~pslab.stft.stft` returns it, a
+plain ``grid.shape + grid.shape`` array, beside the grid it lives on.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import GridSpec, SampledFunction, fourier_transform, gaussian_window
-
-if TYPE_CHECKING:
-    from .stft import StftField
+from .grid import GridSpec, SampledFunction, _phase_field, fourier_transform, gaussian_window
 
 TAIL_MASS_THRESHOLD = 1e-6
 
@@ -54,8 +53,7 @@ def modulation_norm(f: SampledFunction, s: float) -> float:
     if s < 0:
         raise ValueError(f"weight exponent s must be >= 0, got {s}")
     from .stft import stft
-    field = stft(f, gaussian_window(f.grid))
-    return weighted_field_norm(field, s)
+    return weighted_field_norm(stft(f, gaussian_window(f.grid)), f.grid, s)
 
 
 def modulation_weight(grid: GridSpec, s: float, rows=...) -> np.ndarray:
@@ -78,13 +76,14 @@ def modulation_weight(grid: GridSpec, s: float, rows=...) -> np.ndarray:
     return np.power(weight, 2.0 * s, out=weight)
 
 
-def weighted_field_norm(field: StftField, s: float) -> float:
-    """L2_s norm of a phase-space field with weight (1+|(x,xi)|)^{2s}."""
-    w = modulation_weight(field.grid, s)
-    return math.sqrt(field.cell_measure * float(np.sum(w * np.abs(field.values) ** 2)))
+def weighted_field_norm(field: np.ndarray, grid: GridSpec, s: float) -> float:
+    """L2_s norm of a phase-space field on ``grid`` with weight (1+|(x,xi)|)^{2s}."""
+    field = _phase_field(field, grid)
+    w = modulation_weight(grid, s)
+    return math.sqrt(grid.cell_volume * grid.dual().cell_volume * float(np.sum(w * np.abs(field) ** 2)))
 
 
-def amalgam_norm(field: StftField, s: float) -> float:
+def amalgam_norm(field: np.ndarray, grid: GridSpec, s: float) -> float:
     """W(L2_s) norm: per-unit-box sups, weighted by (1+|k|+|n|)^{2s}.
 
     The box (k, n) + [0,1)^{2d} takes the max of |F|^2 over the samples it
@@ -93,15 +92,15 @@ def amalgam_norm(field: StftField, s: float) -> float:
     """
     if s < 0:
         raise ValueError(f"weight exponent s must be >= 0, got {s}")
-    g = field.grid
-    if max(g.step + g.dual().step) > 0.5:
+    field = _phase_field(field, grid)
+    if max(grid.step + grid.dual().step) > 0.5:
         raise ValueError("phase-space grid too coarse to resolve unit boxes (need spacing <= 1/2)")
-    d = g.dim
-    corners = [np.floor(c).astype(np.int64) for c in g.phase_mesh()]
+    d = grid.dim
+    corners = [np.floor(c).astype(np.int64) for c in grid.phase_mesh()]
     low = [int(k.min()) for k in corners]
     sup = np.zeros(tuple(int(k.max()) - lo + 1 for k, lo in zip(corners, low)))
     box = np.broadcast_arrays(*(k - lo for k, lo in zip(corners, low)))
-    np.maximum.at(sup, tuple(box), np.abs(field.values) ** 2)
+    np.maximum.at(sup, tuple(box), np.abs(field) ** 2)
     # the integer corner (k, n) of each box
     kn = np.meshgrid(*(np.arange(m) + lo for m, lo in zip(sup.shape, low)), indexing="ij", sparse=True)
     knorm, nnorm = (np.sqrt(sum(c * c for c in half)) for half in (kn[:d], kn[d:]))
@@ -109,17 +108,17 @@ def amalgam_norm(field: StftField, s: float) -> float:
     return math.sqrt(float(np.sum(sup * weight)))
 
 
-def sampled_weighted_sum(field: StftField, points: np.ndarray, z, s: float) -> float:
+def sampled_weighted_sum(field: np.ndarray, grid: GridSpec, points: np.ndarray, z, s: float) -> float:
     """(sum_n |F(z + lambda_n)|^2 (1 + |z + lambda_n|)^{2s})^{1/2} over the rows lambda_n of ``points``.
 
     ``points`` is an (M, 2d) array of phase-space points (x, xi) for the
-    field's d.  F is evaluated by nearest grid cell; points falling outside
+    grid's d.  F is evaluated by nearest grid cell; points falling outside
     the field's phase-space box are an error rather than silently dropped.
     """
     if s < 0:
         raise ValueError(f"weight exponent s must be >= 0, got {s}")
-    g = field.grid
-    d = g.dim
+    field = _phase_field(field, grid)
+    d = grid.dim
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2 * d:
         raise ValueError(f"points of shape {points.shape} are not (M, {2 * d}) for a {d}-D field")
@@ -130,11 +129,11 @@ def sampled_weighted_sum(field: StftField, points: np.ndarray, z, s: float) -> f
         return 0.0
     shifted = points + z[None, :]
     idx = []
-    for col, ni, si in zip(shifted.T, g.n + g.dual().n, g.step + g.dual().step):
+    for col, ni, si in zip(shifted.T, grid.n + grid.dual().n, grid.step + grid.dual().step):
         j = np.round(col / si).astype(np.int64) + ni // 2
         if j.min() < 0 or j.max() >= ni:
             raise ValueError("shifted points fall outside the phase-space box")
         idx.append(j)
-    samples = np.abs(field.values[tuple(idx)]) ** 2
+    samples = np.abs(field[tuple(idx)]) ** 2
     weight = (1.0 + np.sqrt((shifted**2).sum(axis=1))) ** (2.0 * s)
     return math.sqrt(float(np.sum(samples * weight)))

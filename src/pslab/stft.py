@@ -1,7 +1,10 @@
 """Short-time Fourier transform, its adjoint, STFT multipliers, and the Bargmann transform.
 
 The STFT is evaluated on the full phase-space grid: every time shift on the
-sample grid crossed with every frequency on the dual grid.  At that
+sample grid crossed with every frequency on the dual grid.  A field is a
+plain complex array of shape ``grid.shape + grid.shape`` beside its grid,
+time axes first (the layout of :meth:`~pslab.grid.GridSpec.phase_mesh`), and
+its cell measure is ``grid.cell_volume * grid.dual().cell_volume``.  At that
 granularity analysis and synthesis are exact adjoints of each other and the
 inversion ``V* V = I`` holds discretely for a unit-norm window, so the
 tolerances downstream are rounding-level rather than discretization-level.
@@ -15,40 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    GridSpec,
-    SampledFunction,
-    _centered_fft,
-    _require_same_grid,
-)
-
-
-@dataclass
-class StftField:
-    """Samples of V_g f on the (time grid) x (dual grid) phase-space lattice.
-
-    ``values[j..., k...]`` is the coefficient at time shift ``x_j`` and
-    frequency ``xi_k``; the phase-space cell measure is ``prod(step) *
-    prod(dual step)``.
-    """
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
-        expected = self.grid.shape + self.grid.dual().shape
-        if values.shape != expected:
-            raise ValueError(f"field shape {values.shape} does not match phase-space grid {expected}")
-        self.values = values
-
-    @property
-    def cell_measure(self) -> float:
-        return self.grid.cell_volume * self.grid.dual().cell_volume
-
-    def norm(self) -> float:
-        """L2 norm over phase space with the cell measure."""
-        return math.sqrt(self.cell_measure * float(np.sum(np.abs(self.values) ** 2)))
+from .grid import GridSpec, SampledFunction, _centered_fft, _phase_field, _require_same_grid
 
 
 def _check_window(window: SampledFunction) -> None:
@@ -75,11 +45,13 @@ def _shifted_windows(grid: GridSpec, values: np.ndarray):
         yield lead, bank[(slice(None),) + tuple(slice(a, a + m) for a, m in zip(start, grid.n))]
 
 
-def stft(f: SampledFunction, window: SampledFunction) -> StftField:
+def stft(f: SampledFunction, window: SampledFunction) -> np.ndarray:
     """V_w f(x_j, xi_k) = (f, pi(x_j, xi_k) w) on the full grid, pi(a, b) = :func:`~pslab.grid.tf_shift`.
 
-    Computed as one FFT per time shift: the k-block at shift x_j is the
-    forward transform of f * conj(window(. - x_j)).
+    The field is one complex array of shape ``grid.shape + grid.shape``, time
+    shifts x_j first, then dual-grid frequencies xi_k.  Computed as one FFT
+    per time shift: the k-block at shift x_j is the forward transform of
+    f * conj(window(. - x_j)).
     """
     _require_same_grid(f, window)
     _check_window(window)
@@ -89,23 +61,22 @@ def stft(f: SampledFunction, window: SampledFunction) -> StftField:
     for lead, bank in _shifted_windows(g, np.conj(window.values)):
         block = np.multiply(f.values, bank, out=out[lead])
         np.multiply(_centered_fft(block, axes=axes), g.cell_volume, out=block)
-    return StftField(g, out)
+    return out
 
 
-def adjoint_stft(field: StftField, window: SampledFunction) -> SampledFunction:
+def adjoint_stft(field: np.ndarray, window: SampledFunction) -> SampledFunction:
     """Cell-measure-weighted superposition sum_jk F[j, k] pi(x_j, xi_k) w, pi(a, b) = :func:`~pslab.grid.tf_shift`."""
-    if field.grid != window.grid:
-        raise ValueError("field phase-space grid does not match the window grid")
-    _check_window(window)
     g = window.grid
+    field = _phase_field(field, g)
+    _check_window(window)
     axes = tuple(range(1, g.dim + 1))
     out = np.zeros(g.shape, dtype=np.complex128)
     for lead, bank in _shifted_windows(g, window.values):
         # rows[j, t] = sum_k F[lead, j, k] exp(2 pi i x_t.xi_k)
-        rows = _centered_fft(field.values[lead], axes=axes, inverse=True)
+        rows = _centered_fft(field[lead], axes=axes, inverse=True)
         rows *= math.prod(g.n)
         out += np.einsum("j...,j...->...", rows, bank)
-    return SampledFunction(g, out * field.cell_measure)
+    return SampledFunction(g, out * (g.cell_volume * g.dual().cell_volume))
 
 
 # Complex entries in each slab-sized temporary of multiplier_matrix: a slab is
@@ -126,10 +97,11 @@ def _even_in_frequency(part: np.ndarray) -> bool:
 def multiplier_matrix(window: SampledFunction, symbol) -> np.ndarray:
     """Matrix of the STFT multiplier V_w* diag(symbol) V_w on flattened samples.
 
-    ``symbol`` broadcasts to the phase-space grid ``(time shift j, frequency
-    k)``, or is a function of an index tuple of time rows into ``grid.shape``
-    that returns the symbol on those rows, (rows,) + the dual shape; such a
-    symbol is evaluated one slab of rows at a time and never held in full.
+    ``symbol`` is a function of an index tuple of time rows into
+    ``grid.shape`` that returns the symbol on those rows, broadcasting to
+    (rows,) + the dual shape; it is evaluated one slab of rows at a time and
+    never held in full.  A symbol held as a phase-space array ``table`` is
+    passed as ``table.__getitem__``.
     With P[u, l] = w[u] conj(w[u - l]) and K[j, l] = sum_k symbol[j, k]
     exp(2 pi i l.(k - n/2)/n), entry [t, t - l] is the circular convolution
     over j of P[., l] with K[., l], evaluated at t + n/2 and scaled by
@@ -153,13 +125,6 @@ def multiplier_matrix(window: SampledFunction, symbol) -> np.ndarray:
     _check_window(window)
     g = window.grid
     d = g.dim
-    shape = g.shape + g.shape
-    if not callable(symbol):
-        try:
-            table = np.broadcast_to(symbol, shape)
-        except ValueError:
-            raise ValueError(f"symbol shape {np.shape(symbol)} does not broadcast to {shape}") from None
-        symbol = table.__getitem__
     size = math.prod(g.n)
     width = max(_SLAB_COLUMNS, _SLAB_ENTRIES // size)
     slabs = [slice(lo, lo + width) for lo in range(0, size, width)]

@@ -112,7 +112,7 @@ def test_05_commutation_residuals():
     value = inner_product(xg, gprime) + inner_product(gprime, xg)
     assert abs(value + 1.0) < 1e-6
 
-    members = np.stack([h.values for h in hermite_functions(grid, 64)])
+    members = hermite_functions(grid, 64)
     # no boundary-mass warning: every member has under 2e-25 of its mass beyond
     # 3/4 of the half-extent, in time and in frequency
     with warnings.catch_warnings():

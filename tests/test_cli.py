@@ -63,6 +63,22 @@ def peak_rss_growth(setup, step):
     return int(run_python(code))
 
 
+def refuse_to(what):
+    """A stand-in that fails the test if it is called: ``what`` happened before a refusal."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} before the config was refused")
+
+    return refuse
+
+
+def assert_one_refusal(capsys, experiment, message):
+    """stderr is one line naming the experiment's section and holding ``message``."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert f"[{experiment}]" in err[0] and message in err[0]
+
+
 def read_rows(path):
     """Data rows of a CSV as float lists, skipping comments and the header."""
     rows = []
@@ -327,6 +343,36 @@ class TestDenseEstimates:
         estimate = 5 * 512**2 * FLOAT_BYTES // 2 + 465 * (4 * 465 + (3 + 16) * 512) * COMPLEX_BYTES
         assert estimate / 2 <= growth <= estimate
 
+    def test_balian_low_synthesis(self):
+        # N = 2^18, T = 6: the central member from two (13, N) complex arrays (measured 0.96)
+        setup = (
+            "from pslab.experiments import _gabor_central_member\n"
+            "from pslab.grid import GridSpec\n"
+            "from pslab.localization import moment\n"
+            "moment(_gabor_central_member(GridSpec(1, 1024, 1 / 32), 1.0, 1.0, 2), 0.0, 1.0, side='frequency')\n"
+            "grid = GridSpec(1, 2**18, 1 / 256)"
+        )
+        growth = peak_rss_growth(setup, "moment(_gabor_central_member(grid, 1.0, 1.0, 6), 0.0, 1.0, side='frequency')")
+        estimate = (2 * 13 + 2) * 2**18 * COMPLEX_BYTES
+        assert estimate / 2 <= growth <= estimate
+
+    @pytest.mark.parametrize(
+        "step, per_sample",
+        [("restriction_trace(grid, 1 / 128, 1.0)", 2), ("plunge_count(grid, 1 / 128, 1.0)", 6)],
+        ids=["trace-check", "plunge-count"],
+    )
+    def test_restriction_masks_and_spectrum(self, step, per_sample):
+        # N = 2^20 with a 16-sample time set, so the N-sample arrays dominate (measured 0.79 and 0.85)
+        setup = (
+            "from pslab.grid import GridSpec\n"
+            "from pslab.operators import plunge_count, restriction_trace\n"
+            "plunge_count(GridSpec(1, 1024, 1 / 32), 1.0, 1.0)\n"
+            "grid = GridSpec(1, 2**20, 1 / 1024)"
+        )
+        growth = peak_rss_growth(setup, step)
+        estimate = per_sample * 2**20 * COMPLEX_BYTES
+        assert estimate / 2 <= growth <= estimate
+
     def test_dual_decay_gram_and_inverse(self):
         # M = 625 on N = 2048: gramian's conjugated members, then G beside G^-1 (measured 4.6 M^2)
         setup = (
@@ -507,6 +553,19 @@ class TestCli:
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize(
+        "spacings", ["alpha = 1e-12\n", "beta = 1e-12\n", "alpha = 1e-12\nbeta = 1e-12\n"], ids=["alpha", "beta", "both"]
+    )
+    def test_balian_low_refuses_spacings_of_zero_samples(self, tmp_path, monkeypatch, capsys, spacings):
+        # 1e-12 is within 1e-9 of a multiple of any step, zero of them: the lattice would repeat atoms
+        monkeypatch.setattr("pslab.experiments._gabor_central_member", refuse_to("atoms built"))
+        stub = tmp_path / "bl.cfg"
+        stub.write_text(f"[balian-low]\ngrid_n = 2048\ngrid_dx = 0.03125\n{spacings}windows = 2\n")
+        out = tmp_path / "out"
+        assert main(["balian-low", "--config", str(stub), "--out", str(out)]) == 2
+        assert_one_refusal(capsys, "balian-low", "round to zero time or frequency samples")
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize(
         "spacings, allowed",
         [
             ("alpha = 1\nbeta = 1\n", 68),  # rotation block 0 of order (2T + 1)^2 // 4 + 1
@@ -558,6 +617,74 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["density", "--config", str(stub), "--out", str(out)]) == 2
         assert "memory budget" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "experiment, body",
+        [
+            # a synthesis array of (13, N) complex entries: 3.25 GiB
+            ("balian-low", "grid_n = 16777216\ngrid_dx = 0.0009765625\nwindows = 6\n"),
+            # sample positions of 2^34 points: 128 GiB
+            ("trace-check", "grid_n = 17179869184\ngrid_dx = 0.03125\npairs = 1,1\n"),
+            ("plunge-count", "grid_n = 17179869184\ngrid_dx = 0.03125\nradii = 2\n"),
+        ],
+        ids=["balian-low", "trace-check", "plunge-count"],
+    )
+    def test_oversized_sample_arrays_exit_2_before_allocating(self, tmp_path, monkeypatch, capsys, experiment, body):
+        refuse = refuse_to("an N-sample array built")
+        for name in (
+            "pslab.grid.GridSpec.axis_points",
+            "pslab.operators.restriction_masks",
+            "pslab.experiments._gabor_central_row",
+            "pslab.experiments._lattice_synthesis",
+        ):
+            monkeypatch.setattr(name, refuse)
+        stub = tmp_path / "big.cfg"
+        stub.write_text(f"[{experiment}]\n{body}")
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(stub), "--out", str(out)]) == 2
+        assert_one_refusal(capsys, experiment, "memory budget")
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "experiment, body",
+        [
+            ("fock-sweep", "alphas = 1e-320\n"),
+            ("dual-decay", "grid_n = 512\ngrid_dx = 0.0625\nrecipe = gabor-gaussian(1e-320, 1)\n"),
+            ("improve", "grid_n = 512\ngrid_dx = 0.0625\nrecipe = gabor-gaussian(1e-320, 1)\nradii = 2\n"),
+            ("density", f"points_csv = {POINTS}\nwindow = 1e308\nradii = 4\n"),
+        ],
+        ids=["fock-sweep", "dual-decay", "improve", "density"],
+    )
+    def test_infinite_lattice_or_bin_count_exits_2(self, tmp_path, monkeypatch, capsys, experiment, body):
+        # a ratio that overflows to inf has no integer count; it is refused, not converted
+        refuse = refuse_to("built past an infinite count")
+        for name in (
+            "pslab.fock.lattice_sweep",
+            "pslab.frames.gramian",
+            "pslab.frames.frame_bounds",
+            "pslab.operators.improve_system",
+            "pslab.geometry.density_trend",
+        ):
+            monkeypatch.setattr(name, refuse)
+        stub = tmp_path / "inf.cfg"
+        stub.write_text(f"[{experiment}]\n{body}")
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(stub), "--out", str(out)]) == 2
+        assert_one_refusal(capsys, experiment, "is not a finite number of")
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("window", ["", "window = 4\n"], ids=["derived-window", "given-window"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_point_exits_2(self, tmp_path, monkeypatch, capsys, value, window):
+        monkeypatch.setattr("pslab.geometry.density_trend", refuse_to("density scanned"))
+        points = tmp_path / "points.csv"
+        points.write_text(f"a_1,b_1\n0,0\n{value},1\n")
+        stub = tmp_path / "dens.cfg"
+        stub.write_text(f"[density]\npoints_csv = {points}\n{window}radii = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["density", "--config", str(stub), "--out", str(out)]) == 2
+        assert_one_refusal(capsys, "density", "point coordinates must be finite")
         assert not list(out.iterdir())
 
     def test_plunge_counts_match_areas(self, tmp_path):

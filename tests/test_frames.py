@@ -74,13 +74,13 @@ def times_x(f):
 
 
 @pytest.fixture(scope="module")
-def hermites():
+def hermite_sys():
     return hermite_functions(GRID, 12)
 
 
 @pytest.fixture(scope="module")
-def hermite_sys(hermites):
-    return stack(hermites)
+def hermites(hermite_sys):
+    return [SampledFunction(GRID, v) for v in hermite_sys]
 
 
 STACK_CONSUMERS = {
@@ -101,7 +101,7 @@ class TestStackShapes:
             localization_fit(np.eye(12), np.zeros((11, 2)))
 
     def test_grid_mismatch_rejected(self, hermite_sys):
-        other = stack(hermite_functions(GridSpec(1, 128, 1 / 16), 3))
+        other = hermite_functions(GridSpec(1, 128, 1 / 16), 3)
         for name, consume in STACK_CONSUMERS.items():
             # samples of another grid, one function not stacked, and no function at all
             for members in (other, hermite_sys[0]):
@@ -366,7 +366,7 @@ class TestCommutationLedger:
         assert abs(value) < 1e-6
 
     def test_hermite_truncation_profile(self):
-        members = stack(hermite_functions(GRID, 64))
+        members = hermite_functions(GRID, 64)
         # every member has under 2e-25 of its mass beyond 3/4 of either half-extent
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -378,7 +378,7 @@ class TestCommutationLedger:
     def test_truncated_box_warns(self):
         # half the box: h_31 has 0.16 of its mass beyond 3, 3/4 of the time half-extent 4
         grid = GridSpec(1, 128, 1 / 16)
-        members = stack(hermite_functions(grid, 32))
+        members = hermite_functions(grid, 32)
         with pytest.warns(UserWarning, match="boundary mass"):
             commutation_ledger(members, members, grid)
 

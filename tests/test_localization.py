@@ -85,7 +85,7 @@ class TestTailMass:
     def test_stack_is_judged_by_its_worst_member(self, gauss):
         # 40 quiet Hermite functions and one atom with 2.7e-6 of its mass past 6:
         # measured against the mass of the whole stack its tail would read 6.5e-8
-        quiet = np.stack([h.values for h in hermite_functions(GRID, 40)])
+        quiet = hermite_functions(GRID, 40)
         edge = tf_shift(gauss.values, GRID, [4.75, 0.0])
         members = np.concatenate([quiet, edge[None]])
         assert tail_mass(members, GRID) == max(tail_mass(f, GRID) for f in members) == tail_mass(edge, GRID)
@@ -113,8 +113,8 @@ class TestWeightedNorms:
         x = GRID.axis_points(0)
         xi = GRID.dual().axis_points(0)
         r = np.sqrt(x[:, None] ** 2 + xi[None, :] ** 2)
-        direct = math.sqrt(field.cell_measure * float(np.sum((1 + r) ** 2 * np.abs(field.values) ** 2)))
-        assert weighted_field_norm(field, 1.0) == pytest.approx(direct, rel=1e-14)
+        direct = math.sqrt(GRID.cell_volume * GRID.dual().cell_volume * float(np.sum((1 + r) ** 2 * np.abs(field) ** 2)))
+        assert weighted_field_norm(field, GRID, 1.0) == pytest.approx(direct, rel=1e-14)
 
     def test_modulation_s_zero_is_l2(self, corpus):
         for f in corpus[:5]:
@@ -175,22 +175,21 @@ class TestAmalgamNorm:
         coarse = GridSpec(1, 16, 1.0)
         w = gaussian_window(coarse)
         with pytest.raises(ValueError):
-            amalgam_norm(stft(w, w), 1.0)
+            amalgam_norm(stft(w, w), coarse, 1.0)
 
     def test_dominates_l2(self, corpus, gauss):
         for f in corpus[:6]:
             field = stft(f, gauss)
-            assert amalgam_norm(field, 0.0) >= field.norm() - 1e-12
+            assert amalgam_norm(field, GRID, 0.0) >= weighted_field_norm(field, GRID, 0.0) - 1e-12
 
     def test_single_box_support(self, gauss):
         field = stft(gauss, gauss)
-        values = np.zeros_like(field.values)
+        single = np.zeros_like(field)
         # two cells inside the box [0,1) x [0,1); the sup wins
-        values[128 + 2, 128 + 3] = 3.0
-        values[128 + 9, 128 + 1] = 2.0
-        single = type(field)(field.grid, values)
+        single[128 + 2, 128 + 3] = 3.0
+        single[128 + 9, 128 + 1] = 2.0
         for s in (0.0, 1.5):
-            assert amalgam_norm(single, s) == pytest.approx(3.0, abs=1e-12)
+            assert amalgam_norm(single, GRID, s) == pytest.approx(3.0, abs=1e-12)
 
     @pytest.mark.parametrize("s", [0.0, 1.0, 2.5])
     def test_matches_box_scan_oracle(self, gauss, s):
@@ -202,9 +201,9 @@ class TestAmalgamNorm:
             mx = (x >= k) & (x < k + 1)
             for n in range(-8, 8):
                 mxi = (xi >= n) & (xi < n + 1)
-                block = np.abs(field.values[np.ix_(mx, mxi)]) ** 2
+                block = np.abs(field[np.ix_(mx, mxi)]) ** 2
                 total += block.max() * (1 + abs(k) + abs(n)) ** (2 * s)
-        assert amalgam_norm(field, s) == pytest.approx(math.sqrt(total), abs=1e-10)
+        assert amalgam_norm(field, GRID, s) == pytest.approx(math.sqrt(total), abs=1e-10)
 
     @pytest.mark.parametrize("s", [0.0, 1.0, 2.5])
     def test_matches_box_loop_2d(self, s):
@@ -213,28 +212,28 @@ class TestAmalgamNorm:
         total = 0.0
         for corner in itertools.product(range(-2, 2), repeat=4):
             masks = [(p >= c) & (p < c + 1) for p, c in zip(axes, corner)]
-            block = np.abs(field.values[np.ix_(*masks)]) ** 2
+            block = np.abs(field[np.ix_(*masks)]) ** 2
             k, n = np.array(corner[:2]), np.array(corner[2:])
             total += block.max() * (1 + np.linalg.norm(k) + np.linalg.norm(n)) ** (2 * s)
-        assert amalgam_norm(field, s) == pytest.approx(math.sqrt(total), rel=1e-12)
+        assert amalgam_norm(field, GRID_2D, s) == pytest.approx(math.sqrt(total), rel=1e-12)
 
     def test_embedding_into_modulation_norm(self, corpus, gauss):
-        ratios = [amalgam_norm(stft(f, gauss), 1.0) / modulation_norm(f, 1.0) for f in corpus]
+        ratios = [amalgam_norm(stft(f, gauss), GRID, 1.0) / modulation_norm(f, 1.0) for f in corpus]
         assert max(ratios) < 3.5
 
 
 class TestSampledWeightedSum:
     def test_single_point_at_origin(self, gauss):
         field = stft(gauss, gauss)
-        value = sampled_weighted_sum(field, np.array([[0.0, 0.0]]), (0.0, 0.0), 0.0)
-        assert value == pytest.approx(abs(field.values[128, 128]), abs=1e-12)
+        value = sampled_weighted_sum(field, GRID, np.array([[0.0, 0.0]]), (0.0, 0.0), 0.0)
+        assert value == pytest.approx(abs(field[128, 128]), abs=1e-12)
 
     def test_duplicate_strictly_increases(self, gauss):
         field = stft(gauss, gauss)
         lam = np.array([[0.0, 0.0], [1.0, 1.0]])
         dup = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
-        assert sampled_weighted_sum(field, dup, (0.0, 0.0), 0.0) > sampled_weighted_sum(
-            field, lam, (0.0, 0.0), 0.0
+        assert sampled_weighted_sum(field, GRID, dup, (0.0, 0.0), 0.0) > sampled_weighted_sum(
+            field, GRID, lam, (0.0, 0.0), 0.0
         )
 
     def test_sampling_inequality(self, corpus, gauss):
@@ -243,14 +242,14 @@ class TestSampledWeightedSum:
         for f in corpus[::3]:
             field = stft(f, gauss)
             for z, s in [((0.0, 0.0), 0.0), ((0.25, -0.125), 1.0), ((0.4375, 0.375), 2.0)]:
-                value = sampled_weighted_sum(field, lam.coords, z, s)
-                assert value <= sep * amalgam_norm(field, s) * 1.05
+                value = sampled_weighted_sum(field, GRID, lam.coords, z, s)
+                assert value <= sep * amalgam_norm(field, GRID, s) * 1.05
 
     def test_out_of_domain_rejected(self, gauss):
         field = stft(gauss, gauss)
         lam = lattice_point_set((1.0, 1.0), 8.0)
         with pytest.raises(ValueError):
-            sampled_weighted_sum(field, lam.coords, (0.25, -0.125), 1.0)
+            sampled_weighted_sum(field, GRID, lam.coords, (0.25, -0.125), 1.0)
 
     def test_matches_point_loop_2d(self):
         field = field_2d(4)
@@ -261,16 +260,33 @@ class TestSampledWeightedSum:
         for row in lam:
             p = row + z
             idx = tuple(int(np.argmin(np.abs(ax - v))) for ax, v in zip(axes, p))
-            total += abs(field.values[idx]) ** 2 * (1 + np.linalg.norm(p)) ** (2 * s)
-        assert sampled_weighted_sum(field, lam, z, s) == pytest.approx(math.sqrt(total), rel=1e-12)
+            total += abs(field[idx]) ** 2 * (1 + np.linalg.norm(p)) ** (2 * s)
+        assert sampled_weighted_sum(field, GRID_2D, lam, z, s) == pytest.approx(math.sqrt(total), rel=1e-12)
 
     def test_empty_set_is_zero(self, gauss):
         field = stft(gauss, gauss)
-        assert sampled_weighted_sum(field, np.zeros((0, 2)), (0.0, 0.0), 1.0) == 0.0
+        assert sampled_weighted_sum(field, GRID, np.zeros((0, 2)), (0.0, 0.0), 1.0) == 0.0
 
     @pytest.mark.parametrize("shape", [(2,), (3, 4), (3, 1, 2)])
     def test_points_not_m_by_2d_rejected(self, gauss, shape):
         # a 1-D field takes (M, 2) rows (x, xi); the 2-D rows of shape (M, 4) are refused too
         field = stft(gauss, gauss)
         with pytest.raises(ValueError, match=r"not \(M, 2\)"):
-            sampled_weighted_sum(field, np.zeros(shape), (0.0, 0.0), 1.0)
+            sampled_weighted_sum(field, GRID, np.zeros(shape), (0.0, 0.0), 1.0)
+
+
+
+@pytest.mark.parametrize(
+    "norm",
+    [
+        lambda field, grid: weighted_field_norm(field, grid, 1.0),
+        lambda field, grid: amalgam_norm(field, grid, 1.0),
+        lambda field, grid: sampled_weighted_sum(field, grid, np.zeros((1, 2 * grid.dim)), np.zeros(2 * grid.dim), 1.0),
+    ],
+    ids=["weighted", "amalgam", "sampled"],
+)
+def test_field_off_its_grid_refused(norm):
+    # a 2-D field read against the 1-D grid, and a 1-D field against the 2-D grid
+    for field, grid in ((field_2d(5), GRID), (np.zeros((256, 256), dtype=complex), GRID_2D)):
+        with pytest.raises(ValueError, match="does not match phase-space grid"):
+            norm(field, grid)

@@ -18,7 +18,7 @@ from pslab.grid import (
     snap_to_grid,
     tf_shift,
 )
-from pslab.localization import modulation_norm
+from pslab.localization import modulation_norm, modulation_weight
 from pslab.operators import (
     _apply_cutoff,
     _cutoff_factor,
@@ -32,7 +32,7 @@ from pslab.operators import (
     restriction_spectrum,
     restriction_trace,
 )
-from pslab.stft import StftField, adjoint_stft, multiplier_matrix, stft
+from pslab.stft import adjoint_stft, multiplier_matrix, stft
 
 GRID = GridSpec(1, 256, 1 / 16)
 TRACE_GRID = GridSpec(1, 1024, 1 / 32)
@@ -44,7 +44,7 @@ RECT_2D = GridSpec(2, (16, 8), (1 / 4, 1 / 2))
 def cutoff_by_definition(f, R, window):
     """A_R f as analysis, cube mask, synthesis over the whole STFT field."""
     field = stft(f, window)
-    mask = np.ones(field.values.shape, dtype=bool)
+    mask = np.ones(field.shape, dtype=bool)
     dual = f.grid.dual()
     for ax in range(f.grid.dim):
         pts = f.grid.axis_points(ax)
@@ -52,7 +52,7 @@ def cutoff_by_definition(f, R, window):
     for ax in range(f.grid.dim):
         pts = dual.axis_points(ax)
         mask &= (np.abs(pts) <= R).reshape((-1,) + (1,) * (f.grid.dim - ax - 1))
-    return adjoint_stft(StftField(field.grid, np.where(mask, field.values, 0.0)), window)
+    return adjoint_stft(np.where(mask, field, 0.0), window)
 
 
 def cube_multiplier(grid, R):
@@ -60,7 +60,7 @@ def cube_multiplier(grid, R):
     mask = True
     for coords in grid.phase_mesh():
         mask = mask & (np.abs(coords) <= R)
-    return multiplier_matrix(gaussian_window(grid), mask)
+    return multiplier_matrix(gaussian_window(grid), mask.__getitem__)
 
 
 def stack(members):
@@ -375,14 +375,16 @@ class TestImproveSystem:
         built = []
 
         def spy(window, symbol):
-            built.append((callable(symbol), multiplier_matrix(window, symbol)))
+            built.append((symbol, multiplier_matrix(window, symbol)))
             return built[-1][1]
 
         monkeypatch.setattr("pslab.stft.multiplier_matrix", spy)
         members = gaussian_window(grid).values[None] * (1 + 0.5j)
         improve_system(members, np.zeros((1, 2 * grid.dim)), grid, [1.0])
-        ((by_rows, weight),) = built
-        assert by_rows and weight.dtype == np.float64
+        ((symbol, weight),) = built
+        assert weight.dtype == np.float64
+        rows = (np.arange(3),) * grid.dim
+        np.testing.assert_array_equal(symbol(rows), modulation_weight(grid, 1.0)[rows])
 
     def test_weight_follows_sigma(self, gauss):
         # sigma 1, 2, 1 on one grid: each call must use its own sigma's weight
@@ -429,7 +431,7 @@ class TestImproveSystem:
         x = GRID.axis_points(0)
         xi = GRID.dual().axis_points(0)
         rad = np.sqrt(x[:, None] ** 2 + xi[None, :] ** 2)
-        phi = adjoint_stft(StftField(GRID, ((1.0 + rad) ** -5.0).astype(complex)), gauss)
+        phi = adjoint_stft((1.0 + rad) ** -5.0, gauss)
         radii = [2.0, 3.0, 4.0, 5.0, 6.0]
         errs = [errors[0] for _, errors in improve_system(phi.values[None], np.zeros((1, 2)), GRID, radii, sigma=2.0)]
         slope = np.polyfit(np.log1p(radii), np.log(errs), 1)[0]
