@@ -220,10 +220,6 @@ def _run_balian_low(cfg: ExperimentConfig) -> Table:
 def _run_trace_check(cfg: ExperimentConfig) -> Table:
     from .operators import restriction_trace
     grid = cfg.grid()
-    # the sample positions and masks of both axes: peak RSS growth 25.1 and 25.4 bytes a sample at
-    # N = 2^22 and 2^20, budgeted as 32
-    samples = math.prod(grid.n)
-    _check_budget(cfg, 2 * samples * COMPLEX_BYTES, f"grid of {samples} samples", "build its time and frequency masks")
     pairs = []
     for token in cfg.get_str("pairs").split():
         try:
@@ -244,16 +240,12 @@ def _run_trace_check(cfg: ExperimentConfig) -> Table:
 
 
 def _run_plunge_count(cfg: ExperimentConfig) -> Table:
-    from .operators import plunge_count, restriction_masks
+    from .operators import _index_ranges, plunge_count
     grid = cfg.grid()
     radii = cfg.get_floats("radii")
     if any(R <= 0 for R in radii):
         raise cfg.error("radii must be positive")
-    # the masks, the frequency kernel's FFT and the zero-padded spectrum: peak RSS growth 67 and 81
-    # bytes a sample at N = 2^22 and 2^20 with a 16-sample time set, budgeted as 96
-    samples = math.prod(grid.n)
-    _check_budget(cfg, 6 * samples * COMPLEX_BYTES, f"grid of {samples} samples", "build its masks and spectrum")
-    sizes = [int(np.count_nonzero(_config_checked(cfg, restriction_masks, grid, R / 2, R / 2)[0])) for R in radii]
+    sizes = [hi - lo for (lo, hi), _ in (_config_checked(cfg, _index_ranges, grid, R / 2, R / 2) for R in radii)]
     # the |T| x |T| section and eigvalsh's copy: peak RSS growth 2.07 and 2.04
     # sections at |T| = 1024 and 2048, budgeted as three
     for R, size in zip(radii, sizes):

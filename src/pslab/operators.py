@@ -2,18 +2,19 @@
 
 A restriction operator is given by its grid and two halfwidths: the time
 set T = [-rho_t, rho_t) on a one-dimensional grid and the frequency set
-Omega = [-rho_f, rho_f) on its dual.  The half-open convention makes traces
-of on-grid intervals exact count ratios.
+Omega = [-rho_f, rho_f) on its dual, each a range of sample indices, so
+traces are exact count ratios and only the oracle masks span the grid.
 
 Spectra come from the |T| x |T| Toeplitz section of the restriction operator
-(the periodic discrete-prolate matrix), and the phase-space cutoff A_R is
-applied axis by axis through its real 1-D STFT-multiplier factors, each in
-closed form; both are exact rewrites of the FFT-defined operators, not
-approximations.
+(the periodic discrete-prolate matrix, with a closed-form Dirichlet kernel),
+and the phase-space cutoff A_R is applied axis by axis through its real 1-D
+STFT-multiplier factors, each in closed form; both are exact rewrites of the
+FFT-defined operators, not approximations.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Sequence
 
@@ -22,14 +23,28 @@ import numpy as np
 from .grid import GridSpec, SampledFunction, _centered_fft, gaussian_window, snap_to_grid, tf_shift
 
 
-def restriction_masks(grid: GridSpec, time_halfwidth: float, freq_halfwidth: float) -> list[np.ndarray]:
-    """The time mask of T on ``grid`` and the frequency mask of Omega on its dual.
+def _first_index_at_least(n: int, step: float, x: float) -> int:
+    """The first index j in [0, n) with (j - n//2) step >= x, or n if there is none.
+
+    This is the float test the masks make.  It is monotone in j, so stepping
+    from the estimate x / step tests only the samples next to the boundary.
+    """
+    j = math.ceil(min(max(x / step, -(n // 2)), n - n // 2)) + n // 2
+    while j > 0 and (j - 1 - n // 2) * step >= x:
+        j -= 1
+    while j < n and (j - n // 2) * step < x:
+        j += 1
+    return j
+
+
+def _index_ranges(grid: GridSpec, time_halfwidth: float, freq_halfwidth: float) -> list[tuple[int, int]]:
+    """The sample ranges [lo, hi) of T on ``grid`` and of Omega on its dual.
 
     Each set must leave a 4-sample margin inside its periodic box or cover it.
     """
     if grid.dim != 1:
         raise ValueError("restriction operators run on one-dimensional grids")
-    masks = []
+    ranges = []
     for g, rho, what in ((grid, time_halfwidth, "time"), (grid.dual(), freq_halfwidth, "frequency")):
         if not rho >= 0:  # also refuses NaN, which would give an empty set
             raise ValueError("halfwidths must be nonnegative")
@@ -38,9 +53,14 @@ def restriction_masks(grid: GridSpec, time_halfwidth: float, freq_halfwidth: flo
             raise ValueError(
                 f"{what} set [{-rho}, {rho}) needs 4-sample margin inside [-{he}, {he}) or full coverage"
             )
-        points = g.axis_points()
-        masks.append((points >= -rho) & (points < rho))
-    return masks
+        ranges.append(tuple(_first_index_at_least(g.n[0], g.step[0], x) for x in (-rho, rho)))
+    return ranges
+
+
+def restriction_masks(grid: GridSpec, time_halfwidth: float, freq_halfwidth: float) -> list[np.ndarray]:
+    """The time mask of T on ``grid`` and the frequency mask of Omega on its dual."""
+    ranges, j = _index_ranges(grid, time_halfwidth, freq_halfwidth), np.arange(grid.n[0])
+    return [(j >= lo) & (j < hi) for lo, hi in ranges]
 
 
 def apply_restriction(values: np.ndarray, grid: GridSpec, time_halfwidth: float, freq_halfwidth: float) -> np.ndarray:
@@ -53,28 +73,31 @@ def apply_restriction(values: np.ndarray, grid: GridSpec, time_halfwidth: float,
 
 
 def restriction_section(grid: GridSpec, time_halfwidth: float, freq_halfwidth: float) -> np.ndarray:
-    """The |T| x |T| Hermitian Toeplitz block c[(j - j') mod N] on the samples j, j' in T.
+    """The |T| x |T| Hermitian Toeplitz block c[j - j'] on the samples j, j' in T.
 
-    The frequency cut is the circulant with kernel c = ifft(ifftshift(mf)),
-    so the operator is that circulant compressed to T and zero elsewhere.
+    c = ifft(ifftshift(mf)) sums e^{2 pi i k m / N} over Omega's integer frequencies f0 <= k < f0 + K:
+    c[m] = e^{i pi (2 f0 + K - 1) m / N} sin(pi K m / N) / (N sin(pi m / N)) and c[0] = K / N.
     """
-    mt, mf = restriction_masks(grid, time_halfwidth, freq_halfwidth)
-    support = np.flatnonzero(mt)
-    c = np.fft.ifft(np.fft.ifftshift(mf))
-    return c[np.subtract.outer(support, support) % grid.n[0]]
+    n = grid.n[0]
+    (t0, t1), (f0, f1) = _index_ranges(grid, time_halfwidth, freq_halfwidth)
+    size, K, f0 = t1 - t0, f1 - f0, f0 - n // 2
+    # angles pi p / N, each product reduced mod 2N, its factor's period, while exact; min(m, N - m) keeps sin off pi
+    turns = [[(2 * f0 + K - 1) * m % (2 * n) / n, K * m % (2 * n) / n, min(m, n - m) / n] for m in range(1, size)]
+    phase, numer, denom = np.pi * np.array(turns).reshape(-1, 3).T
+    c = np.exp(1j * phase) * np.sin(numer) / (n * np.sin(denom))
+    kernel = np.concatenate([c[::-1].conj(), [K / n], c])
+    return kernel[np.subtract.outer(np.arange(size), np.arange(size)) + size - 1]
 
 
 def restriction_trace(grid: GridSpec, time_halfwidth: float, freq_halfwidth: float) -> float:
-    """|T| |Omega| / N: every diagonal entry of the section is c[0] = mean(mf)."""
-    mt, mf = restriction_masks(grid, time_halfwidth, freq_halfwidth)
-    return int(np.count_nonzero(mt)) * int(np.count_nonzero(mf)) / mf.size
+    """|T| |Omega| / N: every diagonal entry of the section is c[0] = K / N."""
+    (t0, t1), (f0, f1) = _index_ranges(grid, time_halfwidth, freq_halfwidth)
+    return (t1 - t0) * (f1 - f0) / grid.n[0]
 
 
 def restriction_spectrum(grid: GridSpec, time_halfwidth: float, freq_halfwidth: float) -> np.ndarray:
-    """All N eigenvalues, descending: the section's plus N - |T| zeros."""
-    lam = np.linalg.eigvalsh(restriction_section(grid, time_halfwidth, freq_halfwidth))
-    # sorted, not concatenated: section eigenvalues can be -1e-17
-    return np.sort(np.concatenate([lam, np.zeros(grid.n[0] - lam.size)]))[::-1]
+    """The section's |T| eigenvalues, descending; the operator's other N - |T| are exactly 0."""
+    return np.linalg.eigvalsh(restriction_section(grid, time_halfwidth, freq_halfwidth))[::-1]
 
 
 def plunge_count(grid: GridSpec, time_halfwidth: float, freq_halfwidth: float) -> int:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pslab.corpus import random_bandlimited
@@ -22,6 +22,7 @@ from pslab.localization import modulation_norm, modulation_weight
 from pslab.operators import (
     _apply_cutoff,
     _cutoff_factor,
+    _index_ranges,
     apply_restriction,
     cutoff_extent,
     improve_system,
@@ -108,6 +109,27 @@ def restriction_specs(draw):
     return GridSpec(1, n, step), halfwidth(), halfwidth()
 
 
+@st.composite
+def boundary_specs(draw):
+    """(grid, time halfwidth, freq halfwidth) at N <= 256 with halfwidths on a sample, midway, off
+    the samples, covering the box, or 1e300, on steps that are and are not powers of two."""
+    n = draw(st.sampled_from([8, 16, 64, 256]))
+    grid = GridSpec(1, n, draw(st.sampled_from([1 / 16, 0.1, 1 / 3, 1.0])))
+
+    def halfwidth(g):
+        inner = n // 2 - 4  # the 4-sample margin, in samples
+        return draw(
+            st.one_of(
+                st.integers(0, 2 * inner).map(lambda k: k / 2 * g.step[0]),
+                st.floats(0.0, max(inner - 0.5, 0.0) * g.step[0]),
+                st.just(g.half_extent()),
+                st.just(1e300),
+            )
+        )
+
+    return grid, halfwidth(grid), halfwidth(grid.dual())
+
+
 @pytest.fixture(scope="module")
 def gauss():
     return gaussian_window(GRID)
@@ -175,12 +197,33 @@ class TestRestrictionOperator:
     def test_section_spectrum_matches_dense_definition(self, spec):
         dense = dense_from_apply(*spec)
         reference = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))[::-1]
-        assert np.abs(restriction_spectrum(*spec) - reference).max() < 1e-12
         support = np.flatnonzero(restriction_masks(*spec)[0])
+        # the section's |T| eigenvalues are the operator's top ones, and the other N - |T| are 0
+        spectrum = restriction_spectrum(*spec)
+        assert spectrum.size == support.size
+        assert np.abs(spectrum - reference[: support.size]).max(initial=0.0) < 1e-12
+        assert np.abs(reference[support.size :]).max(initial=0.0) < 1e-12
         on_t = np.ix_(support, support)
         assert np.abs(restriction_section(*spec) - dense[on_t]).max(initial=0.0) < 1e-12
         dense[on_t] = 0.0
         assert np.abs(dense).max() < 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(boundary_specs())
+    # 3 * 0.1 is sample 3 exactly, but (3 * 0.1) / 0.1 rounds above 3, so the bound steps down onto it
+    @example((GridSpec(1, 64, 0.1), 3 * 0.1, 0.0))
+    def test_index_ranges_and_kernel_match_masks_and_fft(self, spec):
+        grid, ht, hf = spec
+        masks = []
+        for g, rho, (lo, hi) in zip((grid, grid.dual()), (ht, hf), _index_ranges(*spec)):
+            points = g.axis_points()
+            masks.append((points >= -rho) & (points < rho))
+            np.testing.assert_array_equal(np.flatnonzero(masks[-1]), np.arange(lo, hi))
+        # the closed-form Dirichlet kernel against the circulant kernel of the frequency mask
+        support = np.flatnonzero(masks[0])
+        c = np.fft.ifft(np.fft.ifftshift(masks[1]))
+        section = c[np.subtract.outer(support, support) % grid.n[0]]
+        assert np.abs(restriction_section(*spec) - section).max(initial=0.0) < 1e-15
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(restriction_specs())
@@ -216,7 +259,9 @@ class TestSpectrum:
         assert abs(plunge_count(GRID, 4.0, 4.0) - area) <= max(2, 0.05 * area)
 
     def test_trace_bracketing(self, box_spectrum):
+        # the trace sums the section's |T| eigenvalues; the operator's other N - |T| are 0
         lam = box_spectrum
+        assert lam.size == np.count_nonzero(restriction_masks(GRID, 4.0, 4.0)[0])
         k = 10
         low = lam[:k].sum()
         high = low + (lam.size - k) * lam[k - 1]
