@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from ._csvio import _write_csv
 from .config import ExperimentConfig
-from .grid import GridSpec, SampledFunction, _lattice_reach, gaussian_window, snap_to_grid, tf_shift
+from .grid import GridSpec, SampledFunction, _centered_fft, _lattice_reach, gaussian_window, snap_to_grid, tf_shift
 
 # Bytes the largest dense step of any experiment may take: every runner checks
 # its estimate against this one budget before it allocates.
@@ -113,18 +113,20 @@ def _gabor_central_row(alpha: float, beta: float, T: int) -> tuple[np.ndarray, i
 
 
 def _lattice_synthesis(grid: GridSpec, alpha: float, beta: float, row: np.ndarray) -> SampledFunction:
-    """sum conj(row) of the atoms pi(alpha m, beta n) g, |m|, |n| <= T, ordered m-major.
+    """sum conj(row) of the atoms pi(alpha m, beta n) g, |m|, |n| <= T, ordered m-major, on grid-aligned spacings.
 
-    The row reshapes to C[m, n] and the sum is sum_m T_{alpha m} g * (C E)[m],
-    E[n] = e^{2 pi i beta n t}: no member matrix is formed.
+    With C[m, n] the row, each sum_n C[m, n] e^{2 pi i beta n t} is one centered inverse FFT of C[m] added into the
+    dual-grid bins N/2 + n beta / dual step (mod N, so wide lattices alias as sampled exponentials do): O(N) memory.
     """
-    size = math.isqrt(row.size)
+    size, N = math.isqrt(row.size), grid.n[0]
     k = np.arange(size) - size // 2
-    t = grid.axis_points(0)
-    CE = np.conj(row).reshape(size, size) @ np.exp(np.multiply.outer(2j * np.pi * (beta * k), t))
-    g = gaussian_window(grid).values
-    shift = round(alpha / grid.step[0])
-    values = sum(np.roll(g, shift * m) * CE[i] for i, m in enumerate(k))
+    bins = (N // 2 + round(beta / grid.dual().step[0]) * k) % N
+    g = N * gaussian_window(grid).values.real  # real, and the inverse FFT's 1/N undone
+    values = np.zeros(N, dtype=complex)
+    for shift, coeffs in zip(round(alpha / grid.step[0]) * k, np.conj(row).reshape(size, size)):
+        spectrum = np.zeros(N, dtype=complex)
+        np.add.at(spectrum, bins, coeffs)
+        values += np.roll(g, shift) * _centered_fft(spectrum, (0,), inverse=True)
     return SampledFunction(grid, values)
 
 
@@ -202,12 +204,11 @@ def _run_balian_low(cfg: ExperimentConfig) -> Table:
         raise cfg.error(f"spacings ({alpha}, {beta}) round to zero time or frequency samples")
     if any(abs(k - round(k)) > 1e-9 for k in samples):
         raise cfg.error(f"spacings ({alpha}, {beta}) are not grid-aligned")
-    # the whole Gram is decomposed, or on a square lattice its rotation block 0; then the central
-    # member is synthesized from two (2T + 1, N) complex arrays, peak RSS growth 2(2T + 1) + 0.57
-    # of N complex entries at N = 2^20, T = 2 and 6, budgeted as 2(2T + 1) + 2
+    # the whole Gram is decomposed, or on a square lattice its rotation block 0; then the central member is
+    # synthesized shift by shift, peak RSS growth with its moment 7.0-7.3 complex entries a sample, any T, budgeted as 8
     members = (2 * widest + 1) ** 2
     order = members // 4 + 1 if alpha == beta else members
-    need = max(_eigh_bytes(order), (2 * (2 * widest + 1) + 2) * math.prod(grid.n) * COMPLEX_BYTES)
+    need = max(_eigh_bytes(order), 8 * math.prod(grid.n) * COMPLEX_BYTES)
     _check_budget(cfg, need, f"window {widest}", f"orthonormalize and synthesize {members} atoms")
     rows = []
     for T in windows:

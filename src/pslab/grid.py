@@ -20,9 +20,12 @@ import numpy as np
 
 
 def _sample_count(value) -> int:
-    if not float(value).is_integer():
-        raise ValueError(f"points per axis must be a whole number, got {value!r}")
-    return int(value)
+    try:
+        if float(value).is_integer():
+            return int(value)
+    except OverflowError:
+        raise ValueError("points per axis overflow a float") from None
+    raise ValueError(f"points per axis must be a whole number, got {value!r}")
 
 
 def _as_tuple(value, dim, cast):
@@ -41,7 +44,7 @@ class GridSpec:
     Args:
         dim: spatial dimension, 1 or 2.
         n: samples per axis, a power of two >= 8 (scalar or per-axis tuple).
-        step: sample spacing per axis, > 0 (scalar or per-axis tuple).
+        step: sample spacing per axis, > 0 (scalar or per-axis tuple), its box n * step and the dual's finite.
     """
 
     dim: int
@@ -55,12 +58,11 @@ class GridSpec:
             raise ValueError(f"dim must be 1 or 2, got {dim}")
         n = _as_tuple(n, dim, _sample_count)
         step = _as_tuple(step, dim, float)
-        for ni in n:
+        for ni, si in zip(n, step):
             if ni < 8 or ni & (ni - 1):
                 raise ValueError(f"points per axis must be a power of two >= 8, got {ni}")
-        for si in step:
-            if not (si > 0 and math.isfinite(si)):
-                raise ValueError(f"spacing must be positive and finite, got {si}")
+            if not (si > 0 and math.isfinite(ni * si) and math.isfinite(ni * (1.0 / (ni * si)))):
+                raise ValueError(f"spacing must be positive with finite boxes, got {si} for {ni:.6g} samples")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "step", step)
@@ -99,10 +101,7 @@ class GridSpec:
 
     def radius_squared(self) -> np.ndarray:
         """|x|^2 on the full grid."""
-        out = np.zeros((1,) * self.dim)
-        for c in self.mesh():
-            out = out + c * c
-        return out
+        return sum(c * c for c in self.mesh())
 
     def dual(self) -> "GridSpec":
         """The frequency grid matching this one; its dual is this grid again."""

@@ -1,5 +1,6 @@
 """Config parsing, corpus recipes, and the experiment runner CLI."""
 
+import math
 import os
 import subprocess
 import sys
@@ -231,6 +232,40 @@ class TestGaborCentralMember:
         assert np.abs(phi.values - sampled).max() < 1e-12 * np.abs(sampled).max()
 
     @staticmethod
+    def table_synthesis(grid, alpha, beta, row):
+        """The definitional twin of _lattice_synthesis: sum_m T_{alpha m} g * (C E)[m], E[n] = e^{2 pi i beta n t}.
+
+        C is conj(row) reshaped to (2T + 1, 2T + 1), and E the (2T + 1, N) table of sampled exponentials.
+        """
+        size = math.isqrt(row.size)
+        k = np.arange(size) - size // 2
+        t = grid.axis_points(0)
+        CE = np.conj(row).reshape(size, size) @ np.exp(np.multiply.outer(2j * np.pi * (beta * k), t))
+        g = gaussian_window(grid).values
+        shift = round(alpha / grid.step[0])
+        return sum(np.roll(g, shift * m) * CE[i] for i, m in enumerate(k))
+
+    @pytest.mark.parametrize(
+        "n, step, alpha, beta, T",
+        [
+            (1024, 1 / 32, 1.0, 1.0, 6),
+            (1024, 1 / 32, 0.5, 2.0, 3),
+            (512, 1 / 16, 1.5, 0.75, 4),
+            # the dual box is [-8, 8) and beta n reaches 10: the bins wrap past Nyquist, and
+            # n = 5 and n = -3 share a bin, as their sampled exponentials coincide
+            (256, 1 / 16, 1.0, 2.0, 5),
+        ],
+        ids=["square", "oblong", "oblong-fine", "wrapping"],
+    )
+    def test_synthesis_matches_exponential_table(self, n, step, alpha, beta, T):
+        grid = GridSpec(1, n, step)
+        rng = np.random.default_rng(T)
+        row = rng.normal(size=(2 * T + 1) ** 2) + 1j * rng.normal(size=(2 * T + 1) ** 2)
+        expected = self.table_synthesis(grid, alpha, beta, row)
+        phi = _lattice_synthesis(grid, alpha, beta, row)
+        assert np.abs(phi.values - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @staticmethod
     def full_gram_row(alpha, T):
         """The oracle: the central row of G^{-1/2} from eigh of the whole closed-form Gram."""
         k = np.arange(-T, T + 1)
@@ -344,7 +379,9 @@ class TestDenseEstimates:
         assert estimate / 2 <= growth <= estimate
 
     def test_balian_low_synthesis(self):
-        # N = 2^18, T = 6: the central member from two (13, N) complex arrays (measured 0.96)
+        # N = 2^18: the central member is synthesized one time shift at a time, so the
+        # estimate of 8 complex entries a sample holds for every T (measured 7.05 and 7.26
+        # at T = 2 and 12), and T = 12 takes under one entry a sample more than T = 2
         setup = (
             "from pslab.experiments import _gabor_central_member\n"
             "from pslab.grid import GridSpec\n"
@@ -352,9 +389,12 @@ class TestDenseEstimates:
             "moment(_gabor_central_member(GridSpec(1, 1024, 1 / 32), 1.0, 1.0, 2), 0.0, 1.0, side='frequency')\n"
             "grid = GridSpec(1, 2**18, 1 / 256)"
         )
-        growth = peak_rss_growth(setup, "moment(_gabor_central_member(grid, 1.0, 1.0, 6), 0.0, 1.0, side='frequency')")
-        estimate = (2 * 13 + 2) * 2**18 * COMPLEX_BYTES
-        assert estimate / 2 <= growth <= estimate
+        step = "moment(_gabor_central_member(grid, 1.0, 1.0, {}), 0.0, 1.0, side='frequency')"
+        narrow, wide = (peak_rss_growth(setup, step.format(T)) for T in (2, 12))
+        estimate = 8 * 2**18 * COMPLEX_BYTES
+        for growth in (narrow, wide):
+            assert estimate / 2 <= growth <= estimate
+        assert wide - narrow <= 2**18 * COMPLEX_BYTES
 
     def test_dual_decay_gram_and_inverse(self):
         # M = 625 on N = 2048: gramian's conjugated members, then G beside G^-1 (measured 4.6 M^2)
@@ -575,6 +615,22 @@ class TestCli:
                 with pytest.raises(ConfigError, match="memory budget"):
                     run(cfg, tmp_path / "out")
 
+    def test_balian_low_budget_follows_the_synthesis(self, tmp_path, monkeypatch):
+        class Admitted(Exception):
+            pass
+
+        def admit(*args, **kwargs):
+            raise Admitted
+
+        monkeypatch.setattr("pslab.experiments._gabor_central_member", admit)
+        stub = tmp_path / "bl.cfg"
+        # 8 complex entries a sample, whatever T: N = 2^24 is exactly the 2 GiB budget
+        for n, admitted in ((2**24, True), (2**25, False)):
+            stub.write_text(f"[balian-low]\ngrid_n = {n}\ngrid_dx = 0.0009765625\nwindows = 6\n")
+            cfg = load_config(stub, "balian-low")
+            with pytest.raises(Admitted) if admitted else pytest.raises(ConfigError, match="memory budget"):
+                run(cfg, tmp_path / "out")
+
     def test_fock_sweep_refuses_oversized_lattice_before_building(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("lattice built before the memory check")
@@ -604,8 +660,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "experiment, body",
-        # a synthesis array of (13, N) complex entries: 3.25 GiB
-        [("balian-low", "grid_n = 16777216\ngrid_dx = 0.0009765625\nwindows = 6\n")],
+        # the synthesis of 8 complex entries a sample: 4 GiB at N = 2^25, the first grid past the budget
+        [("balian-low", "grid_n = 33554432\ngrid_dx = 0.0009765625\nwindows = 6\n")],
         ids=["balian-low"],
     )
     def test_oversized_sample_arrays_exit_2_before_allocating(self, tmp_path, monkeypatch, capsys, experiment, body):
@@ -642,6 +698,18 @@ class TestCli:
         assert main([experiment, "--config", str(stub), "--out", str(tmp_path)]) == 0
         csv = tmp_path / f"{experiment.replace('-', '_')}.csv"
         assert csv.read_text().splitlines()[-1] == row
+
+    @pytest.mark.parametrize(
+        "experiment", ["balian-low", "trace-check", "plunge-count", "improve", "dual-decay", "uncertainty-sum"]
+    )
+    def test_sample_count_past_a_float_exits_2(self, tmp_path, capsys, experiment):
+        # 2^1100 is a power of two, but no float holds it; every experiment that takes a grid refuses it
+        stub = tmp_path / "huge.cfg"
+        stub.write_text(f"[{experiment}]\ngrid_n = {2**1100}\ngrid_dx = 0.03125\n")
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(stub), "--out", str(out)]) == 2
+        assert_one_refusal(capsys, experiment, "bad grid: points per axis overflow a float")
+        assert not out.exists() or not list(out.iterdir())
 
     @pytest.mark.parametrize(
         "experiment, body",

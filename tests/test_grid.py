@@ -54,6 +54,18 @@ def test_gridspec_refuses_fractional_sample_count(n):
     assert GridSpec(1, 1024.0, 0.1).n == (1024,)
 
 
+@pytest.mark.parametrize(
+    "n, step, message",
+    [(2**1100, 0.1, "overflow a float"), (2**1000, 1e300, "finite boxes"), (1024, 1e-310, "finite boxes")],
+    ids=["count", "box", "dual-box"],
+)
+def test_gridspec_refuses_counts_and_boxes_past_a_float(n, step, message):
+    # 1e-310 keeps a finite box of 1e-307, but the dual's box, 1024 / 1e-307, overflows
+    with pytest.raises(ValueError, match=message):
+        GridSpec(1, n, step)
+    assert GridSpec(1, 2**1000, 2.0**-1000).dual().half_extent() == 2.0**999
+
+
 def test_dual_grid_round_trip():
     g = make_grid()
     d = g.dual()
