@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from ._csvio import _write_csv
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .grid import GridSpec, SampledFunction, _centered_fft, _lattice_reach, gaussian_window, snap_to_grid, tf_shift
 
 # Bytes the largest dense step of any experiment may take: every runner checks
@@ -30,12 +30,13 @@ Table = tuple[str, list[str], list[str]]
 _RECIPE = re.compile(r"^([a-z-]+)\(([^)]*)\)$|^([a-z-]+)$")
 
 
-def corpus(recipe: str, grid: GridSpec, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def corpus(recipe: str, grid: GridSpec, seed: int = 0, admit=lambda M: None) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic function system from a recipe string: (M,) + grid.shape members, (M, 2d) centers.
 
     Recipes: hermite-onb[(M)], gabor-gaussian(alpha, beta[, window]),
     jittered-gabor(alpha, beta, jitter[, window]), two-bump[(separation)].
     Lattice atoms come m-major at their snapped points; the others sit at the origin.
+    ``admit(M)`` is called with the member count, read from the arguments, before any array is built.
     """
     from .corpus import hermite_functions, two_bump
     match = _RECIPE.match(recipe.strip())
@@ -46,13 +47,15 @@ def corpus(recipe: str, grid: GridSpec, seed: int = 0) -> tuple[np.ndarray, np.n
     if name in ("hermite-onb", "two-bump"):
         if len(args) > 1:
             raise ValueError(f"recipe {name} takes at most one argument")
+        if name == "hermite-onb" and args and not (args[0].is_integer() and args[0] >= 1):
+            raise ValueError(f"recipe hermite-onb takes a positive integer argument, got {args[0]!r}")
+        count = 1 if name == "two-bump" else int(args[0]) if args else 16
+        admit(count)
         if name == "two-bump":
             members = two_bump(grid, args[0] if args else 3.0).values[None]
-        elif args and not args[0].is_integer():
-            raise ValueError(f"recipe hermite-onb takes an integer argument, got {args[0]!r}")
         else:
-            members = hermite_functions(grid, int(args[0]) if args else 16)
-        return members, np.zeros((len(members), 2 * grid.dim))
+            members = hermite_functions(grid, count)
+        return members, np.zeros((count, 2 * grid.dim))
     if name in ("gabor-gaussian", "jittered-gabor"):
         jittered = name == "jittered-gabor"
         expected = 3 if jittered else 2
@@ -64,7 +67,9 @@ def corpus(recipe: str, grid: GridSpec, seed: int = 0) -> tuple[np.ndarray, np.n
         if alpha <= 0 or beta <= 0 or jitter < 0 or window <= 0:
             raise ValueError(f"bad lattice parameters in recipe {recipe!r}")
         reach_a, reach_b = _lattice_reach(window, alpha), _lattice_reach(window, beta)
-        m, n = np.divmod(np.arange((2 * reach_a + 1) * (2 * reach_b + 1)), 2 * reach_b + 1)
+        count = (2 * reach_a + 1) * (2 * reach_b + 1)
+        admit(count)
+        m, n = np.divmod(np.arange(count), 2 * reach_b + 1)
         ab = np.stack([alpha * (m - reach_a), beta * (n - reach_b)], axis=1)
         if jittered:
             # two draws per atom, m-major, a before b
@@ -97,7 +102,7 @@ def _gabor_central_row(alpha: float, beta: float, T: int) -> tuple[np.ndarray, i
         return _inverse_sqrt_rows(G, k.size**2 // 2, capped=True)
     # one point per orbit: m >= 1, n <= 0, m-major, so Re lam > 0 and Im lam >= 0
     m, n = np.divmod(np.arange(T * (T + 1)), T + 1)
-    blocks = rotation_blocks(alpha * ((m + 1) + 1j * (T - n)), origin=True)
+    blocks = rotation_blocks(alpha * ((m + 1) + 1j * (T - n)))
     spectra = [np.linalg.eigvalsh(blocks.pop()) for _ in range(3)]  # popped, so each is freed
     w, U = np.linalg.eigh(blocks.pop())
     (scale, *_), dropped = _inverse_sqrt_weights([w, *spectra], capped=True)
@@ -149,9 +154,11 @@ def _eigh_bytes(order: int) -> int:
 
 
 def _config_checked(cfg: ExperimentConfig, call, *args):
-    """``call(*args)``, a ValueError it raises reported as the config's error: exit 2, not 1."""
+    """``call(*args)``, a ValueError it raises reported as the config's error (exit 2, not 1); a ConfigError passes."""
     try:
         return call(*args)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise cfg.error(str(exc)) from None
 
@@ -168,13 +175,14 @@ def _check_budget(cfg: ExperimentConfig, need: int, subject: str, task: str) -> 
 def _budgeted_corpus(
     cfg: ExperimentConfig, grid: GridSpec, squares: int, products: int, task: str, fixed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The recipe's M members of N samples and their centers, refused past squares M^2 + products M N
-    complex entries and ``fixed`` bytes."""
-    members, centers = _config_checked(cfg, corpus, cfg.get_str("recipe"), grid, cfg.seed)
-    M = len(members)
-    need = M * (squares * M + products * math.prod(grid.n)) * COMPLEX_BYTES + fixed
-    _check_budget(cfg, need, f"recipe of {M} members", task)
-    return members, centers
+    """The recipe's M members of N samples and their centers, refused before any is built past
+    squares M^2 + products M N complex entries and ``fixed`` bytes."""
+
+    def admit(M: int) -> None:
+        need = M * (squares * M + products * math.prod(grid.n)) * COMPLEX_BYTES + fixed
+        _check_budget(cfg, need, f"recipe of {M} members", task)
+
+    return _config_checked(cfg, corpus, cfg.get_str("recipe"), grid, cfg.seed, admit)
 
 
 def _run_balian_low(cfg: ExperimentConfig) -> Table:

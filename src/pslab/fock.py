@@ -95,13 +95,13 @@ def _kernel_block(r: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * np.pi * dist2 + 1j * np.pi * phase)
 
 
-def rotation_blocks(reps: np.ndarray, origin: bool) -> list[np.ndarray]:
-    """The four character blocks of the kernel Gram of a set invariant under z -> iz.
+def rotation_blocks(reps: np.ndarray) -> list[np.ndarray]:
+    """The four character blocks of the kernel Gram of the orbits of ``reps`` under z -> iz, and 0.
 
-    The set is the orbits {r, ir, -r, -ir} of the points ``reps``, plus 0 when
-    ``origin`` is set.  Since K(i lam, i mu) = K(lam, mu), the rotation commutes
-    with the Gram, which is block diagonal in the orthonormal vectors
-    (1/2) sum_j i^{jk} e_{i^j s}, k = 0..3:
+    The set is 0 and the orbits {r, ir, -r, -ir} of the points ``reps``, one
+    per orbit, as a square lattice is built.  Since K(i lam, i mu) = K(lam, mu),
+    the rotation commutes with the Gram, which is block diagonal in the
+    orthonormal vectors (1/2) sum_j i^{jk} e_{i^j s}, k = 0..3:
 
         B_k[r, s] = sum_j i^{jk} K[r, i^j s].
 
@@ -111,58 +111,38 @@ def rotation_blocks(reps: np.ndarray, origin: bool) -> list[np.ndarray]:
     """
     reps = np.asarray(reps, dtype=complex)
     size = reps.size
-    b0 = np.empty((size + origin, size + origin), dtype=complex)
+    b0 = np.empty((size + 1, size + 1), dtype=complex)
     b1, b2, b3 = (np.empty((size, size), dtype=complex) for _ in range(3))
     # rows in slabs, so the orbit terms e_j = K[r, i^j s] stay small beside the blocks
     for lo in range(0, size, _SLAB_ROWS):
         rows = slice(lo, lo + _SLAB_ROWS)
         e0, e1, e2, e3 = (_kernel_block(reps[rows], t) for t in (reps, 1j * reps, -reps, -1j * reps))
         s02, d02, s13, d13 = e0 + e2, e0 - e2, e1 + e3, 1j * (e1 - e3)
-        b0[origin:, origin:][rows] = s02 + s13
+        b0[1:, 1:][rows] = s02 + s13
         b1[rows] = d02 + d13
         b2[rows] = s02 - s13
         b3[rows] = d02 - d13
-    if origin:
-        b0[0, 0] = 1.0
-        b0[0, 1:] = b0[1:, 0] = 2.0 * np.exp(-0.5 * np.pi * np.abs(reps) ** 2)
+    b0[0, 0] = 1.0
+    b0[0, 1:] = b0[1:, 0] = 2.0 * np.exp(-0.5 * np.pi * np.abs(reps) ** 2)
     return [b0, b1, b2, b3]
-
-
-def _rotation_orbits(lam: np.ndarray) -> tuple[np.ndarray, bool] | None:
-    """One point per orbit {p, ip, -p, -ip} (those with Re > 0, Im >= 0) and whether 0 is present.
-
-    None unless the points are distinct and their set is exactly invariant
-    under z -> iz: multiplying by i only swaps and negates coordinates, so the
-    test is exact.
-    """
-    reps = lam[(lam.real > 0) & (lam.imag >= 0)]
-    origin = bool((lam == 0).any())
-    orbits = np.concatenate([reps, 1j * reps, -reps, -1j * reps, np.zeros(int(origin))])
-    if orbits.size != lam.size:
-        return None
-    given = lam[np.lexsort((lam.imag, lam.real))]
-    rotated = orbits[np.lexsort((orbits.imag, orbits.real))]
-    if not np.array_equal(given, rotated) or (np.diff(given) == 0).any():
-        return None
-    return reps, origin
 
 
 def sampling_bounds(lam) -> tuple[float, float]:
     """Riesz-sequence bounds of the normalized kernel family at the points ``lam``.
 
-    A set invariant under z -> iz (every square lattice from
-    :func:`lattice_points`) takes the extreme eigenvalues of the four blocks
-    of :func:`rotation_blocks`; any other set those of :func:`fock_gram`.
+    They are the extreme eigenvalues of :func:`fock_gram`, for every point set;
+    :func:`lattice_sweep` takes those of square lattices from their rotation blocks.
     """
-    lam = np.asarray(lam, dtype=complex)
-    orbits = _rotation_orbits(lam) if lam.size else None
-    blocks = [fock_gram(lam)] if orbits is None else rotation_blocks(*orbits)
-    spectrum = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
-    return float(spectrum.min()), float(spectrum.max())
+    spectrum = np.linalg.eigvalsh(fock_gram(lam))
+    return float(spectrum[0]), float(spectrum[-1])
 
 
 def lattice_sweep(alpha_values: Sequence[float], window: float) -> list[SweepRow]:
     """Bounds and conditioning of square lattices clipped to the window.
+
+    A lattice is 0 and the orbits under z -> iz of its points with Re > 0 and
+    Im >= 0, so its bounds are the extreme eigenvalues of their four
+    :func:`rotation_blocks`; the full Gram is never formed.
 
     A smallest eigenvalue at or below :func:`~pslab.grid.null_space_floor` of
     the M points, the floor of :func:`~pslab.frames.frame_bounds`, is roundoff
@@ -171,7 +151,9 @@ def lattice_sweep(alpha_values: Sequence[float], window: float) -> list[SweepRow
     rows = []
     for alpha in alpha_values:
         points = lattice_points(alpha, window)
-        lower, upper = sampling_bounds(points)
+        blocks = rotation_blocks(points[(points.real > 0) & (points.imag >= 0)])
+        spectrum = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
+        lower, upper = float(spectrum.min()), float(spectrum.max())
         if lower <= null_space_floor(upper, len(points)):
             lower = 0.0
         condition = upper / lower if lower > 0 else math.inf

@@ -32,6 +32,13 @@ CONFIG_DIR = ROOT / "configs"
 DEFAULT = CONFIG_DIR / "default.cfg"
 POINTS = CONFIG_DIR / "points_unit_lattice.csv"
 GRID = GridSpec(1, 256, 1 / 16)
+# what corpus() calls to build a recipe's members and their centers
+RECIPE_SYNTHESIS = [
+    "pslab.experiments.tf_shift",
+    "pslab.experiments.snap_to_grid",
+    "pslab.corpus.hermite_functions",
+    "pslab.corpus.two_bump",
+]
 
 
 def run_python(code):
@@ -913,19 +920,30 @@ class TestCli:
         with pytest.raises(Admitted):
             run(load_config(stub, "improve"), tmp_path / "out")
 
-    # pitch 0.15 in a window of 6 is 81^2 = 6561 members on a 512-sample grid
+    # pitch 0.15 in a window of 6 is 81^2 = 6561 members on a 512-sample grid; the recipes are sized
+    # from their arguments, so no member, center or Hermite function is built before the refusal
     @pytest.mark.parametrize(
         "experiment, body, patched",
         [
             (
                 "dual-decay",
                 "grid_n = 512\ngrid_dx = 0.0625\nrecipe = jittered-gabor(0.15, 0.15, 0, 6)\n",
-                ["pslab.frames.gramian", "pslab.frames.dual_gram"],
+                ["pslab.frames.gramian", "pslab.frames.dual_gram", *RECIPE_SYNTHESIS],
             ),
             (
                 "improve",
                 "grid_n = 512\ngrid_dx = 0.0625\nrecipe = jittered-gabor(0.15, 0.15, 0, 6)\nradii = 2\n",
-                ["pslab.frames.frame_bounds", "pslab.operators.improve_system"],
+                ["pslab.frames.frame_bounds", "pslab.operators.improve_system", *RECIPE_SYNTHESIS],
+            ),
+            (
+                "dual-decay",
+                "grid_n = 512\ngrid_dx = 0.0625\nrecipe = hermite-onb(100000000)\n",
+                ["pslab.frames.gramian", "pslab.frames.dual_gram", *RECIPE_SYNTHESIS],
+            ),
+            (
+                "improve",
+                "grid_n = 512\ngrid_dx = 0.0625\nrecipe = hermite-onb(100000000)\nradii = 2\n",
+                ["pslab.frames.frame_bounds", "pslab.operators.improve_system", *RECIPE_SYNTHESIS],
             ),
             (
                 "uncertainty-sum",
@@ -933,11 +951,11 @@ class TestCli:
                 ["pslab.frames.commutation_ledger", "pslab.corpus.hermite_functions"],
             ),
         ],
-        ids=["dual-decay", "improve", "uncertainty-sum"],
+        ids=["dual-decay", "improve", "dual-decay-hermite", "improve-hermite", "uncertainty-sum"],
     )
     def test_oversized_system_exits_2_before_its_gram(self, tmp_path, monkeypatch, capsys, experiment, body, patched):
         def refuse(*args, **kwargs):
-            raise AssertionError("Gram or ledger built before the memory check")
+            raise AssertionError("Gram, ledger or member built before the memory check")
 
         for name in patched:
             monkeypatch.setattr(name, refuse)
@@ -945,7 +963,8 @@ class TestCli:
         stub.write_text(f"[{experiment}]\n{body}")
         out = tmp_path / "out"
         assert main([experiment, "--config", str(stub), "--out", str(out)]) == 2
-        assert "memory budget" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "memory budget" in err and err.count(f"[{experiment}]") == 1  # named once, not re-wrapped
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize(

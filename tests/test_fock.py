@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from pslab.cli import main
 from pslab.fock import (
-    _rotation_orbits,
     fock_gram,
     gaussian_atom_gram,
     lattice_points,
@@ -237,7 +236,7 @@ class TestSamplingBounds:
 
 
 class TestRotationBlocks:
-    """The C4 block path of sampling_bounds against the full kernel Gram."""
+    """The C4 block path of lattice_sweep against the full kernel Gram."""
 
     LATTICES = [(alpha, W) for alpha in (2.0, 1.5, 1.2, 1.0, 0.9) for W in (4.0, 6.0, 8.0)]
 
@@ -252,35 +251,36 @@ class TestRotationBlocks:
     @pytest.mark.parametrize("alpha, W", LATTICES)
     def test_block_spectra_are_the_gram_spectrum(self, alpha, W):
         points = lattice_points(alpha, W)
-        reps, origin = _rotation_orbits(points)
-        assert origin and 4 * reps.size + 1 == points.size
-        union = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in rotation_blocks(reps, origin)]))
+        reps = points[(points.real > 0) & (points.imag >= 0)]
+        assert 4 * reps.size + 1 == points.size
+        union = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in rotation_blocks(reps)]))
         np.testing.assert_allclose(union, np.linalg.eigvalsh(fock_gram(points)), rtol=0, atol=1e-12)
 
     def test_lattice_bounds_skip_the_full_gram(self, monkeypatch):
-        points = lattice_points(1.0, 6.0)
-        expected = np.linalg.eigvalsh(fock_gram(points))
+        lower, upper = sampling_bounds(lattice_points(1.0, 6.0))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("full Gram built for an invariant set")
+            raise AssertionError("full Gram built for a square lattice")
 
         monkeypatch.setattr("pslab.fock.fock_gram", refuse)
-        lower, upper = sampling_bounds(points)
-        assert lower == pytest.approx(expected[0], abs=1e-12)
-        assert upper == pytest.approx(expected[-1], abs=1e-12)
+        (row,) = lattice_sweep([1.0], 6.0)
+        assert row.lower == pytest.approx(lower, abs=1e-12)
+        assert row.upper == pytest.approx(upper, abs=1e-12)
 
     @pytest.mark.parametrize(
         "points",
         [
+            lattice_points(1.0, 4.0),
             lattice_points(1.0, 4.0) + 0.1,
             [0.0, 1.0, 1j, -1.0],
             [1.0 + 0.5j, 2.0],
         ],
-        ids=["shifted-lattice", "missing-rotation", "no-orbit"],
+        ids=["square-lattice", "shifted-lattice", "missing-rotation", "no-orbit"],
     )
     def test_other_sets_fall_back_to_full_gram(self, points, monkeypatch):
+        # sampling_bounds never builds blocks, not even for a square lattice
         def refuse(*args, **kwargs):
-            raise AssertionError("block path taken for a set that is not invariant")
+            raise AssertionError("rotation blocks built by sampling_bounds")
 
         monkeypatch.setattr("pslab.fock.rotation_blocks", refuse)
         spectrum = np.linalg.eigvalsh(fock_gram(points))
@@ -316,13 +316,18 @@ class TestLatticeSweep:
     def test_roundoff_lower_bound_reads_zero(self):
         # W = 12, alpha = 0.9 (553 points): the smallest eigenvalue is roundoff
         # below the floor M eps upper; at W = 6 it sits above its floor and stays
+        def block_bounds(points):
+            blocks = rotation_blocks(points[(points.real > 0) & (points.imag >= 0)])
+            spectrum = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
+            return spectrum.min(), spectrum.max()
+
         points = lattice_points(0.9, 12.0)
-        lower, upper = sampling_bounds(points)
+        lower, upper = block_bounds(points)
         assert abs(lower) <= points.size * np.finfo(float).eps * upper
         (row,) = lattice_sweep([0.9], 12.0)
         assert (row.lower, row.upper, row.condition) == (0.0, upper, math.inf)
         small = lattice_points(0.9, 6.0)
-        lower, upper = sampling_bounds(small)
+        lower, upper = block_bounds(small)
         assert lower > small.size * np.finfo(float).eps * upper
         assert lattice_sweep([0.9], 6.0)[0].lower == lower
 
