@@ -44,6 +44,8 @@ def corpus(recipe: str, grid: GridSpec, seed: int = 0, admit=lambda M: None) -> 
         raise ValueError(f"unparseable recipe {recipe!r}")
     name = match.group(1) or match.group(3)
     args = [float(tok) for tok in match.group(2).split(",") if tok.strip()] if match.group(2) else []
+    if not all(map(math.isfinite, args)):
+        raise ValueError(f"recipe {recipe!r} has an argument that is not finite")
     if name in ("hermite-onb", "two-bump"):
         if len(args) > 1:
             raise ValueError(f"recipe {name} takes at most one argument")
@@ -64,7 +66,8 @@ def corpus(recipe: str, grid: GridSpec, seed: int = 0, admit=lambda M: None) -> 
         alpha, beta = args[0], args[1]
         jitter = args[2] if jittered else 0.0
         window = args[expected] if len(args) > expected else 4.0
-        if alpha <= 0 or beta <= 0 or jitter < 0 or window <= 0:
+        # the jitter draws from [-jitter, jitter), a range of 2 jitter
+        if alpha <= 0 or beta <= 0 or jitter < 0 or window <= 0 or not math.isfinite(2 * jitter):
             raise ValueError(f"bad lattice parameters in recipe {recipe!r}")
         reach_a, reach_b = _lattice_reach(window, alpha), _lattice_reach(window, beta)
         count = (2 * reach_a + 1) * (2 * reach_b + 1)
@@ -87,19 +90,22 @@ _WRAP_MARGIN = math.sqrt(-math.log(np.finfo(float).eps) / math.pi)
 def _gabor_central_row(alpha: float, beta: float, T: int) -> tuple[np.ndarray, int]:
     """Central row of the capped G^{-1/2} of pi(alpha m, beta n) g, |m|, |n| <= T, m-major, and the capped count.
 
-    On a square lattice (alpha == beta) the Gram is G = D* K D, K the kernel
-    Gram at lam = alpha (m - i n) and D = diag(e^{i pi a b}), and the lattice
-    is invariant under lam -> i lam.  The central row of G^{-1/2} is then
-    conj(K^{-1/2} e_0) D, and e_0 lies in block 0 of
-    :func:`~pslab.fock.rotation_blocks`, so only that block of order
-    T(T + 1) + 1 is decomposed; the other three give their spectra to the cap.
+    The Gram is G = D* K D, K the normalized Fock kernel Gram at lam = alpha m - i beta n
+    and D = diag(e^{i pi alpha m beta n}) (the Bargmann transform), so G^{-1/2} = D* K^{-1/2} D.
+    D is 1 at the centre, so the central row of G^{-1/2} is that of K^{-1/2} times D.
+    On a square lattice (alpha == beta) lam -> i lam maps the lattice onto itself,
+    and e_0 lies in block 0 of :func:`~pslab.fock.rotation_blocks`, so only that
+    block of order T(T + 1) + 1 is decomposed; the other three give their
+    spectra to the cap.  Otherwise the whole :func:`~pslab.fock.fock_gram` is.
     """
-    from .fock import gaussian_atom_gram, rotation_blocks
+    from .fock import fock_gram, rotation_blocks
     from .frames import _inverse_sqrt_rows, _inverse_sqrt_weights
     k = np.arange(-T, T + 1)
+    phases = np.exp(1j * np.pi * np.multiply.outer(alpha * k, beta * k)).ravel()
     if alpha != beta:
-        G = gaussian_atom_gram(np.repeat(alpha * k, k.size), np.tile(beta * k, k.size))
-        return _inverse_sqrt_rows(G, k.size**2 // 2, capped=True)
+        lam = np.add.outer(alpha * k, -1j * beta * k).ravel()
+        row, dropped = _inverse_sqrt_rows(fock_gram(lam), k.size**2 // 2, capped=True)
+        return row * phases, dropped
     # one point per orbit: m >= 1, n <= 0, m-major, so Re lam > 0 and Im lam >= 0
     m, n = np.divmod(np.arange(T * (T + 1)), T + 1)
     blocks = rotation_blocks(alpha * ((m + 1) + 1j * (T - n)))
@@ -113,8 +119,7 @@ def _gabor_central_row(alpha: float, beta: float, T: int) -> tuple[np.ndarray, i
     quadrant[T + 1 :, : T + 1] = coeffs[1:].reshape(T, T + 1) / 2
     column = sum(np.rot90(quadrant, j) for j in range(4))
     column[T, T] = coeffs[0]
-    phases = np.exp(1j * np.pi * np.multiply.outer(alpha * k, beta * k))
-    return (np.conj(column) * phases).ravel(), dropped
+    return np.conj(column).ravel() * phases, dropped
 
 
 def _lattice_synthesis(grid: GridSpec, alpha: float, beta: float, row: np.ndarray) -> SampledFunction:
@@ -148,7 +153,8 @@ def _eigh_bytes(order: int) -> int:
     divide-and-conquer complex and real workspaces, and conj(U).T in
     :func:`~pslab.frames._inverse_sqrt_rows`.  Measured peak RSS growth of
     :func:`_gabor_central_row` is 5.1 of them on the block path (alpha = beta
-    = 1, T = 40) and 5.6 on the full path (alpha = 1, beta = 1/2, T = 20).
+    = 1, T = 40) and 5.6 and 5.7 on the full path (alpha, beta = 1, 1/2 and
+    1/2, 2, T = 20).
     """
     return 6 * order**2 * COMPLEX_BYTES
 
@@ -166,8 +172,10 @@ def _config_checked(cfg: ExperimentConfig, call, *args):
 def _check_budget(cfg: ExperimentConfig, need: int, subject: str, task: str) -> None:
     """Refuse, before allocating, a step whose ``need`` bytes exceed GRAM_BYTES_LIMIT."""
     if need > GRAM_BYTES_LIMIT:
+        from fractions import Fraction  # exact, as need / 2**20 overflows a float past 2**1024 bytes
+
         raise cfg.error(
-            f"{subject} needs {need / 2**20:.0f} MiB to {task}, "
+            f"{subject} needs {round(Fraction(need, 2**20))} MiB to {task}, "
             f"over the memory budget of {GRAM_BYTES_LIMIT / 2**20:.0f} MiB"
         )
 

@@ -3,7 +3,10 @@
 Points are complex arrays of z = x + iy; the normalized kernel at z has unit
 norm, so Gram entries live in the closed unit disk and their moduli depend
 only on pairwise distances.  Index conventions match the function-system
-Gramian: G[m, n] pairs member n against member m.
+Gramian: G[m, n] pairs member n against member m.  The Bargmann transform
+maps the Gaussian atom e^{2 pi i b t} g(t - a), g = 2^{1/4} e^{-pi t^2}, to
+e^{i pi a b} times the kernel at a - ib, so a Gaussian-atom Gram is D* K D,
+K the kernel Gram and D = diag(e^{i pi a b}).
 """
 
 from __future__ import annotations
@@ -34,36 +37,6 @@ class SweepRow(NamedTuple):
     lower: float
     upper: float
     condition: float
-
-
-def gaussian_atom_gram(a, b) -> np.ndarray:
-    """Closed-form Gram of the atoms e^{2 pi i b t} g(t - a), g = 2^{1/4} e^{-pi t^2}.
-
-    G[m, n] = exp(-pi |z_n - z_m|^2 / 2) exp(i pi (b_n - b_m)(a_n + a_m)) with
-    z = (a, b), the inner product of atom n with atom m.  Under the Bargmann
-    isometry this is D* K D, K the normalized Fock kernel Gram at
-    lam = a - i b and D = diag(exp(i pi a_n b_n)).  When every phase is an
-    exact multiple of pi (lattices with integer alpha * beta) the Gram is
-    returned real, with signs taken from the integer parity, not from exp.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    db = np.subtract.outer(b, b)
-    # turns[m, n] = (b_m - b_n)(a_m + a_n): minus the phase of entry [m, n], over pi
-    turns = db * np.add.outer(a, a)
-    modulus = np.subtract.outer(a, a) ** 2
-    modulus += db**2
-    del db
-    modulus *= -0.5 * np.pi
-    np.exp(modulus, out=modulus)
-    if not np.fmod(turns, 1.0).any():
-        np.negative(modulus, out=modulus, where=np.fmod(turns, 2.0) != 0)
-        return modulus
-    G = -1j * np.pi * turns
-    del turns
-    np.exp(G, out=G)
-    G *= modulus
-    return G
 
 
 def fock_gram(lam) -> np.ndarray:

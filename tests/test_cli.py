@@ -21,7 +21,7 @@ from pslab.experiments import (
     corpus,
     run,
 )
-from pslab.fock import gaussian_atom_gram
+from pslab.fock import fock_gram
 from pslab.frames import _inverse_sqrt_rows, canonical_tight, gramian
 from pslab.grid import GridSpec, gaussian_window, tf_shift
 from pslab.localization import moment
@@ -274,10 +274,31 @@ class TestGaborCentralMember:
 
     @staticmethod
     def full_gram_row(alpha, T):
-        """The oracle: the central row of G^{-1/2} from eigh of the whole closed-form Gram."""
+        """The oracle: the central row of G^{-1/2} from eigh of the whole Gram D* K D, K = fock_gram(a - ib)."""
         k = np.arange(-T, T + 1)
-        G = gaussian_atom_gram(np.repeat(alpha * k, k.size), np.tile(alpha * k, k.size))
+        a, b = np.repeat(alpha * k, k.size), np.tile(alpha * k, k.size)
+        D = np.exp(1j * np.pi * a * b)
+        G = np.conj(D)[:, None] * fock_gram(a - 1j * b) * D[None, :]
         return _inverse_sqrt_rows(G, k.size**2 // 2, capped=True)
+
+    def test_square_lattices_take_the_blocks_and_others_the_kernel_gram(self, monkeypatch):
+        square, oblong = _gabor_central_row(1.0, 1.0, 4), _gabor_central_row(0.5, 2.0, 2)
+        monkeypatch.setattr("pslab.fock.fock_gram", refuse_to("the whole kernel Gram built"))
+        row, dropped = _gabor_central_row(1.0, 1.0, 4)
+        np.testing.assert_array_equal(row, square[0])
+        assert dropped == square[1]
+        orders = []
+
+        def spy(lam):
+            orders.append(len(lam))
+            return fock_gram(lam)
+
+        monkeypatch.setattr("pslab.fock.fock_gram", spy)
+        monkeypatch.setattr("pslab.fock.rotation_blocks", refuse_to("rotation blocks built"))
+        row, dropped = _gabor_central_row(0.5, 2.0, 2)
+        np.testing.assert_array_equal(row, oblong[0])
+        assert dropped == oblong[1]
+        assert orders == [25]
 
     @pytest.mark.parametrize("T", [1, 4, 8])
     def test_block_path_matches_full_gram_on_critical_lattice(self, T):
@@ -571,7 +592,7 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise AssertionError("Gram built before the memory check")
 
-        monkeypatch.setattr("pslab.fock.gaussian_atom_gram", refuse)
+        monkeypatch.setattr("pslab.fock.fock_gram", refuse)
         monkeypatch.setattr("pslab.fock.rotation_blocks", refuse)
         # T = 69, the first window past the budget, is 19321 atoms: 2.09 GiB for
         # the eigendecomposition of the square lattice's rotation block 0, of order 4831
@@ -965,6 +986,63 @@ class TestCli:
         assert main([experiment, "--config", str(stub), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "memory budget" in err and err.count(f"[{experiment}]") == 1  # named once, not re-wrapped
+        assert not list(out.iterdir())
+
+    # sizes past 2^1024 bytes, which need / 2**20 cannot turn into a float
+    @pytest.mark.parametrize(
+        "experiment, body, patched",
+        [
+            (
+                "improve",
+                "grid_n = 512\ngrid_dx = 0.0625\nrecipe = hermite-onb(1e300)\nradii = 2\n",
+                ["pslab.frames.frame_bounds", "pslab.operators.improve_system", *RECIPE_SYNTHESIS],
+            ),
+            (
+                "dual-decay",
+                "grid_n = 512\ngrid_dx = 0.0625\nrecipe = gabor-gaussian(1e-300, 1)\n",
+                ["pslab.frames.gramian", "pslab.frames.dual_gram", *RECIPE_SYNTHESIS],
+            ),
+            ("fock-sweep", "alphas = 1e-300\n", ["pslab.fock.lattice_points", "pslab.fock.lattice_sweep"]),
+            ("density", f"points_csv = {POINTS}\nradii = 1e-300 4\n", ["pslab.geometry.density_trend"]),
+            (
+                "uncertainty-sum",
+                f"grid_n = 256\ngrid_dx = 0.0625\ncount = {10**306}\n",
+                ["pslab.frames.commutation_ledger", "pslab.corpus.hermite_functions"],
+            ),
+        ],
+        ids=["improve", "dual-decay", "fock-sweep", "density", "uncertainty-sum"],
+    )
+    def test_budget_past_a_float_exits_2(self, tmp_path, monkeypatch, capsys, experiment, body, patched):
+        for name in patched:
+            monkeypatch.setattr(name, refuse_to("computed"))
+        stub = tmp_path / "huge.cfg"
+        stub.write_text(f"[{experiment}]\n{body}")
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(stub), "--out", str(out)]) == 2
+        assert_one_refusal(capsys, experiment, "memory budget")
+        assert not out.exists() or not list(out.iterdir())
+
+    # nan and inf arguments, and a jitter whose draw range 2 jitter overflows; "error" turns a warning into a failure
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("experiment", ["improve", "dual-decay"])
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            "jittered-gabor(1, 1, nan, 2)",
+            "jittered-gabor(1, 1, inf, 2)",
+            "jittered-gabor(1, 1, 1e308, 2)",
+            "gabor-gaussian(inf, 1, 2)",
+        ],
+    )
+    def test_non_finite_recipe_exits_2(self, tmp_path, monkeypatch, capsys, experiment, recipe):
+        for name in RECIPE_SYNTHESIS:
+            monkeypatch.setattr(name, refuse_to("a member built"))
+        stub = tmp_path / "nan.cfg"
+        radii = "radii = 2\n" if experiment == "improve" else ""
+        stub.write_text(f"[{experiment}]\ngrid_n = 512\ngrid_dx = 0.0625\nrecipe = {recipe}\n{radii}")
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(stub), "--out", str(out)]) == 2
+        assert_one_refusal(capsys, experiment, recipe)
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize(

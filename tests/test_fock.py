@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from pslab.cli import main
 from pslab.fock import (
     fock_gram,
-    gaussian_atom_gram,
     lattice_points,
     lattice_sweep,
     rotation_blocks,
@@ -97,8 +96,14 @@ def aligned_atoms(draw):
     return grid, a, b
 
 
+def atom_gram(a, b):
+    """The Gram of the atoms e^{2 pi i b t} g(t - a) as D* K D: K = fock_gram(a - ib), D = diag(e^{i pi a b})."""
+    D = np.exp(1j * np.pi * a * b)
+    return np.conj(D)[:, None] * fock_gram(a - 1j * b) * D[None, :]
+
+
 class TestGaussianAtomGram:
-    """The closed form against its sampled twin and the Fock kernel Gram."""
+    """The kernel Gram under the D similarity against the sampled Gram and the explicit closed form."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(aligned_atoms())
@@ -107,33 +112,30 @@ class TestGaussianAtomGram:
         g = gaussian_window(grid)
         members = tf_shift(g.values, grid, np.stack([a, b], axis=1))
         sampled = gramian(members, grid)
-        np.testing.assert_allclose(gaussian_atom_gram(a, b), sampled, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(atom_gram(a, b), sampled, rtol=0, atol=1e-12)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(aligned_atoms())
     def test_is_fock_gram_under_unimodular_similarity(self, atoms):
         _, a, b = atoms
-        G = gaussian_atom_gram(a, b)
         K = fock_gram(a - 1j * b)
-        # normalized kernels: unit diagonal, entries in the closed unit disk, a PSD Gram
+        # normalized kernels: unit diagonal, entries in the closed unit disk, an exactly Hermitian PSD Gram
         np.testing.assert_array_equal(np.diagonal(K), 1.0)
         assert np.abs(K).max() <= 1 + 1e-12
+        np.testing.assert_array_equal(K, np.conj(K).T)
         assert np.linalg.eigvalsh(K)[0] > -1e-12
-        D = np.exp(1j * np.pi * a * b)
-        np.testing.assert_allclose(np.conj(D)[:, None] * K * D[None, :], G, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(G, np.conj(G).T)
-        assert np.linalg.eigvalsh(G)[0] > -1e-12
 
     def test_integer_lattice_is_real_with_parity_signs(self):
         k = np.arange(-3, 4)
-        a, b = np.repeat(1.0 * k, k.size), np.tile(2.0 * k, k.size)
-        G = gaussian_atom_gram(a, b)
-        assert G.dtype == np.float64
-        phase = np.pi * np.subtract.outer(b, b).T * np.add.outer(a, a)
-        modulus = np.exp(-np.pi * (np.subtract.outer(a, a) ** 2 + np.subtract.outer(b, b) ** 2) / 2)
-        np.testing.assert_allclose(G, modulus * np.exp(1j * phase), rtol=0, atol=1e-12)
-        half = gaussian_atom_gram(0.5 * a, b / 2)
-        assert np.iscomplexobj(half)
+        # alpha beta = 2 puts every phase at a multiple of pi: real entries with the sign of its parity
+        for alpha, beta, real in ((1.0, 2.0, True), (0.5, 1.0, False)):
+            a, b = np.repeat(alpha * k, k.size), np.tile(beta * k, k.size)
+            phase = np.pi * np.subtract.outer(b, b).T * np.add.outer(a, a)
+            modulus = np.exp(-np.pi * (np.subtract.outer(a, a) ** 2 + np.subtract.outer(b, b) ** 2) / 2)
+            G = atom_gram(a, b)
+            np.testing.assert_allclose(G, modulus * np.exp(1j * phase), rtol=0, atol=1e-12)
+            if real:
+                np.testing.assert_allclose(G.imag, 0, rtol=0, atol=1e-12)
 
 
 class TestFockGram:
