@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from ._csvio import _write_csv
 from .config import ConfigError, ExperimentConfig
-from .grid import GridSpec, SampledFunction, _centered_fft, _lattice_reach, gaussian_window, snap_to_grid, tf_shift
+from .grid import GridSpec, _lattice_reach, gaussian_window, snap_to_grid, tf_shift
 
 # Bytes the largest dense step of any experiment may take: every runner checks
 # its estimate against this one budget before it allocates.
@@ -30,12 +30,20 @@ Table = tuple[str, list[str], list[str]]
 _RECIPE = re.compile(r"^([a-z-]+)\(([^)]*)\)$|^([a-z-]+)$")
 
 
+def _check_box(grid: GridSpec, centers: np.ndarray, recipe: str) -> None:
+    """Refuse (M, 2d) atom centers outside the half-open time box or its dual box, where tf_shift would wrap them."""
+    half = np.array([g.half_extent(i) for g in (grid, grid.dual()) for i in range(grid.dim)])
+    if not np.all((-half <= centers) & (centers < half)):
+        raise ValueError(f"recipe {recipe!r} puts atoms outside the time and frequency boxes {half.tolist()}")
+
+
 def corpus(recipe: str, grid: GridSpec, seed: int = 0, admit=lambda M: None) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic function system from a recipe string: (M,) + grid.shape members, (M, 2d) centers.
 
     Recipes: hermite-onb[(M)], gabor-gaussian(alpha, beta[, window]),
     jittered-gabor(alpha, beta, jitter[, window]), two-bump[(separation)].
     Lattice atoms come m-major at their snapped points; the others sit at the origin.
+    A recipe whose atoms, snapped, leave the half-open time box or its dual box is refused.
     ``admit(M)`` is called with the member count, read from the arguments, before any array is built.
     """
     from .corpus import hermite_functions, two_bump
@@ -54,7 +62,10 @@ def corpus(recipe: str, grid: GridSpec, seed: int = 0, admit=lambda M: None) -> 
         count = 1 if name == "two-bump" else int(args[0]) if args else 16
         admit(count)
         if name == "two-bump":
-            members = two_bump(grid, args[0] if args else 3.0).values[None]
+            separation = args[0] if args else 3.0
+            pair = np.repeat([[separation, 0.0], [-separation, 0.0]], grid.dim, axis=1)
+            _check_box(grid, snap_to_grid(grid, pair), recipe)
+            members = two_bump(grid, separation).values[None]
         else:
             members = hermite_functions(grid, count)
         return members, np.zeros((count, 2 * grid.dim))
@@ -78,21 +89,21 @@ def corpus(recipe: str, grid: GridSpec, seed: int = 0, admit=lambda M: None) -> 
             # two draws per atom, m-major, a before b
             ab += np.random.default_rng(seed).uniform(-jitter, jitter, size=ab.shape)
         centers = snap_to_grid(grid, np.repeat(ab, grid.dim, axis=1))
+        _check_box(grid, centers, recipe)
         return tf_shift(gaussian_window(grid).values, grid, centers), centers
     raise ValueError(f"unknown recipe {name!r}")
 
 
-# A Gaussian atom's tail at distance d from the box edge is e^{-pi d^2}; at this
-# margin it is below double roundoff, so the periodic atoms do not wrap.
-_WRAP_MARGIN = math.sqrt(-math.log(np.finfo(float).eps) / math.pi)
-
-
-def _gabor_central_row(alpha: float, beta: float, T: int) -> tuple[np.ndarray, int]:
-    """Central row of the capped G^{-1/2} of pi(alpha m, beta n) g, |m|, |n| <= T, m-major, and the capped count.
+def _gabor_central_moment(alpha: float, beta: float, T: int) -> tuple[float, int]:
+    """Frequency moment int xi^2 |phi^|^2 of the central member phi of the capped orthonormalized
+    lattice pi(alpha m, beta n) g, |m|, |n| <= T, and the capped count.
 
     The Gram is G = D* K D, K the normalized Fock kernel Gram at lam = alpha m - i beta n
-    and D = diag(e^{i pi alpha m beta n}) (the Bargmann transform), so G^{-1/2} = D* K^{-1/2} D.
-    D is 1 at the centre, so the central row of G^{-1/2} is that of K^{-1/2} times D.
+    and D = diag(e^{i pi alpha m beta n}) (the Bargmann transform), so G^{-1/2} = D* K^{-1/2} D
+    and the phases D cancel from every quadratic form in phi's coefficients.  With r the central
+    row of the capped K^{-1/2}, the moment is sum_jk r_j K_jk (mu_jk^2 + 1/(4 pi)) conj(r_k): the
+    spectra of atoms j and k multiply to a Gaussian of variance 1/(4 pi) about the complex centre
+    mu_jk = i (lam_j - conj(lam_k)) / 2.  So no sample grid is needed.
     On a square lattice (alpha == beta) lam -> i lam maps the lattice onto itself,
     and e_0 lies in block 0 of :func:`~pslab.fock.rotation_blocks`, so only that
     block of order T(T + 1) + 1 is decomposed; the other three give their
@@ -100,49 +111,31 @@ def _gabor_central_row(alpha: float, beta: float, T: int) -> tuple[np.ndarray, i
     """
     from .fock import fock_gram, rotation_blocks
     from .frames import _inverse_sqrt_rows, _inverse_sqrt_weights
-    k = np.arange(-T, T + 1)
-    phases = np.exp(1j * np.pi * np.multiply.outer(alpha * k, beta * k)).ravel()
     if alpha != beta:
+        k = np.arange(-T, T + 1)
         lam = np.add.outer(alpha * k, -1j * beta * k).ravel()
-        row, dropped = _inverse_sqrt_rows(fock_gram(lam), k.size**2 // 2, capped=True)
-        return row * phases, dropped
+        K = fock_gram(lam)
+        row, dropped = _inverse_sqrt_rows(K, k.size**2 // 2, capped=True)
+        mu = 0.5j * np.subtract.outer(lam, np.conj(lam))
+        K *= mu * mu + 1 / (4 * np.pi)
+        return float(np.real(row @ K @ np.conj(row))), dropped
     # one point per orbit: m >= 1, n <= 0, m-major, so Re lam > 0 and Im lam >= 0
     m, n = np.divmod(np.arange(T * (T + 1)), T + 1)
-    blocks = rotation_blocks(alpha * ((m + 1) + 1j * (T - n)))
+    reps = alpha * ((m + 1) + 1j * (T - n))
+    blocks = rotation_blocks(reps)
     spectra = [np.linalg.eigvalsh(blocks.pop()) for _ in range(3)]  # popped, so each is freed
     w, U = np.linalg.eigh(blocks.pop())
     (scale, *_), dropped = _inverse_sqrt_weights([w, *spectra], capped=True)
     coeffs = U @ (scale * np.conj(U[0]))  # B_0^{-1/2} on the origin's basis vector
-    # K^{-1/2} e_0 is constant on orbits: coeffs[0] at the origin, coeffs[s] / 2 on
-    # the orbit of rep s.  On the (m, n) index square lam -> i lam is a rot90.
-    quadrant = np.zeros((k.size, k.size), dtype=complex)
-    quadrant[T + 1 :, : T + 1] = coeffs[1:].reshape(T, T + 1) / 2
-    column = sum(np.rot90(quadrant, j) for j in range(4))
-    column[T, T] = coeffs[0]
-    return np.conj(column).ravel() * phases, dropped
-
-
-def _lattice_synthesis(grid: GridSpec, alpha: float, beta: float, row: np.ndarray) -> SampledFunction:
-    """sum conj(row) of the atoms pi(alpha m, beta n) g, |m|, |n| <= T, ordered m-major, on grid-aligned spacings.
-
-    With C[m, n] the row, each sum_n C[m, n] e^{2 pi i beta n t} is one centered inverse FFT of C[m] added into the
-    dual-grid bins N/2 + n beta / dual step (mod N, so wide lattices alias as sampled exponentials do): O(N) memory.
-    """
-    size, N = math.isqrt(row.size), grid.n[0]
-    k = np.arange(size) - size // 2
-    bins = (N // 2 + round(beta / grid.dual().step[0]) * k) % N
-    g = N * gaussian_window(grid).values.real  # real, and the inverse FFT's 1/N undone
-    values = np.zeros(N, dtype=complex)
-    for shift, coeffs in zip(round(alpha / grid.step[0]) * k, np.conj(row).reshape(size, size)):
-        spectrum = np.zeros(N, dtype=complex)
-        np.add.at(spectrum, bins, coeffs)
-        values += np.roll(g, shift) * _centered_fft(spectrum, (0,), inverse=True)
-    return SampledFunction(grid, values)
-
-
-def _gabor_central_member(grid: GridSpec, alpha: float, beta: float, T: int) -> SampledFunction:
-    """Central member of the orthonormalized lattice pi(alpha m, beta n) g, |m|, |n| <= T."""
-    return _lattice_synthesis(grid, alpha, beta, _gabor_central_row(alpha, beta, T)[0])
+    norm = np.sum(np.abs(U[0, scale > 0]) ** 2)  # ||phi||^2, the kept part of e_0
+    del U
+    # phi lies in block 0, which the Fourier transform (lam -> -i lam) fixes, so its moment is half
+    # <(X^2 + Xi^2) phi, phi> = <(2N + 1) phi, phi> / (2 pi), N the number operator; <N phi, phi> is
+    # pi v^H B_3 v.  B_3 is rebuilt once U is freed: held through B_0's eigh, or built beside U, it
+    # would lift the peak past _eigh_bytes
+    v = np.conj(reps) * coeffs[1:]
+    energy = np.vdot(v, rotation_blocks(reps)[3] @ v).real
+    return float((2 * np.pi * energy + norm) / (4 * np.pi)), dropped
 
 
 def _eigh_bytes(order: int) -> int:
@@ -152,7 +145,7 @@ def _eigh_bytes(order: int) -> int:
     B_0..B_3 together), numpy's copy of the input, the eigenvectors, the
     divide-and-conquer complex and real workspaces, and conj(U).T in
     :func:`~pslab.frames._inverse_sqrt_rows`.  Measured peak RSS growth of
-    :func:`_gabor_central_row` is 5.1 of them on the block path (alpha = beta
+    :func:`_gabor_central_moment` is 5.1 of them on the block path (alpha = beta
     = 1, T = 40) and 5.6 and 5.7 on the full path (alpha, beta = 1, 1/2 and
     1/2, 2, T = 20).
     """
@@ -169,13 +162,22 @@ def _config_checked(cfg: ExperimentConfig, call, *args):
         raise cfg.error(str(exc)) from None
 
 
+def _readable(count: int) -> str:
+    """``count`` in full below 10^15, past it in scientific notation, formed from its digits: no float holds it."""
+    if count < 10**15:
+        return str(count)
+    from decimal import Decimal
+
+    return f"{Decimal(count):.3e}"
+
+
 def _check_budget(cfg: ExperimentConfig, need: int, subject: str, task: str) -> None:
     """Refuse, before allocating, a step whose ``need`` bytes exceed GRAM_BYTES_LIMIT."""
     if need > GRAM_BYTES_LIMIT:
         from fractions import Fraction  # exact, as need / 2**20 overflows a float past 2**1024 bytes
 
         raise cfg.error(
-            f"{subject} needs {round(Fraction(need, 2**20))} MiB to {task}, "
+            f"{subject} needs {_readable(round(Fraction(need, 2**20)))} MiB to {task}, "
             f"over the memory budget of {GRAM_BYTES_LIMIT / 2**20:.0f} MiB"
         )
 
@@ -188,16 +190,12 @@ def _budgeted_corpus(
 
     def admit(M: int) -> None:
         need = M * (squares * M + products * math.prod(grid.n)) * COMPLEX_BYTES + fixed
-        _check_budget(cfg, need, f"recipe of {M} members", task)
+        _check_budget(cfg, need, f"recipe of {_readable(M)} members", task)
 
     return _config_checked(cfg, corpus, cfg.get_str("recipe"), grid, cfg.seed, admit)
 
 
 def _run_balian_low(cfg: ExperimentConfig) -> Table:
-    from .localization import moment
-    grid = cfg.grid()
-    if grid.dim != 1:
-        raise cfg.error("runs on one-dimensional grids")
     alpha = cfg.get_float("alpha", 1.0)
     beta = cfg.get_float("beta", 1.0)
     if alpha <= 0 or beta <= 0:
@@ -206,30 +204,18 @@ def _run_balian_low(cfg: ExperimentConfig) -> Table:
     if any(not w.is_integer() or w <= 0 for w in windows) or any(b <= a for a, b in zip(windows, windows[1:])):
         raise cfg.error("windows must be increasing positive integers")
     windows = [int(w) for w in windows]
-    dual = grid.dual()
     widest = windows[-1]
-    if alpha * widest + _WRAP_MARGIN > grid.half_extent() or beta * widest + _WRAP_MARGIN > dual.half_extent():
-        raise cfg.error(
-            f"window {widest} puts lattice atoms within {_WRAP_MARGIN:.2f} of the "
-            f"grid box edge (half-extents {grid.half_extent()}, {dual.half_extent()}), "
-            "so their tails wrap"
-        )
-    # inside the box, so each spacing is at most n/2 samples
-    samples = (alpha / grid.step[0], beta / dual.step[0])
-    if any(round(k) == 0 for k in samples):
-        raise cfg.error(f"spacings ({alpha}, {beta}) round to zero time or frequency samples")
-    if any(abs(k - round(k)) > 1e-9 for k in samples):
-        raise cfg.error(f"spacings ({alpha}, {beta}) are not grid-aligned")
-    # the whole Gram is decomposed, or on a square lattice its rotation block 0; then the central member is
-    # synthesized shift by shift, peak RSS growth with its moment 7.0-7.3 complex entries a sample, any T, budgeted as 8
+    # coordinates up to 1e150 keep their squares and products, in mu^2 and the kernel's phase, inside a float
+    if max(alpha, beta) * widest > 1e150:
+        raise cfg.error(f"window {_readable(widest)} puts lattice atoms past 1e150, whose squares overflow a float")
+    # the whole Gram is decomposed, or on a square lattice its rotation block 0
     members = (2 * widest + 1) ** 2
     order = members // 4 + 1 if alpha == beta else members
-    need = max(_eigh_bytes(order), 8 * math.prod(grid.n) * COMPLEX_BYTES)
-    _check_budget(cfg, need, f"window {widest}", f"orthonormalize and synthesize {members} atoms")
+    _check_budget(cfg, _eigh_bytes(order), f"window {_readable(widest)}", f"orthonormalize {_readable(members)} atoms")
     rows = []
     for T in windows:
-        phi = _gabor_central_member(grid, alpha, beta, T)
-        value = moment(phi, 0.0, 1.0, side="frequency")
+        # fock_gram refuses a lattice whose points collapse, closer than 1e-12
+        value, _ = _config_checked(cfg, _gabor_central_moment, alpha, beta, T)
         rows.append(f"{T},{(2 * T + 1) ** 2},{value!r}")
     return "window,members,frequency_moment", rows, []
 
@@ -266,7 +252,8 @@ def _run_plunge_count(cfg: ExperimentConfig) -> Table:
     # the |T| x |T| section and eigvalsh's copy: peak RSS growth 2.07 and 2.04
     # sections at |T| = 1024 and 2048, budgeted as three
     for R, size in zip(radii, sizes):
-        _check_budget(cfg, 3 * size**2 * COMPLEX_BYTES, f"radius {R!r}", f"eigensolve its {size}-sample section")
+        task = f"eigensolve its {_readable(size)}-sample section"
+        _check_budget(cfg, 3 * size**2 * COMPLEX_BYTES, f"radius {R!r}", task)
     rows = []
     for R in radii:
         count = plunge_count(grid, R / 2, R / 2)
@@ -295,7 +282,7 @@ def _run_density(cfg: ExperimentConfig) -> Table:
     # tracemalloc peaks at 3.0-3.3x the histogram), budgeted here as four
     nbins, ndim = _config_checked(cfg, scan_bins, lam.window, radii[0]), 2 * lam.dim
     need = 4 * nbins**ndim * np.dtype(float).itemsize
-    _check_budget(cfg, need, f"radius {radii[0]!r}", f"scan {nbins}^{ndim} bins")
+    _check_budget(cfg, need, f"radius {radii[0]!r}", f"scan {_readable(nbins)}^{ndim} bins")
     rows = [
         f"{est.radius!r},{est.lower!r},{est.upper!r},{est.midpoint!r}"
         for est in density_trend(lam, radii)
@@ -313,7 +300,7 @@ def _run_improve(cfg: ExperimentConfig) -> Table:
     # when the cube keeps every time shift (1-D, 2048), budgeted as five halves
     size = math.prod(grid.n)
     matrices = 5 * size**2 * FLOAT_BYTES // 2
-    _check_budget(cfg, matrices, f"grid of {size} samples", "hold the modulation weight")
+    _check_budget(cfg, matrices, f"grid of {_readable(size)} samples", "hold the modulation weight")
     radii = cfg.get_floats("radii")
     sigma = cfg.get_float("sigma", 1.0)
     extent = cutoff_extent(grid)
@@ -367,7 +354,7 @@ def _run_uncertainty_sum(cfg: ExperimentConfig) -> Table:
     # the ledger's M x M arrays, the member stack and its transforms: peak RSS
     # growth 12.6 M^2 at M = 512 and 21.2 M^2 at M = 256, N = 1024 both
     need = count * (4 * count + 9 * math.prod(grid.n)) * COMPLEX_BYTES
-    _check_budget(cfg, need, f"count {count}", "build the commutation ledger")
+    _check_budget(cfg, need, f"count {_readable(count)}", "build the commutation ledger")
     members = _config_checked(cfg, hermite_functions, grid, count)
     ledger = commutation_ledger(members, members, grid)
     worst = ledger.truncation_defect.max(axis=1)
@@ -386,7 +373,8 @@ def _run_fock_sweep(cfg: ExperimentConfig) -> Table:
         raise cfg.error("pitches and window must be positive")
     # the finest lattice has at most (2 reach + 1)^2 points; each rotation block a quarter
     points = (2 * _config_checked(cfg, _lattice_reach, window, min(alphas)) + 1) ** 2
-    _check_budget(cfg, _eigh_bytes(points // 4 + 1), f"pitch {min(alphas)!r}", f"bound {points} lattice points")
+    task = f"bound {_readable(points)} lattice points"
+    _check_budget(cfg, _eigh_bytes(points // 4 + 1), f"pitch {min(alphas)!r}", task)
     rows = [
         f"{r.alpha!r},{r.density!r},{r.lower!r},{r.upper!r},{r.condition!r}"
         for r in lattice_sweep(alphas, window)

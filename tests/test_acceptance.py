@@ -171,13 +171,11 @@ def test_07_dual_decay_preservation():
 def test_08_critical_moment_growth(tmp_path):
     critical = tmp_path / "critical.cfg"
     critical.write_text(
-        "[balian-low]\ngrid_n = 16384\ngrid_dx = 0.0078125\n"
-        "alpha = 1.0\nbeta = 1.0\nwindows = 8 32\n"
+        "[balian-low]\nalpha = 1.0\nbeta = 1.0\nwindows = 8 32\n"
     )
     control = tmp_path / "control.cfg"
     control.write_text(
-        "[balian-low]\ngrid_n = 8192\ngrid_dx = 0.0078125\n"
-        "alpha = 0.5\nbeta = 0.5\nwindows = 8 32\n"
+        "[balian-low]\nalpha = 0.5\nbeta = 0.5\nwindows = 8 32\n"
     )
     moments = {}
     for name, cfg in (("critical", critical), ("control", control)):

@@ -11,19 +11,10 @@ import pytest
 
 from pslab.cli import main
 from pslab.config import EXPERIMENTS, ConfigError, load_config
-from pslab.experiments import (
-    COMPLEX_BYTES,
-    FLOAT_BYTES,
-    _eigh_bytes,
-    _gabor_central_member,
-    _gabor_central_row,
-    _lattice_synthesis,
-    corpus,
-    run,
-)
-from pslab.fock import fock_gram
-from pslab.frames import _inverse_sqrt_rows, canonical_tight, gramian
-from pslab.grid import GridSpec, gaussian_window, tf_shift
+from pslab.experiments import COMPLEX_BYTES, FLOAT_BYTES, _eigh_bytes, _gabor_central_moment, corpus, run
+from pslab.fock import fock_gram, rotation_blocks
+from pslab.frames import _inverse_sqrt_rows, _inverse_sqrt_weights, canonical_tight, gramian
+from pslab.grid import GridSpec, SampledFunction, gaussian_window, tf_shift
 from pslab.localization import moment
 from pslab.operators import restriction_masks
 
@@ -206,6 +197,31 @@ class TestCorpus:
         assert np.linalg.norm(members[0]) * np.sqrt(GRID.cell_volume) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_array_equal(centers, np.zeros((1, 2)))
 
+    @pytest.mark.parametrize(
+        "recipe, admitted",
+        [
+            # GRID's boxes are [-8, 8) in time and in frequency; two-bump sits at +-separation, snapped
+            ("two-bump(7.9375)", True),
+            ("two-bump(8)", False),
+            ("two-bump(-8)", False),
+            ("two-bump(7.97)", False),  # snaps to 8
+            ("two-bump(1e300)", False),
+            ("gabor-gaussian(1, 0.5, 7.99)", True),
+            ("gabor-gaussian(1, 0.5, 8)", False),  # a = +8 leaves the half-open box
+            ("gabor-gaussian(1, 2, 8)", False),  # b = +8 leaves the dual box
+            ("jittered-gabor(1, 1, 0.5, 7.5)", True),
+            ("jittered-gabor(1, 1, 2, 7.5)", False),  # seed 0 draws outer atoms past 8
+        ],
+    )
+    def test_centers_stay_in_the_half_open_boxes(self, recipe, admitted):
+        # tf_shift is periodic: a center past the box would land, wrapped, on the other side
+        if admitted:
+            centers = corpus(recipe, GRID)[1]
+            assert np.all((-8 <= centers) & (centers < 8))
+        else:
+            with pytest.raises(ValueError, match="outside the time and frequency boxes"):
+                corpus(recipe, GRID)
+
     def test_unknown_recipe_rejected(self):
         with pytest.raises(ValueError, match="unknown recipe"):
             corpus("mystery-basis(3)", GRID)
@@ -229,18 +245,11 @@ class TestGaborCentralMember:
         g = gaussian_window(grid)
         centers = [(alpha * m, beta * n) for m in range(-T, T + 1) for n in range(-T, T + 1)]
         tight = canonical_tight(tf_shift(g.values, grid, centers), grid)
-        return tight[len(centers) // 2]
-
-    @pytest.mark.parametrize("alpha, beta, T", [(1.0, 1.0, 4), (0.5, 2.0, 2), (1.5, 0.75, 4)])
-    def test_matches_sampled_path(self, alpha, beta, T):
-        grid = GridSpec(1, 1024, 1 / 32)
-        sampled = self.sampled_path(grid, alpha, beta, T)
-        phi = _gabor_central_member(grid, alpha, beta, T)
-        assert np.abs(phi.values - sampled).max() < 1e-12 * np.abs(sampled).max()
+        return SampledFunction(grid, tight[len(centers) // 2])
 
     @staticmethod
     def table_synthesis(grid, alpha, beta, row):
-        """The definitional twin of _lattice_synthesis: sum_m T_{alpha m} g * (C E)[m], E[n] = e^{2 pi i beta n t}.
+        """sum conj(row) of the atoms by definition: sum_m T_{alpha m} g * (C E)[m], E[n] = e^{2 pi i beta n t}.
 
         C is conj(row) reshaped to (2T + 1, 2T + 1), and E the (2T + 1, N) table of sampled exponentials.
         """
@@ -250,43 +259,89 @@ class TestGaborCentralMember:
         CE = np.conj(row).reshape(size, size) @ np.exp(np.multiply.outer(2j * np.pi * (beta * k), t))
         g = gaussian_window(grid).values
         shift = round(alpha / grid.step[0])
-        return sum(np.roll(g, shift * m) * CE[i] for i, m in enumerate(k))
+        return SampledFunction(grid, sum(np.roll(g, shift * m) * CE[i] for i, m in enumerate(k)))
+
+    @staticmethod
+    def full_gram(alpha, beta, T):
+        """lam = a - ib of the atoms (a, b) = (alpha m, beta n), m-major, and their whole Gram D* K D, K = fock_gram(lam)."""
+        k = np.arange(-T, T + 1)
+        a, b = np.repeat(alpha * k, k.size), np.tile(beta * k, k.size)
+        D = np.exp(1j * np.pi * a * b)
+        return a - 1j * b, np.conj(D)[:, None] * fock_gram(a - 1j * b) * D[None, :]
+
+    @classmethod
+    def full_gram_row(cls, alpha, beta, T):
+        """The oracle: the central row of the capped G^{-1/2} from eigh of the whole Gram."""
+        lam, G = cls.full_gram(alpha, beta, T)
+        return _inverse_sqrt_rows(G, lam.size // 2, capped=True)
+
+    @classmethod
+    def mu_moment(cls, alpha, beta, T, row):
+        """The frequency moment of sum conj(row) of the atoms, in closed form on the whole Gram:
+        sum_jk row_j G_jk (mu_jk^2 + 1/(4 pi)) conj(row_k), mu_jk = i (lam_j - conj(lam_k)) / 2."""
+        lam, G = cls.full_gram(alpha, beta, T)
+        mu = 0.5j * np.subtract.outer(lam, np.conj(lam))
+        return float(np.real(row @ (G * (mu**2 + 1 / (4 * np.pi))) @ np.conj(row)))
+
+    @classmethod
+    def block_row(cls, alpha, T):
+        """The central row of the capped G^{-1/2} on a square lattice from rotation block 0, spread over the lattice.
+
+        K^{-1/2} e_0 is constant on orbits: coeffs[0] at the origin, coeffs[s] / 2 on the orbit of
+        rep s.  On the (m, n) index square lam -> i lam is a rot90; the row of G^{-1/2} is the
+        conjugate times the phases D.
+        """
+        m, n = np.divmod(np.arange(T * (T + 1)), T + 1)
+        blocks = rotation_blocks(alpha * ((m + 1) + 1j * (T - n)))
+        w, U = np.linalg.eigh(blocks[0])
+        (scale, *_), _ = _inverse_sqrt_weights([w, *map(np.linalg.eigvalsh, blocks[1:])], capped=True)
+        coeffs = U @ (scale * np.conj(U[0]))
+        quadrant = np.zeros((2 * T + 1, 2 * T + 1), dtype=complex)
+        quadrant[T + 1 :, : T + 1] = coeffs[1:].reshape(T, T + 1) / 2
+        column = sum(np.rot90(quadrant, j) for j in range(4))
+        column[T, T] = coeffs[0]
+        k = alpha * np.arange(-T, T + 1)
+        return np.conj(column).ravel() * np.exp(1j * np.pi * np.multiply.outer(k, k)).ravel()
+
+    @pytest.mark.parametrize("alpha, beta, T", [(1.0, 1.0, 4), (0.5, 2.0, 2), (1.5, 0.75, 4)])
+    def test_matches_sampled_path(self, alpha, beta, T):
+        sampled = moment(self.sampled_path(GridSpec(1, 1024, 1 / 32), alpha, beta, T), 0.0, 1.0, side="frequency")
+        assert _gabor_central_moment(alpha, beta, T)[0] == pytest.approx(sampled, rel=1e-12)
 
     @pytest.mark.parametrize(
         "n, step, alpha, beta, T",
-        [
-            (1024, 1 / 32, 1.0, 1.0, 6),
-            (1024, 1 / 32, 0.5, 2.0, 3),
-            (512, 1 / 16, 1.5, 0.75, 4),
-            # the dual box is [-8, 8) and beta n reaches 10: the bins wrap past Nyquist, and
-            # n = 5 and n = -3 share a bin, as their sampled exponentials coincide
-            (256, 1 / 16, 1.0, 2.0, 5),
-        ],
-        ids=["square", "oblong", "oblong-fine", "wrapping"],
+        [(1024, 1 / 32, 1.0, 1.0, 6), (1024, 1 / 32, 0.5, 2.0, 3), (512, 1 / 16, 1.5, 0.75, 4)],
+        ids=["square", "oblong", "oblong-fine"],
     )
-    def test_synthesis_matches_exponential_table(self, n, step, alpha, beta, T):
-        grid = GridSpec(1, n, step)
-        rng = np.random.default_rng(T)
-        row = rng.normal(size=(2 * T + 1) ** 2) + 1j * rng.normal(size=(2 * T + 1) ** 2)
-        expected = self.table_synthesis(grid, alpha, beta, row)
-        phi = _lattice_synthesis(grid, alpha, beta, row)
-        assert np.abs(phi.values - expected).max() <= 1e-13 * np.abs(expected).max()
+    def test_moment_matches_exponential_table(self, n, step, alpha, beta, T):
+        # the full Gram's central row, synthesized on a grid the lattice aligns with and sits well inside
+        phi = self.table_synthesis(GridSpec(1, n, step), alpha, beta, self.full_gram_row(alpha, beta, T)[0])
+        sampled = moment(phi, 0.0, 1.0, side="frequency")
+        assert _gabor_central_moment(alpha, beta, T)[0] == pytest.approx(sampled, rel=1e-12)
 
-    @staticmethod
-    def full_gram_row(alpha, T):
-        """The oracle: the central row of G^{-1/2} from eigh of the whole Gram D* K D, K = fock_gram(a - ib)."""
-        k = np.arange(-T, T + 1)
-        a, b = np.repeat(alpha * k, k.size), np.tile(alpha * k, k.size)
-        D = np.exp(1j * np.pi * a * b)
-        G = np.conj(D)[:, None] * fock_gram(a - 1j * b) * D[None, :]
-        return _inverse_sqrt_rows(G, k.size**2 // 2, capped=True)
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("T", range(2, 9))
+    def test_block_form_matches_mu_form_on_the_full_gram(self, alpha, T):
+        # the same coefficients, block 0's, read by (2 pi v^H B_3 v + ||phi||^2) / (4 pi) and by the mu form.
+        # Both are quadratic forms, whose rounding grows with the squared coefficients: on the capped
+        # control these reach 411 at T = 2 and 5.7 at T = 5 (0.13 at T = 8), and the two forms agree to
+        # 2e-10 and 3e-12, within the 1e-8 to which two eigensolves of a capped Gram agree
+        expected = self.mu_moment(alpha, alpha, T, self.block_row(alpha, T))
+        value, dropped = _gabor_central_moment(alpha, alpha, T)
+        assert value == pytest.approx(expected, rel=1e-8 if dropped else 1e-13)
+
+    def test_square_lattice_member_is_fourier_invariant(self):
+        # block 0 is fixed by the Fourier transform, so the square-lattice member's time and frequency
+        # moments agree and the block form may halve its oscillator energy; an oblong member's do not
+        grid = GridSpec(1, 1024, 1 / 32)
+        square, oblong = self.sampled_path(grid, 1.0, 1.0, 4), self.sampled_path(grid, 0.5, 2.0, 2)
+        assert moment(square, 0.0, 1.0) == pytest.approx(moment(square, 0.0, 1.0, side="frequency"), rel=1e-12)
+        assert moment(oblong, 0.0, 1.0) < 0.5 * moment(oblong, 0.0, 1.0, side="frequency")
 
     def test_square_lattices_take_the_blocks_and_others_the_kernel_gram(self, monkeypatch):
-        square, oblong = _gabor_central_row(1.0, 1.0, 4), _gabor_central_row(0.5, 2.0, 2)
+        square, oblong = _gabor_central_moment(1.0, 1.0, 4), _gabor_central_moment(0.5, 2.0, 2)
         monkeypatch.setattr("pslab.fock.fock_gram", refuse_to("the whole kernel Gram built"))
-        row, dropped = _gabor_central_row(1.0, 1.0, 4)
-        np.testing.assert_array_equal(row, square[0])
-        assert dropped == square[1]
+        assert _gabor_central_moment(1.0, 1.0, 4) == square
         orders = []
 
         def spy(lam):
@@ -295,40 +350,33 @@ class TestGaborCentralMember:
 
         monkeypatch.setattr("pslab.fock.fock_gram", spy)
         monkeypatch.setattr("pslab.fock.rotation_blocks", refuse_to("rotation blocks built"))
-        row, dropped = _gabor_central_row(0.5, 2.0, 2)
-        np.testing.assert_array_equal(row, oblong[0])
-        assert dropped == oblong[1]
+        assert _gabor_central_moment(0.5, 2.0, 2) == oblong
         assert orders == [25]
 
     @pytest.mark.parametrize("T", [1, 4, 8])
     def test_block_path_matches_full_gram_on_critical_lattice(self, T):
-        grid = GridSpec(1, 1024, 1 / 32)
-        full = _lattice_synthesis(grid, 1.0, 1.0, self.full_gram_row(1.0, T)[0])
-        phi = _gabor_central_member(grid, 1.0, 1.0, T)
-        assert np.abs(phi.values - full.values).max() < 1e-12 * np.abs(full.values).max()
+        expected = self.mu_moment(1.0, 1.0, T, self.full_gram_row(1.0, 1.0, T)[0])
+        assert _gabor_central_moment(1.0, 1.0, T)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_block_path_matches_full_gram_on_capped_control(self):
         # the capped directions sit near 1e-10 w_max, so the two eigensolves
         # keep slightly different spans; the moment agrees far below the cap
-        grid = GridSpec(1, 4096, 1 / 64)
-        full = _lattice_synthesis(grid, 0.5, 0.5, self.full_gram_row(0.5, 8)[0])
-        phi = _gabor_central_member(grid, 0.5, 0.5, 8)
-        expected = moment(full, 0.0, 1.0, side="frequency")
-        assert moment(phi, 0.0, 1.0, side="frequency") == pytest.approx(expected, rel=1e-8)
+        expected = self.mu_moment(0.5, 0.5, 8, self.full_gram_row(0.5, 0.5, 8)[0])
+        assert _gabor_central_moment(0.5, 0.5, 8)[0] == pytest.approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize("alpha, beta, T", [(1.0, 1.0, 40), (1.0, 0.5, 20)], ids=["block", "full"])
     def test_peak_memory_within_the_budget_estimate(self, alpha, beta, T):
-        # peak RSS growth of one central row
-        setup = f"from pslab.experiments import _gabor_central_row\n_gabor_central_row({alpha}, {beta}, 2)"
-        growth = peak_rss_growth(setup, f"_gabor_central_row({alpha}, {beta}, {T})")
+        # peak RSS growth of one central moment
+        setup = f"from pslab.experiments import _gabor_central_moment\n_gabor_central_moment({alpha}, {beta}, 2)"
+        growth = peak_rss_growth(setup, f"_gabor_central_moment({alpha}, {beta}, {T})")
         members = (2 * T + 1) ** 2
         order = members // 4 + 1 if alpha == beta else members
         assert growth <= _eigh_bytes(order)
 
     @pytest.mark.parametrize("alpha, T", [(1.0, 4), (1.0, 8), (0.5, 5), (0.5, 8)])
     def test_cap_drops_the_same_directions_on_both_paths(self, alpha, T):
-        _, dropped = _gabor_central_row(alpha, alpha, T)
-        assert dropped == self.full_gram_row(alpha, T)[1]
+        _, dropped = _gabor_central_moment(alpha, alpha, T)
+        assert dropped == self.full_gram_row(alpha, alpha, T)[1]
         # the redundant control is rank deficient; the critical lattice is a Riesz basis
         assert (dropped > 0) == (alpha == 0.5)
 
@@ -349,15 +397,15 @@ class TestDenseEstimates:
         assert estimate / 2 <= growth <= estimate
 
     @staticmethod
-    def improve_growth(warmup, grid, radii):
-        """Peak RSS growth of improve_system on the 25-member jittered lattice over ``grid``."""
+    def improve_growth(warmup, grid, radii, recipe="jittered-gabor(1, 1, 0.125, 2)"):
+        """Peak RSS growth of improve_system on a 25-member jittered lattice over ``grid``."""
         setup = (
             "from pslab.experiments import corpus\n"
             "from pslab.grid import GridSpec\n"
             "from pslab.operators import improve_system\n"
-            f"improve_system(*corpus('two-bump', {warmup}), {warmup}, [1.0])\n"
+            f"improve_system(*corpus('two-bump(1)', {warmup}), {warmup}, [1.0])\n"
             f"grid = {grid}\n"
-            "members, centers = corpus('jittered-gabor(1, 1, 0.125, 2)', grid)"
+            f"members, centers = corpus({recipe!r}, grid)"
         )
         return peak_rss_growth(setup, f"improve_system(members, centers, grid, {radii})")
 
@@ -376,8 +424,10 @@ class TestDenseEstimates:
         assert estimate / 2 <= growth <= estimate
 
     def test_improve_weight_and_cutoffs_2d(self):
-        # n^d = 1024 in 2-D, two radii: the cutoff factors are n x n (measured 1.41 real weights)
-        growth = self.improve_growth("GridSpec(2, 8, 1 / 2)", "GridSpec(2, 32, 1 / 4)", [1.0, 2.0])
+        # n^d = 1024 in 2-D, two radii: the cutoff factors are n x n (measured 1.36 real weights); the
+        # dual box is [-2, 2), so the 25 members have pitch 1/2
+        recipe = "jittered-gabor(0.5, 0.5, 0.125, 1)"
+        growth = self.improve_growth("GridSpec(2, 8, 1 / 2)", "GridSpec(2, 32, 1 / 4)", [1.0, 2.0], recipe)
         estimate = 5 * 1024**2 * FLOAT_BYTES // 2
         assert estimate / 2 <= growth <= estimate
 
@@ -390,7 +440,7 @@ class TestDenseEstimates:
             "from pslab.grid import GridSpec\n"
             "from pslab.operators import improve_system\n"
             "warmup = GridSpec(1, 64, 1 / 4)\n"
-            "members, centers = corpus('jittered-gabor(1, 1, 0.125, 2)', warmup)\n"
+            "members, centers = corpus('jittered-gabor(1, 1, 0.125, 1)', warmup)\n"
             "frame_bounds(members, warmup)\n"
             "improve_system(members, centers, warmup, [1.0])\n"
             "grid = GridSpec(1, 512, 1 / 16)\n"
@@ -405,24 +455,6 @@ class TestDenseEstimates:
         growth = peak_rss_growth(setup, step)
         estimate = 5 * 512**2 * FLOAT_BYTES // 2 + 465 * (4 * 465 + (3 + 16) * 512) * COMPLEX_BYTES
         assert estimate / 2 <= growth <= estimate
-
-    def test_balian_low_synthesis(self):
-        # N = 2^18: the central member is synthesized one time shift at a time, so the
-        # estimate of 8 complex entries a sample holds for every T (measured 7.05 and 7.26
-        # at T = 2 and 12), and T = 12 takes under one entry a sample more than T = 2
-        setup = (
-            "from pslab.experiments import _gabor_central_member\n"
-            "from pslab.grid import GridSpec\n"
-            "from pslab.localization import moment\n"
-            "moment(_gabor_central_member(GridSpec(1, 1024, 1 / 32), 1.0, 1.0, 2), 0.0, 1.0, side='frequency')\n"
-            "grid = GridSpec(1, 2**18, 1 / 256)"
-        )
-        step = "moment(_gabor_central_member(grid, 1.0, 1.0, {}), 0.0, 1.0, side='frequency')"
-        narrow, wide = (peak_rss_growth(setup, step.format(T)) for T in (2, 12))
-        estimate = 8 * 2**18 * COMPLEX_BYTES
-        for growth in (narrow, wide):
-            assert estimate / 2 <= growth <= estimate
-        assert wide - narrow <= 2**18 * COMPLEX_BYTES
 
     def test_dual_decay_gram_and_inverse(self):
         # M = 625 on N = 2048: gramian's conjugated members, then G beside G^-1 (measured 4.6 M^2)
@@ -549,44 +581,34 @@ class TestCli:
         assert (first / "dual_decay.csv").read_bytes() != (second / "dual_decay.csv").read_bytes()
 
     def test_balian_low_moment_grows(self, tmp_path):
+        # the runner reads alpha, beta and windows alone: a section with no grid keys answers
         stub = tmp_path / "bl.cfg"
-        stub.write_text("[balian-low]\ngrid_n = 1024\ngrid_dx = 0.03125\nwindows = 2 3 4\n")
+        stub.write_text("[balian-low]\nwindows = 2 3 4\n")
         assert main(["balian-low", "--config", str(stub), "--out", str(tmp_path)]) == 0
         rows = read_rows(tmp_path / "balian_low.csv")
         moments = [row[2] for row in rows]
         assert moments[0] < moments[1] < moments[2]
         assert [int(row[1]) for row in rows] == [25, 49, 81]
 
-    def test_balian_low_rejects_offgrid_spacing(self, tmp_path):
+    def test_balian_low_answers_offgrid_spacing(self, tmp_path):
+        # no power-of-two grid aligns with 0.3 in time and frequency; the closed form needs no grid
         stub = tmp_path / "bl.cfg"
-        stub.write_text("[balian-low]\ngrid_n = 1024\ngrid_dx = 0.03125\nwindows = 2\nalpha = 0.3\n")
-        assert main(["balian-low", "--config", str(stub), "--out", str(tmp_path / "o")]) == 2
+        stub.write_text("[balian-low]\nwindows = 2\nalpha = 0.3\nbeta = 0.3\n")
+        assert main(["balian-low", "--config", str(stub), "--out", str(tmp_path)]) == 0
+        [(T, members, value)] = read_rows(tmp_path / "balian_low.csv")
+        oracle = TestGaborCentralMember
+        # 11 times redundant, so capped, with coefficients up to 9: the full Gram's eigensolve
+        # and quadratic form agree to 2.6e-8
+        expected = oracle.mu_moment(0.3, 0.3, 2, oracle.full_gram_row(0.3, 0.3, 2)[0])
+        assert (T, members) == (2, 25) and value == pytest.approx(expected, rel=1e-6)
 
     def test_balian_low_rejects_fractional_window(self, tmp_path, capsys):
         stub = tmp_path / "bl.cfg"
-        stub.write_text("[balian-low]\ngrid_n = 1024\ngrid_dx = 0.03125\nwindows = 2.7\n")
+        stub.write_text("[balian-low]\nwindows = 2.7\n")
         out = tmp_path / "out"
         assert main(["balian-low", "--config", str(stub), "--out", str(out)]) == 2
         assert "positive integers" in capsys.readouterr().err
         assert not list(out.iterdir())
-
-    def test_balian_low_rejects_wrapping_window(self, tmp_path):
-        stub = tmp_path / "bl.cfg"
-        stub.write_text("[balian-low]\ngrid_n = 512\ngrid_dx = 0.03125\nwindows = 2 8\n")
-        assert main(["balian-low", "--config", str(stub), "--out", str(tmp_path / "o")]) == 2
-
-    @pytest.mark.parametrize(
-        "grid",
-        [
-            "grid_n = 512\ngrid_dx = 0.03125\n",  # alpha * 6 sits 2 inside the time half-extent 8
-            "grid_n = 1024\ngrid_dx = 0.0625\n",  # beta * 6 sits 2 inside the frequency half-extent 8
-        ],
-    )
-    def test_balian_low_rejects_wrapping_tails(self, tmp_path, capsys, grid):
-        stub = tmp_path / "bl.cfg"
-        stub.write_text(f"[balian-low]\n{grid}windows = 2 6\n")
-        assert main(["balian-low", "--config", str(stub), "--out", str(tmp_path / "o")]) == 2
-        assert "tails wrap" in capsys.readouterr().err
 
     def test_balian_low_refuses_oversized_gram_before_building(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -597,24 +619,39 @@ class TestCli:
         # T = 69, the first window past the budget, is 19321 atoms: 2.09 GiB for
         # the eigendecomposition of the square lattice's rotation block 0, of order 4831
         stub = tmp_path / "bl.cfg"
-        stub.write_text("[balian-low]\ngrid_n = 65536\ngrid_dx = 0.00390625\nwindows = 8 69\n")
+        stub.write_text("[balian-low]\nwindows = 8 69\n")
         out = tmp_path / "out"
         assert main(["balian-low", "--config", str(stub), "--out", str(out)]) == 2
         assert "memory budget" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    # the collapse and overflow refusals; "error" turns a RuntimeWarning into a failure
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "spacings", ["alpha = 1e-12\n", "beta = 1e-12\n", "alpha = 1e-12\nbeta = 1e-12\n"], ids=["alpha", "beta", "both"]
+        "spacings, message",
+        [
+            # points 1e-13 apart, which fock_gram refuses as duplicates
+            ("alpha = 1e-13\n", "duplicate points"),
+            ("beta = 1e-13\n", "duplicate points"),
+            # coordinates past 1e150, whose squares in mu^2 and the kernel's phase would overflow to NaN
+            ("alpha = 1e200\n", "overflow a float"),
+            ("alpha = 1e200\nbeta = 1e200\n", "overflow a float"),
+            ("beta = 1e149\nwindows = 11\n", "overflow a float"),
+        ],
+        ids=["collapsed-alpha", "collapsed-beta", "overflow-alpha", "overflow-both", "overflow-window"],
     )
-    def test_balian_low_refuses_spacings_of_zero_samples(self, tmp_path, monkeypatch, capsys, spacings):
-        # 1e-12 is within 1e-9 of a multiple of any step, zero of them: the lattice would repeat atoms
-        monkeypatch.setattr("pslab.experiments._gabor_central_member", refuse_to("atoms built"))
+    def test_balian_low_refuses_degenerate_lattice_before_the_eigensolve(
+        self, tmp_path, monkeypatch, capsys, spacings, message
+    ):
+        for name in ("pslab.frames._inverse_sqrt_rows", "numpy.linalg.eigh", "numpy.linalg.eigvalsh"):
+            monkeypatch.setattr(name, refuse_to("eigensolved"))
         stub = tmp_path / "bl.cfg"
-        stub.write_text(f"[balian-low]\ngrid_n = 2048\ngrid_dx = 0.03125\n{spacings}windows = 2\n")
+        windows = "" if "windows" in spacings else "windows = 2\n"
+        stub.write_text(f"[balian-low]\n{spacings}{windows}")
         out = tmp_path / "out"
         assert main(["balian-low", "--config", str(stub), "--out", str(out)]) == 2
-        assert_one_refusal(capsys, "balian-low", "round to zero time or frequency samples")
-        assert not list(out.iterdir())
+        assert_one_refusal(capsys, "balian-low", message)
+        assert not out.exists() or not list(out.iterdir())
 
     @pytest.mark.parametrize(
         "spacings, allowed",
@@ -631,10 +668,10 @@ class TestCli:
         def admit(*args, **kwargs):
             raise Admitted
 
-        monkeypatch.setattr("pslab.experiments._gabor_central_member", admit)
+        monkeypatch.setattr("pslab.experiments._gabor_central_moment", admit)
         stub = tmp_path / "bl.cfg"
         for T in (allowed, allowed + 1):
-            stub.write_text(f"[balian-low]\ngrid_n = 65536\ngrid_dx = 0.00390625\n{spacings}windows = {T}\n")
+            stub.write_text(f"[balian-low]\n{spacings}windows = {T}\n")
             cfg = load_config(stub, "balian-low")
             if T == allowed:
                 with pytest.raises(Admitted):
@@ -642,22 +679,6 @@ class TestCli:
             else:
                 with pytest.raises(ConfigError, match="memory budget"):
                     run(cfg, tmp_path / "out")
-
-    def test_balian_low_budget_follows_the_synthesis(self, tmp_path, monkeypatch):
-        class Admitted(Exception):
-            pass
-
-        def admit(*args, **kwargs):
-            raise Admitted
-
-        monkeypatch.setattr("pslab.experiments._gabor_central_member", admit)
-        stub = tmp_path / "bl.cfg"
-        # 8 complex entries a sample, whatever T: N = 2^24 is exactly the 2 GiB budget
-        for n, admitted in ((2**24, True), (2**25, False)):
-            stub.write_text(f"[balian-low]\ngrid_n = {n}\ngrid_dx = 0.0009765625\nwindows = 6\n")
-            cfg = load_config(stub, "balian-low")
-            with pytest.raises(Admitted) if admitted else pytest.raises(ConfigError, match="memory budget"):
-                run(cfg, tmp_path / "out")
 
     def test_fock_sweep_refuses_oversized_lattice_before_building(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -686,28 +707,6 @@ class TestCli:
         assert "memory budget" in capsys.readouterr().err
         assert not list(out.iterdir())
 
-    @pytest.mark.parametrize(
-        "experiment, body",
-        # the synthesis of 8 complex entries a sample: 4 GiB at N = 2^25, the first grid past the budget
-        [("balian-low", "grid_n = 33554432\ngrid_dx = 0.0009765625\nwindows = 6\n")],
-        ids=["balian-low"],
-    )
-    def test_oversized_sample_arrays_exit_2_before_allocating(self, tmp_path, monkeypatch, capsys, experiment, body):
-        refuse = refuse_to("an N-sample array built")
-        for name in (
-            "pslab.grid.GridSpec.axis_points",
-            "pslab.operators.restriction_masks",
-            "pslab.experiments._gabor_central_row",
-            "pslab.experiments._lattice_synthesis",
-        ):
-            monkeypatch.setattr(name, refuse)
-        stub = tmp_path / "big.cfg"
-        stub.write_text(f"[{experiment}]\n{body}")
-        out = tmp_path / "out"
-        assert main([experiment, "--config", str(stub), "--out", str(out)]) == 2
-        assert_one_refusal(capsys, experiment, "memory budget")
-        assert not out.exists() or not list(out.iterdir())
-
     @pytest.mark.parametrize("grid_n", [2**34, 2**70])
     @pytest.mark.parametrize(
         "experiment, sets, row",
@@ -727,9 +726,7 @@ class TestCli:
         csv = tmp_path / f"{experiment.replace('-', '_')}.csv"
         assert csv.read_text().splitlines()[-1] == row
 
-    @pytest.mark.parametrize(
-        "experiment", ["balian-low", "trace-check", "plunge-count", "improve", "dual-decay", "uncertainty-sum"]
-    )
+    @pytest.mark.parametrize("experiment", ["trace-check", "plunge-count", "improve", "dual-decay", "uncertainty-sum"])
     def test_sample_count_past_a_float_exits_2(self, tmp_path, capsys, experiment):
         # 2^1100 is a power of two, but no float holds it; every experiment that takes a grid refuses it
         stub = tmp_path / "huge.cfg"
@@ -1003,6 +1000,8 @@ class TestCli:
                 ["pslab.frames.gramian", "pslab.frames.dual_gram", *RECIPE_SYNTHESIS],
             ),
             ("fock-sweep", "alphas = 1e-300\n", ["pslab.fock.lattice_points", "pslab.fock.lattice_sweep"]),
+            # coordinates of 1e100 pass the overflow check; 4e200 atoms do not pass the budget
+            ("balian-low", "windows = 1e100\n", ["pslab.fock.fock_gram", "pslab.fock.rotation_blocks"]),
             ("density", f"points_csv = {POINTS}\nradii = 1e-300 4\n", ["pslab.geometry.density_trend"]),
             (
                 "uncertainty-sum",
@@ -1010,7 +1009,7 @@ class TestCli:
                 ["pslab.frames.commutation_ledger", "pslab.corpus.hermite_functions"],
             ),
         ],
-        ids=["improve", "dual-decay", "fock-sweep", "density", "uncertainty-sum"],
+        ids=["improve", "dual-decay", "fock-sweep", "balian-low", "density", "uncertainty-sum"],
     )
     def test_budget_past_a_float_exits_2(self, tmp_path, monkeypatch, capsys, experiment, body, patched):
         for name in patched:
@@ -1019,7 +1018,9 @@ class TestCli:
         stub.write_text(f"[{experiment}]\n{body}")
         out = tmp_path / "out"
         assert main([experiment, "--config", str(stub), "--out", str(out)]) == 2
-        assert_one_refusal(capsys, experiment, "memory budget")
+        err = capsys.readouterr().err
+        assert len(err) < 200  # sizes and counts past 10^15 in scientific notation, not in hundreds of digits
+        assert err.count("\n") == 1 and f"[{experiment}]" in err and "memory budget" in err
         assert not out.exists() or not list(out.iterdir())
 
     # nan and inf arguments, and a jitter whose draw range 2 jitter overflows; "error" turns a warning into a failure
@@ -1045,6 +1046,22 @@ class TestCli:
         assert_one_refusal(capsys, experiment, recipe)
         assert not list(out.iterdir())
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("experiment", ["improve", "dual-decay"])
+    @pytest.mark.parametrize("recipe", ["two-bump(1e300)", "two-bump(16)", "gabor-gaussian(1, 1, 8)"])
+    def test_recipe_outside_the_boxes_exits_2(self, tmp_path, monkeypatch, capsys, experiment, recipe):
+        # the 512-sample grid's boxes are [-16, 16) in time and [-8, 8) in frequency
+        for name in RECIPE_SYNTHESIS:
+            if name != "pslab.experiments.snap_to_grid":
+                monkeypatch.setattr(name, refuse_to("a member built"))
+        stub = tmp_path / "box.cfg"
+        radii = "radii = 2\n" if experiment == "improve" else ""
+        stub.write_text(f"[{experiment}]\ngrid_n = 512\ngrid_dx = 0.0625\nrecipe = {recipe}\n{radii}")
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(stub), "--out", str(out)]) == 2
+        assert_one_refusal(capsys, experiment, "outside the time and frequency boxes")
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize(
         "experiment, body, message",
         [
@@ -1060,14 +1077,14 @@ class TestCli:
             ("trace-check", "grid_n = 1024\ngrid_dx = 0.03125\npairs =\n", "must list at least one"),
             ("plunge-count", "grid_n = 1024\ngrid_dx = 0.03125\nradii = nan\n", "is not finite"),
             ("improve", "grid_n = 512\ngrid_dx = 0.0625\nrecipe = two-bump\nradii = 2\nsigma = nan\n", "is not finite"),
-            ("balian-low", "grid_n = 2048\ngrid_dx = 0.03125\nalpha = nan\nwindows = 2\n", "is not finite"),
+            ("balian-low", "alpha = nan\nwindows = 2\n", "is not finite"),
             ("fock-sweep", "alphas = nan\n", "is not finite"),
             ("fock-sweep", "alphas = 1\nwindow = inf\n", "is not finite"),
             # the weight exponent, checked before the corpus and its frame bounds
             ("improve", "grid_n = 512\ngrid_dx = 0.0625\nrecipe = two-bump\nradii = 2\nsigma = -1\n", "nonnegative"),
-            # a zero spacing stacks copies of one atom; a negative one slips past the wrap check
-            ("balian-low", "grid_n = 2048\ngrid_dx = 0.03125\nalpha = 0\nbeta = 0\nwindows = 2\n", "must be positive"),
-            ("balian-low", "grid_n = 2048\ngrid_dx = 0.03125\nalpha = -40\nwindows = 2\n", "must be positive"),
+            # a zero spacing stacks copies of one atom, and a negative one would mirror the lattice
+            ("balian-low", "alpha = 0\nbeta = 0\nwindows = 2\n", "must be positive"),
+            ("balian-low", "alpha = -40\nwindows = 2\n", "must be positive"),
             # only an absent window is derived from the points; a given one must be positive
             ("density", f"points_csv = {POINTS}\nwindow = 0\nradii = 4\n", "window = 0.0 must be positive"),
             ("density", f"points_csv = {POINTS}\nwindow = -1\nradii = 4\n", "window = -1.0 must be positive"),
@@ -1097,7 +1114,7 @@ class TestCli:
         monkeypatch.setattr("pslab.experiments.corpus", refuse)
         monkeypatch.setattr("pslab.operators.restriction_trace", refuse)
         monkeypatch.setattr("pslab.operators.restriction_section", refuse)
-        monkeypatch.setattr("pslab.experiments._gabor_central_member", refuse)
+        monkeypatch.setattr("pslab.experiments._gabor_central_moment", refuse)
         monkeypatch.setattr("pslab.fock.lattice_sweep", refuse)
         monkeypatch.setattr("pslab.geometry.PhasePointSet.load_csv", refuse)
         stub = tmp_path / "stub.cfg"
